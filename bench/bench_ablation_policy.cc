@@ -129,7 +129,6 @@ PolicyRun RunPolicy(rtsi::lsm::MergePolicy policy, const char* label,
 
   // Audit pass: exhaustive walk, no pruning, no skip headers.
   index.SetUseBound(false);
-  index.SetUseSkipHeader(false);
   run.walk_checksum =
       MeasurePass(index, query_config, num_queries, k, now).checksum;
   return run;

@@ -1,11 +1,13 @@
 // Figure 10: query cost versus the number of queries, RTSI vs LSII.
 //
-// Extended with the component-skipping A/B: every query count is measured
-// with the skip headers consulted (Bloom + summary bounds + admission
-// screen) and with them off (the PR-5 walk). The two passes must produce
-// bit-identical per-query results — skipping is a pure traversal
-// optimization — so each query's result checksum is audited against the
-// no-skip pass, and the folded checksums are emitted per row. A
+// Extended with a full-walk audit: every query count is measured on the
+// pruned path (bound walk with the skip headers consulted: Bloom +
+// summary bounds + admission screen) and on the full walk (use_bound
+// off: every component to exhaustion, no pruning structure consulted).
+// The two passes must produce bit-identical per-query results — pruning
+// and skipping are pure traversal optimizations — so each query's result
+// checksum is audited against the full walk, the folded checksums are
+// emitted per row, and a divergence exits nonzero. A
 // compaction-policy column rides along: the same workload against a
 // size-tiered index (several resident runs per level) shows what the
 // extra runs cost the read path with the headers doing the skipping.
@@ -103,9 +105,9 @@ int main() {
 
   workload::ReportTable table(
       "Figure 10: query cost vs #queries (" + std::to_string(init_streams) +
-          " streams, k=10; skip = Bloom+summary headers; pre = committed "
-          "pre-pipeline baseline)",
-      {"mix/#queries", "RTSI skip", "pre", "drift", "RTSI noskip", "gain",
+          " streams, k=10; RTSI = bound walk + skip headers; pre = "
+          "committed pre-pipeline baseline)",
+      {"mix/#queries", "RTSI", "pre", "drift", "full walk", "gain",
        "tiered", "LSII mean", "skipped/visited", "screened", "match"});
 
   // Before/after the exec:: pipeline refactor: the committed baseline
@@ -121,10 +123,10 @@ int main() {
       baseline.MetaNum("streams") == static_cast<double>(init_streams);
 
   // Build the indices once; sweep the query count. The same RTSI index
-  // serves both sides of the skip A/B (queries are read-only; the toggle
-  // flips planner consultation only). The tiered column reads an index
-  // built with the size-tiered compaction policy — more resident runs on
-  // the read path, the skip headers' worst case.
+  // serves the pruned pass and the full-walk audit (queries are
+  // read-only; SetUseBound flips the walk only). The tiered column reads
+  // an index built with the size-tiered compaction policy — more
+  // resident runs on the read path, the skip headers' worst case.
   core::RtsiIndex rtsi_index(bench::DefaultIndexConfig());
   auto tiered_config = bench::DefaultIndexConfig();
   tiered_config.lsm.policy = lsm::MergePolicy::kTiered;
@@ -168,26 +170,25 @@ int main() {
     query_config.vocab_size = static_cast<std::size_t>(
         static_cast<double>(corpus.vocab_size()) * mix.vocab_factor);
 
-    rtsi_index.SetUseSkipHeader(true);
-    const Pass skip_on =
+    const Pass pruned =
         MeasureRtsi(rtsi_index, query_config, n, k, clock_a.Now());
-    rtsi_index.SetUseSkipHeader(false);
-    const Pass skip_off =
+    rtsi_index.SetUseBound(false);
+    const Pass walk =
         MeasureRtsi(rtsi_index, query_config, n, k, clock_a.Now());
-    rtsi_index.SetUseSkipHeader(true);
+    rtsi_index.SetUseBound(true);
     const Pass tiered =
         MeasureRtsi(tiered_index, query_config, n, k, clock_c.Now());
 
     // Bit-identity audit: pinpoint the first diverging query.
-    bool match = skip_on.per_query.size() == skip_off.per_query.size();
-    for (std::size_t i = 0; match && i < skip_on.per_query.size(); ++i) {
-      if (skip_on.per_query[i] != skip_off.per_query[i]) {
+    bool match = pruned.per_query.size() == walk.per_query.size();
+    for (std::size_t i = 0; match && i < pruned.per_query.size(); ++i) {
+      if (pruned.per_query[i] != walk.per_query[i]) {
         std::fprintf(stderr,
-                     "DIVERGENCE queries=%zu query=%zu "
-                     "(skip=%016llx noskip=%016llx)\n",
-                     n, i,
-                     static_cast<unsigned long long>(skip_on.per_query[i]),
-                     static_cast<unsigned long long>(skip_off.per_query[i]));
+                     "DIVERGENCE mix=%s queries=%zu query=%zu "
+                     "(pruned=%016llx walk=%016llx)\n",
+                     mix.name, n, i,
+                     static_cast<unsigned long long>(pruned.per_query[i]),
+                     static_cast<unsigned long long>(walk.per_query[i]));
         match = false;
       }
     }
@@ -197,13 +198,12 @@ int main() {
     const auto lsii_stats =
         workload::MeasureQueries(*lsii_index, lsii_gen, n, k, clock_b);
 
-    const double gain = skip_off.mean_us > 0.0
-                            ? (skip_off.mean_us - skip_on.mean_us) /
-                                  skip_off.mean_us
-                            : 0.0;
+    const double gain =
+        walk.mean_us > 0.0 ? (walk.mean_us - pruned.mean_us) / walk.mean_us
+                           : 0.0;
     char checksum_hex[32];
     std::snprintf(checksum_hex, sizeof(checksum_hex), "%016llx",
-                  static_cast<unsigned long long>(skip_on.checksum));
+                  static_cast<unsigned long long>(pruned.checksum));
 
     // The pre-pipeline column: this (mix, queries) row in the baseline.
     const std::map<std::string, std::string>* base_row = nullptr;
@@ -220,11 +220,11 @@ int main() {
     double base_mean = 0.0, drift = 0.0;
     if (base_row != nullptr) {
       base_mean = bench::BaselineReport::Num(*base_row, "mean_us_skip");
-      drift = base_mean > 0.0 ? (skip_on.mean_us - base_mean) / base_mean
+      drift = base_mean > 0.0 ? (pruned.mean_us - base_mean) / base_mean
                               : 0.0;
       baseline_total_us +=
           bench::BaselineReport::Num(*base_row, "total_us_skip");
-      current_total_us += skip_on.total_us;
+      current_total_us += pruned.total_us;
       const std::string base_checksum =
           bench::BaselineReport::Str(*base_row, "checksum");
       if (!base_checksum.empty() && base_checksum != checksum_hex) {
@@ -238,27 +238,27 @@ int main() {
 
     table.AddRow(
         {std::string(mix.name) + "/" + std::to_string(n),
-         workload::FormatMicros(skip_on.mean_us),
+         workload::FormatMicros(pruned.mean_us),
          base_row != nullptr ? workload::FormatMicros(base_mean) : "-",
          base_row != nullptr
              ? workload::FormatDouble(drift * 100.0, 1) + "%"
              : "-",
-         workload::FormatMicros(skip_off.mean_us),
+         workload::FormatMicros(walk.mean_us),
          workload::FormatDouble(gain * 100.0, 1) + "%",
          workload::FormatMicros(tiered.mean_us),
          workload::FormatMicros(lsii_stats.mean_micros()),
-         std::to_string(skip_on.stats.components_skipped) + "/" +
-             std::to_string(skip_on.stats.components_visited),
-         std::to_string(skip_on.stats.candidates_screened),
+         std::to_string(pruned.stats.components_skipped) + "/" +
+             std::to_string(pruned.stats.components_visited),
+         std::to_string(pruned.stats.candidates_screened),
          match ? "ok" : "MISMATCH"});
 
     auto& row = report.AddRow();
     row.Field("mix", mix.name)
         .Field("queries", static_cast<double>(n))
-        .Field("mean_us_skip", skip_on.mean_us)
-        .Field("mean_us_noskip", skip_off.mean_us)
-        .Field("total_us_skip", skip_on.total_us)
-        .Field("total_us_noskip", skip_off.total_us)
+        .Field("mean_us_skip", pruned.mean_us)
+        .Field("mean_us_walk", walk.mean_us)
+        .Field("total_us_skip", pruned.total_us)
+        .Field("total_us_walk", walk.total_us)
         .Field("improvement", gain)
         .Field("mean_us_tiered", tiered.mean_us)
         .Field("total_us_tiered", tiered.total_us)
@@ -266,17 +266,17 @@ int main() {
                static_cast<double>(tiered.stats.components_skipped))
         .Field("lsii_mean_us", lsii_stats.mean_micros())
         .Field("components_visited",
-               static_cast<double>(skip_on.stats.components_visited))
+               static_cast<double>(pruned.stats.components_visited))
         .Field("components_pruned",
-               static_cast<double>(skip_on.stats.components_pruned))
+               static_cast<double>(pruned.stats.components_pruned))
         .Field("components_skipped",
-               static_cast<double>(skip_on.stats.components_skipped))
+               static_cast<double>(pruned.stats.components_skipped))
         .Field("bloom_false_positives",
-               static_cast<double>(skip_on.stats.bloom_false_positives))
+               static_cast<double>(pruned.stats.bloom_false_positives))
         .Field("candidates_screened",
-               static_cast<double>(skip_on.stats.candidates_screened))
+               static_cast<double>(pruned.stats.candidates_screened))
         .Field("candidates_scored",
-               static_cast<double>(skip_on.stats.candidates_scored))
+               static_cast<double>(pruned.stats.candidates_scored))
         .Field("checksum", checksum_hex)
         .Field("results_match", match ? "yes" : "NO");
     if (base_row != nullptr) {
@@ -311,7 +311,8 @@ int main() {
   }
   report.Write("BENCH_fig10_query.json");
   if (!all_match) {
-    std::fprintf(stderr, "error: skip on/off results diverged\n");
+    std::fprintf(stderr,
+                 "error: pruned results diverged from the full walk\n");
     return 1;
   }
   if (!baseline_checksums_match) {

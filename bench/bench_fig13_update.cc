@@ -3,13 +3,10 @@
 // per-stream table; LSII touches the big hash table.
 //
 // Emits BENCH_fig13_update.json so the update path has a tracked perf
-// trajectory. The 13a sweep also carries a live-arena A/B column: updates
-// never allocate from the window arenas, so arena-on and arena-off RTSI
-// must cost the same — a drift between the two columns is a regression in
-// the arena plumbing, not an expected effect. A compaction-policy column
-// rides along for the same reason: popularity updates touch the stream
-// table, never the sealed runs, so tiered must cost the same as
-// geometric — drift means updates grew a dependency on component layout.
+// trajectory. The 13a sweep also carries a compaction-policy column:
+// popularity updates touch the stream table, never the sealed runs, so
+// tiered must cost the same as geometric — drift means updates grew a
+// dependency on component layout.
 
 #include <string>
 
@@ -28,19 +25,13 @@ int main() {
     const std::size_t init_streams = bench::Scaled(4000);
     const workload::SyntheticCorpus corpus(
         bench::DefaultCorpusConfig(init_streams));
-    core::RtsiConfig arena_config = bench::DefaultIndexConfig();
-    arena_config.use_arena = true;
-    core::RtsiConfig heap_config = bench::DefaultIndexConfig();
-    heap_config.use_arena = false;
     core::RtsiConfig tiered_config = bench::DefaultIndexConfig();
     tiered_config.lsm.policy = lsm::MergePolicy::kTiered;
-    core::RtsiIndex arena_index(arena_config);
-    core::RtsiIndex heap_index(heap_config);
+    core::RtsiIndex rtsi_index(bench::DefaultIndexConfig());
     core::RtsiIndex tiered_index(tiered_config);
     auto lsii_index = bench::MakeIndex("LSII", bench::DefaultIndexConfig());
-    SimulatedClock clock_a, clock_h, clock_t, clock_b;
-    workload::InitializeIndex(arena_index, corpus, 0, init_streams, clock_a);
-    workload::InitializeIndex(heap_index, corpus, 0, init_streams, clock_h);
+    SimulatedClock clock_r, clock_t, clock_b;
+    workload::InitializeIndex(rtsi_index, corpus, 0, init_streams, clock_r);
     workload::InitializeIndex(tiered_index, corpus, 0, init_streams,
                               clock_t);
     workload::InitializeIndex(*lsii_index, corpus, 0, init_streams, clock_b);
@@ -48,32 +39,26 @@ int main() {
     workload::ReportTable table(
         "Figure 13a: update cost vs #updates (" +
             std::to_string(init_streams) +
-            " streams; arena + policy A/B)",
-        {"#updates", "RTSI arena", "RTSI heap", "RTSI tiered",
-         "LSII total"});
+            " streams; policy A/B)",
+        {"#updates", "RTSI total", "RTSI tiered", "LSII total"});
     for (const std::size_t base : {20000, 50000, 100000, 200000}) {
       const std::size_t n = bench::Scaled(base);
-      const auto arena_stats = workload::MeasureUpdates(
-          arena_index, n, init_streams, clock_a, /*seed=*/n);
-      const auto heap_stats = workload::MeasureUpdates(
-          heap_index, n, init_streams, clock_h, /*seed=*/n);
+      const auto rtsi_stats = workload::MeasureUpdates(
+          rtsi_index, n, init_streams, clock_r, /*seed=*/n);
       const auto tiered_stats = workload::MeasureUpdates(
           tiered_index, n, init_streams, clock_t, /*seed=*/n);
       const auto lsii_stats = workload::MeasureUpdates(
           *lsii_index, n, init_streams, clock_b, /*seed=*/n);
       table.AddRow({std::to_string(n),
-                    workload::FormatMicros(arena_stats.sum_micros()),
-                    workload::FormatMicros(heap_stats.sum_micros()),
+                    workload::FormatMicros(rtsi_stats.sum_micros()),
                     workload::FormatMicros(tiered_stats.sum_micros()),
                     workload::FormatMicros(lsii_stats.sum_micros())});
       report.AddRow()
           .Field("sweep", "updates")
           .Field("updates", static_cast<double>(n))
           .Field("streams", static_cast<double>(init_streams))
-          .Field("total_us_arena", arena_stats.sum_micros())
-          .Field("total_us_heap", heap_stats.sum_micros())
-          .Field("mean_us_arena", arena_stats.mean_micros())
-          .Field("mean_us_heap", heap_stats.mean_micros())
+          .Field("total_us_rtsi", rtsi_stats.sum_micros())
+          .Field("mean_us_rtsi", rtsi_stats.mean_micros())
           .Field("total_us_tiered", tiered_stats.sum_micros())
           .Field("mean_us_tiered", tiered_stats.mean_micros())
           .Field("lsii_total_us", lsii_stats.sum_micros());

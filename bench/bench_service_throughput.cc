@@ -1,11 +1,11 @@
-// Service front-end A/B: the blocking demo server vs the epoll async
-// server, each over 1/2/4-shard deployments of the same corpus, driven
-// by open-loop HTTP load over real loopback sockets.
+// Service front-end throughput: AsyncHttpServer over 1/2/4-shard
+// deployments of the same corpus, driven by open-loop HTTP load over
+// real loopback sockets.
 //
 // Each configuration serves the SAME pre-loaded index state (identical
 // sequential ingest through the full pipeline), so after the load phase
 // a fixed audit query set must return byte-identical /search responses
-// from every configuration — the end-to-end form of the scatter-gather
+// from every shard count — the end-to-end form of the scatter-gather
 // bit-identity contract (DESIGN.md §6i). The bench exits nonzero if any
 // configuration's audit checksum diverges.
 //
@@ -30,7 +30,7 @@
 #include "bench_util.h"
 #include "common/clock.h"
 #include "common/latency_stats.h"
-#include "server/http_server.h"
+#include "server/async_http_server.h"
 #include "server/search_handler.h"
 #include "service/search_service.h"
 #include "workload/corpus.h"
@@ -41,7 +41,7 @@ namespace {
 using namespace rtsi;
 
 /// One keep-alive loopback connection; reconnects when the server closes
-/// it (the blocking front-end serves one request per connection).
+/// it (a Connection: close response, e.g. while the server drains).
 class BenchClient {
  public:
   explicit BenchClient(int port) : port_(port) {}
@@ -138,7 +138,6 @@ std::uint64_t Fnv1a(const std::string& data, std::uint64_t hash) {
 }
 
 struct RunResult {
-  std::string server;
   int shards = 0;
   std::size_t requests = 0;
   std::size_t ok = 0;
@@ -173,19 +172,18 @@ std::vector<std::string> AuditQueries(const workload::SyntheticCorpus& corpus,
   return queries;
 }
 
-RunResult RunConfig(bool async_server, int shards,
+RunResult RunConfig(int shards,
                     const workload::SyntheticCorpus& corpus,
                     std::size_t num_streams,
                     const std::vector<std::string>& load_queries,
                     const std::vector<std::string>& audit_queries,
                     int client_threads, double gap_micros) {
   RunResult result;
-  result.server = async_server ? "async" : "blocking";
   result.shards = shards;
 
   // Identical sequential pre-load through the full pipeline: every
   // configuration indexes the same corpus in the same op order, so the
-  // served state is the same regardless of front-end or shard count.
+  // served state is the same regardless of shard count.
   SimulatedClock clock;
   service::SearchService service(ServiceConfig(shards), &clock);
   Stopwatch ingest_watch;
@@ -202,12 +200,11 @@ RunResult RunConfig(bool async_server, int shards,
   result.ingest_rate = windows / (ingest_watch.ElapsedMicros() / 1e6);
 
   server::ServerConfig server_config;
-  server_config.async = async_server;
   server_config.workers = 2;
   server_config.max_pending = 64;  // Small enough to shed under bursts.
-  auto http = server::MakeHttpServer(server_config);
-  server::RegisterSearchRoutes(*http, service, clock);
-  if (!http->Start(0).ok()) {
+  server::AsyncHttpServer http(server_config);
+  server::RegisterSearchRoutes(http, service, clock);
+  if (!http.Start(0).ok()) {
     std::fprintf(stderr, "server failed to start\n");
     return result;
   }
@@ -223,7 +220,7 @@ RunResult RunConfig(bool async_server, int shards,
   Stopwatch load_watch;
   for (int t = 0; t < client_threads; ++t) {
     clients.emplace_back([&, t] {
-      BenchClient client(http->port());
+      BenchClient client(http.port());
       const auto start = std::chrono::steady_clock::now();
       std::size_t sent = 0;
       for (std::size_t i = t; i < load_queries.size();
@@ -264,9 +261,9 @@ RunResult RunConfig(bool async_server, int shards,
 
   // Audit pass, post-quiesce: the load phase was read-only, so every
   // configuration must return byte-identical bodies for the fixed query
-  // set. Checksum the bodies (headers differ by front-end: keep-alive).
+  // set. Checksum the bodies (headers carry per-connection keep-alive).
   std::uint64_t checksum = 14695981039346656037ULL;
-  BenchClient audit_client(http->port());
+  BenchClient audit_client(http.port());
   for (const std::string& query : audit_queries) {
     const std::string response =
         audit_client.Get("/search?q=" + query + "&k=10");
@@ -277,9 +274,9 @@ RunResult RunConfig(bool async_server, int shards,
   }
   result.checksum = checksum;
 
-  const auto queue = http->QueueStats();
+  const auto queue = http.QueueStats();
   result.shed = std::max(result.shed, static_cast<std::size_t>(queue.shed));
-  http->Stop();
+  http.Stop();
   return result;
 }
 
@@ -314,17 +311,15 @@ int main() {
   const auto audit_queries = AuditQueries(corpus, num_streams, audit_n);
 
   std::vector<RunResult> results;
-  for (const bool async_server : {false, true}) {
-    for (const int shards : {1, 2, 4}) {
-      results.push_back(RunConfig(async_server, shards, corpus, num_streams,
-                                  load_queries, audit_queries,
-                                  client_threads, gap_micros));
-    }
+  for (const int shards : {1, 2, 4}) {
+    results.push_back(RunConfig(shards, corpus, num_streams, load_queries,
+                                audit_queries, client_threads, gap_micros));
   }
 
   workload::ReportTable table(
-      "Service front-end A/B (open-loop /search load)",
-      {"server", "shards", "ok", "shed", "err", "req/s", "p50", "p99"});
+      "Service front-end throughput (AsyncHttpServer, open-loop /search "
+      "load)",
+      {"shards", "ok", "shed", "err", "req/s", "p50", "p99"});
   bench::JsonReport report("service_throughput");
   report.Field("scale", bench::Scale())
       .Field("streams", static_cast<double>(num_streams))
@@ -336,12 +331,11 @@ int main() {
   for (const RunResult& r : results) {
     if (r.checksum != results.front().checksum) divergent = true;
     table.AddRow(
-        {r.server, std::to_string(r.shards), std::to_string(r.ok),
+        {std::to_string(r.shards), std::to_string(r.ok),
          std::to_string(r.shed), std::to_string(r.errors),
          workload::FormatDouble(r.ok / std::max(r.seconds, 1e-9), 0),
          workload::FormatMicros(r.p50), workload::FormatMicros(r.p99)});
     report.AddRow()
-        .Field("server", r.server)
         .Field("shards", static_cast<double>(r.shards))
         .Field("requests", static_cast<double>(r.requests))
         .Field("ok", static_cast<double>(r.ok))
@@ -359,11 +353,10 @@ int main() {
 
   if (divergent) {
     std::fprintf(stderr,
-                 "FAIL: /search audit responses diverge across "
-                 "front-end/shard configurations\n");
+                 "FAIL: /search audit responses diverge across shard "
+                 "configurations\n");
     for (const RunResult& r : results) {
-      std::fprintf(stderr, "  %s x%d shards: checksum %llu\n",
-                   r.server.c_str(), r.shards,
+      std::fprintf(stderr, "  %d shards: checksum %llu\n", r.shards,
                    static_cast<unsigned long long>(r.checksum));
     }
     return 1;

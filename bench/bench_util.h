@@ -185,7 +185,7 @@ struct BaselineReport {
 
   /// The first row where every (key, numeric value) of `match` agrees,
   /// or null. Benches key rows on their sweep variables (mix, queries,
-  /// streams, query_threads, ...).
+  /// streams, ...).
   const std::map<std::string, std::string>* FindRow(
       const std::vector<std::pair<std::string, double>>& match) const {
     for (const auto& row : rows) {

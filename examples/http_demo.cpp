@@ -22,7 +22,7 @@
 #include <unistd.h>
 
 #include "common/clock.h"
-#include "server/http_server.h"
+#include "server/async_http_server.h"
 #include "server/search_handler.h"
 #include "service/search_service.h"
 
@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
   search_service.UpdatePopularity(2, 5000);
   clock.Advance(kMicrosPerMinute);
 
-  server::HttpServer http;
+  server::AsyncHttpServer http{server::ServerConfig{}};
   server::RegisterSearchRoutes(http, search_service, clock);
   const Status status = http.Start(port);
   if (!status.ok()) {

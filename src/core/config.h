@@ -44,30 +44,19 @@ struct RtsiConfig {
   lsm::LsmTree::Config lsm;
   ScoreWeights weights;
   double freshness_tau_seconds = 6.0 * 3600.0;  // Exponential decay scale.
-  bool use_bound = true;             // Top-k early termination (Figure 17).
+  /// Top-k early termination (Figure 17). On, the planner also consults
+  /// the sealed components' skip headers: the per-component term Bloom
+  /// filter proves query terms absent (skipping the component without
+  /// touching its posting maps), the per-term summaries replace the
+  /// hash-map Bounds() lookups, and candidates are admission-screened
+  /// against the current top-k threshold before full scoring. Screening
+  /// drops a candidate only when a sound upper bound of its score is
+  /// strictly below the k-th score (see DESIGN.md §6f). Off = the full
+  /// walk: every sealed component to exhaustion, no pruning structure
+  /// consulted — the reference path every soundness oracle compares to.
+  bool use_bound = true;
   BoundMode bound_mode = BoundMode::kSnapshot;
 
-  /// Consult the sealed components' skip headers during query planning:
-  /// the per-component term Bloom filter proves query terms absent
-  /// (skipping the component without touching its posting maps), the
-  /// per-term summaries replace the hash-map Bounds() lookups, and — with
-  /// use_bound on — candidates are admission-screened against the current
-  /// top-k threshold before full scoring. Screening drops a candidate
-  /// only when a sound upper bound of its score (live popularity, live
-  /// freshness, summary-bounded relevance) is strictly below the k-th
-  /// score, so results are bit-identical with the flag on or off in every
-  /// bound mode (see DESIGN.md §6f). Headers are always built; this only
-  /// toggles consulting them (off = the PR 5 walk, kept for A/B benches).
-  bool use_skip_header = true;
-
-  /// Back the live ingest structures (unsealed L0 posting vectors, the
-  /// live-term table's counter maps) with WindowArenas instead of the
-  /// global heap: per-L0-shard arenas rotated at every freeze plus
-  /// per-term-shard table arenas with free-list recycling. Query results
-  /// are bit-identical on or off (the arena changes where bytes live,
-  /// never what they say); off = the pre-arena allocation behavior, kept
-  /// for A/B benches. Mirrored into lsm.use_arena at construction.
-  bool use_arena = true;
   int default_k = 10;
 
   /// Run merge cascades on a background thread instead of the inserting
@@ -76,20 +65,6 @@ struct RtsiConfig {
   /// IndexView they pinned at entry. Off by default to match the paper's
   /// measured setup.
   bool async_merge = false;
-
-  /// Degree of parallelism for the sealed-component phase of a query.
-  /// 0 = the legacy single-threaded path (default; behavior unchanged).
-  /// n >= 1 = the parallel executor with n-way traversal: the querying
-  /// thread plus n-1 workers from a pool owned by the index.
-  ///
-  /// The executor always prunes with the sound kGlobalPop ceilings (a
-  /// timing-dependent kSnapshot prune would make parallel results racy),
-  /// so with query_threads >= 1 results are deterministic and
-  /// bit-identical to the sequential path under kGlobalPop pruning; only
-  /// QueryStats counters may differ, since pruning opportunities depend
-  /// on traversal timing. A kSnapshot baseline can additionally miss
-  /// drift-affected streams that the executor correctly retains.
-  int query_threads = 0;
 };
 
 }  // namespace rtsi::core

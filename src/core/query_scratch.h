@@ -4,10 +4,9 @@
 // and rebuild a stream -> tf-vector map per query (Asadi & Lin's
 // observation: allocation discipline on the scoring path is what keeps
 // real-time tail latency flat). A QueryScratch owns all of those buffers;
-// a query (or a parallel-executor worker) leases one from the index's
-// ScratchPool, so steady state runs without heap allocation. No
-// thread_local involved: leases make ownership explicit and keep the pool
-// usable from any thread.
+// a query leases one from the index's ScratchPool, so steady state runs
+// without heap allocation. No thread_local involved: leases make
+// ownership explicit and keep the pool usable from any thread.
 
 #ifndef RTSI_CORE_QUERY_SCRATCH_H_
 #define RTSI_CORE_QUERY_SCRATCH_H_
@@ -22,7 +21,6 @@
 #include <vector>
 
 #include "common/types.h"
-#include "exec/query_plan.h"
 #include "exec/traversal.h"
 #include "index/posting.h"
 
@@ -32,12 +30,6 @@ namespace rtsi::core {
 /// capacity across Clear(), so a recycled scratch serves the next query
 /// allocation-free.
 struct QueryScratch {
-  // The query's execution plan (deduplicated terms + idfs live in its
-  // vectors, recycled across queries) and the sorted flat set used for
-  // O(log n) dedup membership during the build.
-  exec::QueryPlan plan;
-  std::vector<TermId> term_set;
-
   // Per-candidate tf buffer (stride = q.size()), reused across candidates.
   std::vector<TermFreq> tfs;
 
@@ -76,9 +68,6 @@ struct QueryScratch {
   std::vector<double> screen_own;
 
   void Clear() {
-    plan.terms.clear();
-    plan.idfs.clear();
-    term_set.clear();
     tfs.clear();
     l0_slot.clear();
     l0_tf.clear();
@@ -164,14 +153,6 @@ class ScratchPool {
     scratch->Clear();
     std::lock_guard<std::mutex> lock(mu_);
     free_.push_back(std::move(scratch));
-  }
-
-  /// Drops cached scratches beyond `keep` (SetQueryThreads shrink: steady
-  /// state needs one scratch per executing thread). Outstanding leases are
-  /// unaffected — a scratch released later is simply cached again.
-  void TrimTo(std::size_t keep) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (free_.size() > keep) free_.resize(keep);
   }
 
  private:

@@ -20,13 +20,6 @@ using index::TermPostings;
 
 namespace {
 
-// The single arena switch lives on RtsiConfig; mirror it into the LSM
-// config before the tree is constructed from it.
-RtsiConfig Normalized(RtsiConfig config) {
-  config.lsm.use_arena = config.use_arena;
-  return config;
-}
-
 // Exact-phase candidate policy for explanations: scores exactly like
 // exec::ExactScorer and additionally records per-candidate breakdowns
 // (keep-best-per-stream under the heap's total order, so the retained
@@ -142,48 +135,19 @@ class ExplainSealedPolicy {
 }  // namespace
 
 RtsiIndex::RtsiIndex(const RtsiConfig& config)
-    : config_(Normalized(config)),
+    : config_(config),
       scorer_(config.weights, config.freshness_tau_seconds),
       tree_(config_.lsm),
-      live_terms_(config_.use_arena, tree_.memory_tracker()) {
+      live_terms_(tree_.memory_tracker()) {
   if (config.async_merge) {
     merge_executor_ = std::make_unique<ThreadPool>(1);
-  }
-  if (config.query_threads > 1) {
-    // The querying thread is one worker of the executor; the pool supplies
-    // the other query_threads - 1.
-    query_pool_ = std::make_unique<ThreadPool>(
-        static_cast<std::size_t>(config.query_threads) - 1);
   }
 }
 
 RtsiIndex::~RtsiIndex() { WaitForMerges(); }
 
-void RtsiIndex::SetQueryThreads(int query_threads) {
-  config_.query_threads = query_threads < 0 ? 0 : query_threads;
-  const auto want = static_cast<std::size_t>(
-      config_.query_threads > 1 ? config_.query_threads - 1 : 0);
-  const std::size_t have =
-      query_pool_ != nullptr ? query_pool_->num_threads() : 0;
-  if (want == have) return;
-  if (query_pool_ != nullptr) {
-    // Drain in-flight tasks; with no concurrent queries (the caller's
-    // contract) every scratch lease has been returned to the pool once
-    // Wait() returns, so the excess workers can be joined safely.
-    query_pool_->Wait();
-  }
-  query_pool_ = want > 0 ? std::make_unique<ThreadPool>(want) : nullptr;
-  // Steady state needs one scratch per executing thread (workers plus the
-  // querying thread); release the rest so memory tracks the new degree.
-  scratch_pool_.TrimTo(want + 1);
-}
-
 void RtsiIndex::SetUseBound(bool use_bound) {
   config_.use_bound = use_bound;
-}
-
-void RtsiIndex::SetUseSkipHeader(bool use_skip_header) {
-  config_.use_skip_header = use_skip_header;
 }
 
 void RtsiIndex::SetMergePolicy(lsm::MergePolicy policy) {
@@ -218,8 +182,14 @@ lsm::MergeHooks RtsiIndex::MakeMergeHooks() {
   hooks.on_purged = [this](StreamId stream) {
     live_terms_.RemoveStream(stream);
   };
-  hooks.on_stream = [this](StreamId stream, std::uint32_t copies,
-                           const index::InvertedIndex& merged) {
+  // Streams a merge consolidated into one residency leave the live-term
+  // table only once the merge output is published: until the swap,
+  // queries still walk the inputs, where only the table's totals score
+  // such a stream whole.
+  auto consolidated = std::make_shared<std::vector<StreamId>>();
+  hooks.on_stream = [this, consolidated](StreamId stream,
+                                         std::uint32_t copies,
+                                         const index::InvertedIndex& merged) {
     // Register the stream on the (unpublished) merge output — its live
     // freshness bumps the output's ceiling cell on the way. The input
     // residencies stay until on_retired fires post-swap, so inserts keep
@@ -229,7 +199,7 @@ lsm::MergeHooks RtsiIndex::MakeMergeHooks() {
     // the live-term entries can go.
     const auto [count, live] = streams_.MergeResidency(
         stream, copies, merged.component_id(), merged.ceiling_cell());
-    if (copies > 1 && count <= 1 && !live) live_terms_.RemoveStream(stream);
+    if (copies > 1 && count <= 1 && !live) consolidated->push_back(stream);
   };
   hooks.on_retired = [this](StreamId stream,
                             const std::vector<ComponentId>& from) {
@@ -237,7 +207,12 @@ lsm::MergeHooks RtsiIndex::MakeMergeHooks() {
     // no longer reach a query, so the residency entries go.
     streams_.DropResidency(stream, from);
   };
-  hooks.on_cascade_step = cascade_observer_;
+  hooks.on_cascade_step = [this, consolidated,
+                           observer = cascade_observer_] {
+    for (const StreamId stream : *consolidated) EvictIfConsolidated(stream);
+    consolidated->clear();
+    if (observer) observer();
+  };
   hooks.on_frozen = [this](const index::InvertedIndex& frozen) {
     // A new sealed component is about to become query-visible: register a
     // residency (stream -> ceiling cell) for every distinct stream it
@@ -265,44 +240,60 @@ void RtsiIndex::DrainPendingFinished() {
   }
   // These streams finished with all postings in L0; the cascade that just
   // ran consolidated them into a single sealed component.
-  for (const StreamId stream : pending) {
-    if (streams_.GetComponentCount(stream) <= 1 &&
-        !tree_.StreamInL0(stream)) {
-      live_terms_.RemoveStream(stream);
-    }
+  for (const StreamId stream : pending) EvictIfConsolidated(stream);
+}
+
+void RtsiIndex::EvictIfConsolidated(StreamId stream) {
+  // Under the stream's lock, so a window resuming the stream lands either
+  // before the check (and blocks the eviction) or after the removal (and
+  // re-seeds the table) — never half-wiped in between.
+  std::lock_guard<std::mutex> lock(StreamMutex(stream));
+  if (!streams_.IsLive(stream) && streams_.GetComponentCount(stream) <= 1 &&
+      !tree_.StreamInL0(stream)) {
+    live_terms_.RemoveStream(stream);
   }
 }
 
 void RtsiIndex::InsertWindow(StreamId stream, Timestamp now,
                              const std::vector<TermCount>& terms, bool live) {
   // Algorithm 1. Lines 1-3: append to I0's lists and update hash tables.
-  std::uint64_t pop_count = 0;
-  const bool new_stream = streams_.OnInsert(stream, now, live, &pop_count);
-  if (new_stream) {
-    df_.AddDocument();
-    if (shared_scoring_ != nullptr) shared_scoring_->df.AddDocument();
-  }
-  const float pop_snapshot = static_cast<float>(pop_count);
-
-  const std::vector<TermFreq> totals = live_terms_.AddWindow(stream, terms);
-  for (std::size_t i = 0; i < terms.size(); ++i) {
-    const TermCount& tc = terms[i];
-    if (tc.tf == 0) continue;
-    if (totals[i] == tc.tf) {  // First window holding this term.
-      df_.AddOccurrence(tc.term);
-      if (shared_scoring_ != nullptr) {
-        shared_scoring_->df.AddOccurrence(tc.term);
-      }
+  {
+    // The stream's lock orders this window against the stream's eviction
+    // from the live-term table (EvictIfConsolidated).
+    std::lock_guard<std::mutex> stream_lock(StreamMutex(stream));
+    std::uint64_t pop_count = 0;
+    const bool new_stream = streams_.OnInsert(stream, now, live, &pop_count);
+    if (new_stream) {
+      df_.AddDocument();
+      if (shared_scoring_ != nullptr) shared_scoring_->df.AddDocument();
     }
-    // AddPosting marks the stream's L0-epoch presence atomically with the
-    // posting (under the term-shard lock), returning true on the stream's
-    // first posting of the epoch. Incrementing per true return — instead
-    // of one up-front MarkStreamInL0 — closes the race where a freeze
-    // slipped between the mark and the adds and left the component count
-    // short for the new epoch; a freeze splitting this window's postings
-    // across two epochs now yields the correct two increments.
-    if (tree_.AddPosting(tc.term, Posting{stream, pop_snapshot, now, tc.tf})) {
-      streams_.IncrementComponentCount(stream);
+    const float pop_snapshot = static_cast<float>(pop_count);
+    if (!new_stream && !live_terms_.ContainsStream(stream) &&
+        !streams_.IsDeleted(stream)) {
+      SeedLiveTotals(stream);
+    }
+
+    const std::vector<TermFreq> totals = live_terms_.AddWindow(stream, terms);
+    for (std::size_t i = 0; i < terms.size(); ++i) {
+      const TermCount& tc = terms[i];
+      if (tc.tf == 0) continue;
+      if (totals[i] == tc.tf) {  // First window holding this term.
+        df_.AddOccurrence(tc.term);
+        if (shared_scoring_ != nullptr) {
+          shared_scoring_->df.AddOccurrence(tc.term);
+        }
+      }
+      // AddPosting marks the stream's L0-epoch presence atomically with the
+      // posting (under the term-shard lock), returning true on the stream's
+      // first posting of the epoch. Incrementing per true return — instead
+      // of one up-front MarkStreamInL0 — closes the race where a freeze
+      // slipped between the mark and the adds and left the component count
+      // short for the new epoch; a freeze splitting this window's postings
+      // across two epochs now yields the correct two increments.
+      if (tree_.AddPosting(tc.term,
+                           Posting{stream, pop_snapshot, now, tc.tf})) {
+        streams_.IncrementComponentCount(stream);
+      }
     }
   }
 
@@ -323,11 +314,29 @@ void RtsiIndex::InsertWindow(StreamId stream, Timestamp now,
   }
 }
 
+void RtsiIndex::SeedLiveTotals(StreamId stream) {
+  // A stream resuming after its eviction from the live-term table: its
+  // postings sit in one sealed component and the table no longer holds
+  // its totals. The new window makes it span two components again, so
+  // the table must carry the whole history or phase 1 under-scores it.
+  std::vector<TermCount> sealed;
+  const lsm::IndexViewPtr view = tree_.PinView();
+  for (const auto& component : view->components) {
+    component->ForEachTerm([&](TermId term, const TermPostings& postings) {
+      Posting p;
+      if (postings.AggregateForStream(stream, p)) {
+        sealed.push_back({term, p.tf});
+      }
+    });
+  }
+  if (!sealed.empty()) live_terms_.AddWindow(stream, sealed);
+}
+
 void RtsiIndex::FinishStream(StreamId stream) {
   streams_.MarkFinished(stream);
   if (streams_.GetComponentCount(stream) <= 1) {
     if (!tree_.StreamInL0(stream)) {
-      live_terms_.RemoveStream(stream);
+      EvictIfConsolidated(stream);
     } else {
       // Still has (possibly duplicate) postings in L0; evict from the
       // live-term table after the next merge consolidates them.
@@ -355,21 +364,14 @@ void RtsiIndex::UpdatePopularity(StreamId stream, std::uint64_t delta) {
 std::vector<ScoredStream> RtsiIndex::Query(const std::vector<TermId>& terms,
                                            int k, Timestamp now,
                                            QueryStats* stats) {
-  return QueryImpl(terms, k, now, QueryFilter{}, stats, nullptr);
+  return QueryFiltered(terms, k, now, QueryFilter{}, stats);
 }
 
 std::vector<ScoredStream> RtsiIndex::QueryFiltered(
     const std::vector<TermId>& terms, int k, Timestamp now,
     const QueryFilter& filter, QueryStats* stats) {
-  return QueryImpl(terms, k, now, filter, stats, nullptr);
-}
-
-QueryExplanation RtsiIndex::ExplainQuery(const std::vector<TermId>& terms,
-                                         int k, Timestamp now,
-                                         const QueryFilter& filter) {
-  QueryExplanation explanation;
-  QueryImpl(terms, k, now, filter, nullptr, &explanation);
-  return explanation;
+  exec::TopKSink sink(k);
+  return ExecutePlan(BuildPlan(terms, k, now, filter), sink, stats);
 }
 
 exec::QueryPlan RtsiIndex::BuildPlan(const std::vector<TermId>& terms,
@@ -387,224 +389,114 @@ exec::QueryPlan RtsiIndex::BuildPlan(const std::vector<TermId>& terms,
           ? std::max(shared_scoring_->max_pop.load(std::memory_order_relaxed),
                      streams_.max_pop_count())
           : streams_.max_pop_count();
-  // Whenever the executor is enabled (including its sequential explain
-  // fallback, which must return the same results), pruning uses the
-  // kGlobalPop ceilings. kSnapshot bounds go stale when popularity or
-  // freshness updates land after a component seals, which makes pruning
-  // decisions depend on traversal timing — sound ceilings are what turn
-  // the executor's bit-identity into a theorem instead of a race.
-  const BoundMode bound_mode = config_.query_threads > 0
-                                   ? BoundMode::kGlobalPop
-                                   : config_.bound_mode;
   exec::QueryPlan plan;
   std::vector<TermId> term_set;
-  exec::BuildQueryPlan(terms, df, k, now, filter, max_pop, bound_mode,
+  exec::BuildQueryPlan(terms, df, k, now, filter, max_pop, config_.bound_mode,
                        config_.use_bound, /*prune_if_equal=*/false,
                        term_set, plan);
   return plan;
 }
 
-void RtsiIndex::RunSequential(const exec::QueryPlan& plan,
-                              exec::ResultSink& sink, QueryScratch& scratch,
-                              QueryStats& qs) {
-  std::unordered_set<StreamId> scored;
-  exec::ExactScorer exact(plan, scorer_, streams_, sink, qs);
-  exec::RunLiveTablePhase(plan, scorer_, live_terms_, scratch, scored,
-                          exact);
-  exec::RunL0Phase(plan, scorer_, tree_, scratch, scored, exact, qs);
-
-  // The query pins ONE immutable view here — a single atomic load — and
-  // traverses that view: no locks, no structure re-checks, no mirror
-  // lookups. Merges publishing mid-query cannot perturb the pinned
-  // component set, and pre-merge components stay alive because the pin
-  // references them.
-  const lsm::IndexViewPtr view = tree_.PinView();
+std::vector<exec::SelectedComponent> RtsiIndex::SelectSealed(
+    const exec::QueryPlan& plan, const lsm::IndexView& view,
+    QueryScratch& scratch, QueryStats& qs, QueryExplanation* explain) const {
+  // Skip headers (Bloom filter, summaries, admission screen) are pruning
+  // structures, so they are consulted exactly when pruning is on: the
+  // full walk (use_bound off) stays the structure-free reference path.
   exec::SelectorOptions options;
-  options.consult_headers = config_.use_skip_header;
+  options.consult_headers = plan.use_bound;
   options.fallback_ceiling = streams_.max_frsh();
-  const std::vector<exec::SelectedComponent> selected =
-      exec::SelectComponents(
-          plan, scorer_, view->components, options,
-          {scratch.per_term, scratch.screen_own, scratch.screen_tfidf}, qs,
-          nullptr);
-  const bool screen_base = plan.use_bound && options.consult_headers;
-  exec::SealedScorer policy(plan, scorer_, streams_, scored,
-                            scratch.screen_tfidf, screen_base, scratch,
-                            streams_.max_stream_id(), sink);
-  exec::RunSealedSequential(plan, scorer_, selected, policy, sink, qs,
-                            nullptr);
+  return exec::SelectComponents(
+      plan, scorer_, view.components, options,
+      {scratch.per_term, scratch.screen_own, scratch.screen_tfidf}, qs,
+      explain);
 }
 
-std::vector<ScoredStream> RtsiIndex::ExecutePlan(const exec::QueryPlan& plan,
-                                                 exec::ResultSink& sink,
-                                                 QueryStats* stats) {
-  QueryStats qs;
-  if (!plan.empty()) {
-    ScratchLease lease(scratch_pool_);
-    RunSequential(plan, sink, *lease, qs);
-    cum_visited_.fetch_add(qs.components_visited, std::memory_order_relaxed);
-    cum_pruned_.fetch_add(qs.components_pruned, std::memory_order_relaxed);
-    cum_skipped_.fetch_add(qs.components_skipped, std::memory_order_relaxed);
-    cum_bloom_fp_.fetch_add(qs.bloom_false_positives,
-                            std::memory_order_relaxed);
-    cum_screened_.fetch_add(qs.candidates_screened,
-                            std::memory_order_relaxed);
-  }
-  if (stats != nullptr) *stats = qs;
-  return sink.SortedResults();
-}
-
-std::vector<ScoredStream> RtsiIndex::QueryImpl(
-    const std::vector<TermId>& terms, int k, Timestamp now,
-    const QueryFilter& filter, QueryStats* stats,
-    QueryExplanation* explain) {
-  // Diagnostics accumulate in a local and are published once on exit, so
-  // the per-candidate increments never write through the caller's pointer.
-  QueryStats qs;
-
-  ScratchLease lease(scratch_pool_);
-  QueryScratch& scratch = *lease;
-
-  // Sharded deployments score with the corpus-global statistics (see
-  // BuildPlan); the plan captures them once so every operator and every
-  // executor worker prunes and scores against the same values.
-  const DocumentFrequencyTable& df =
-      shared_scoring_ != nullptr ? shared_scoring_->df : df_;
-  const std::uint64_t max_pop =
-      shared_scoring_ != nullptr
-          ? std::max(shared_scoring_->max_pop.load(std::memory_order_relaxed),
-                     streams_.max_pop_count())
-          : streams_.max_pop_count();
-  // The parallel executor handles every query when query_threads >= 1,
-  // except explanations, which keep the sequential walk's deterministic
-  // per-component bookkeeping. Results are bit-identical either way:
-  // scores are order-independent, the sinks break ties totally, and
-  // pruning only ever drops candidates strictly below the k-th score.
-  const bool use_executor = config_.query_threads > 0 && explain == nullptr;
-  const BoundMode bound_mode = config_.query_threads > 0
-                                   ? BoundMode::kGlobalPop
-                                   : config_.bound_mode;
-
-  exec::QueryPlan& plan = scratch.plan;
-  exec::BuildQueryPlan(terms, df, k, now, filter, max_pop, bound_mode,
-                       config_.use_bound, /*prune_if_equal=*/false,
-                       scratch.term_set, plan);
-  if (explain != nullptr) {
-    explain->terms = plan.terms;
-    explain->k = k;
-    explain->now = now;
-  }
-  if (plan.empty()) {
-    if (stats != nullptr) *stats = qs;
-    return {};
-  }
-  if (explain != nullptr) explain->idfs = plan.idfs;
-
-  exec::TopKSink heap_sink(k);
-  exec::SharedTopKSink shared_sink(k);
-  exec::ResultSink& sink =
-      use_executor ? static_cast<exec::ResultSink&>(shared_sink)
-                   : static_cast<exec::ResultSink&>(heap_sink);
-
-  std::unordered_map<StreamId, ScoreBreakdown> breakdowns;
-
-  if (!use_executor && explain == nullptr) {
-    RunSequential(plan, sink, scratch, qs);
-  } else if (explain != nullptr) {
-    // Sequential explain walk: the same phases and operators, with the
-    // recorder policies capturing per-candidate breakdowns and the
-    // selector/driver filling per-component bookkeeping.
-    std::unordered_set<StreamId> scored;
-    ExplainRecorder recorder(plan, scorer_, streams_, sink, qs, breakdowns);
-    exec::RunLiveTablePhase(plan, scorer_, live_terms_, scratch, scored,
-                            recorder);
-    explain->live_table_candidates = scored.size();
-    explain->l0_candidates =
-        exec::RunL0Phase(plan, scorer_, tree_, scratch, scored, recorder, qs);
-    const lsm::IndexViewPtr view = tree_.PinView();
-    exec::SelectorOptions options;
-    options.consult_headers = config_.use_skip_header;
-    options.fallback_ceiling = streams_.max_frsh();
-    const std::vector<exec::SelectedComponent> selected =
-        exec::SelectComponents(
-            plan, scorer_, view->components, options,
-            {scratch.per_term, scratch.screen_own, scratch.screen_tfidf},
-            qs, explain);
-    ExplainSealedPolicy policy(plan, scorer_, scratch,
-                               streams_.max_stream_id(), scored, recorder);
-    exec::RunSealedSequential(plan, scorer_, selected, policy, sink, qs,
-                              explain);
-  } else {
-    // Parallel executor: the exact phases run on the querying thread, then
-    // workers claim stream-sliced work units off an atomic cursor (so the
-    // best bounds are traversed first), publish their k-th score through
-    // the shared sink, and prune cooperatively against it.
-    std::unordered_set<StreamId> scored;
-    exec::ExactScorer exact(plan, scorer_, streams_, sink, qs);
-    exec::RunLiveTablePhase(plan, scorer_, live_terms_, scratch, scored,
-                            exact);
-    exec::RunL0Phase(plan, scorer_, tree_, scratch, scored, exact, qs);
-    const lsm::IndexViewPtr view = tree_.PinView();
-    exec::SelectorOptions options;
-    options.consult_headers = config_.use_skip_header;
-    options.fallback_ceiling = streams_.max_frsh();
-    const std::vector<exec::SelectedComponent> selected =
-        exec::SelectComponents(
-            plan, scorer_, view->components, options,
-            {scratch.per_term, scratch.screen_own, scratch.screen_tfidf},
-            qs, nullptr);
-    const bool screen_base = plan.use_bound && options.consult_headers;
-    if (!selected.empty()) {
-      const std::vector<exec::WorkUnit> units = exec::MakeWorkUnits(
-          selected, static_cast<std::size_t>(config_.query_threads));
-      std::atomic<std::size_t> next_unit{0};
-      const StreamId max_stream = streams_.max_stream_id();
-      const auto run_worker = [&](QueryScratch& ws, QueryStats& wqs) {
-        exec::SealedScorer policy(plan, scorer_, streams_, scored,
-                                  scratch.screen_tfidf, screen_base, ws,
-                                  max_stream, sink);
-        exec::RunSealedWorker(plan, scorer_, selected, units, next_unit,
-                              sink, policy, wqs);
-      };
-      const std::size_t degree = std::min<std::size_t>(
-          static_cast<std::size_t>(config_.query_threads), units.size());
-      std::vector<QueryStats> worker_stats(
-          std::max<std::size_t>(degree, 1));
-      if (degree > 1 && query_pool_ != nullptr) {
-        TaskGroup group(query_pool_.get());
-        for (std::size_t w = 1; w < degree; ++w) {
-          group.Submit([&, w] {
-            ScratchLease worker_lease(scratch_pool_);
-            run_worker(*worker_lease, worker_stats[w]);
-          });
-        }
-        run_worker(scratch, worker_stats[0]);
-        group.Wait();
-      } else {
-        run_worker(scratch, worker_stats[0]);
-      }
-      for (const QueryStats& ws : worker_stats) exec::FoldStats(qs, ws);
-    }
-  }
-
-  std::vector<ScoredStream> results = sink.SortedResults();
-  if (explain != nullptr) {
-    explain->results.reserve(results.size());
-    for (const auto& r : results) {
-      auto it = breakdowns.find(r.stream);
-      if (it != breakdowns.end()) explain->results.push_back(it->second);
-    }
-  }
-  // Lifetime counters for rtsi_cli stats (relaxed: statistics only).
+void RtsiIndex::AddLifetimeCounters(const QueryStats& qs) {
   cum_visited_.fetch_add(qs.components_visited, std::memory_order_relaxed);
   cum_pruned_.fetch_add(qs.components_pruned, std::memory_order_relaxed);
   cum_skipped_.fetch_add(qs.components_skipped, std::memory_order_relaxed);
   cum_bloom_fp_.fetch_add(qs.bloom_false_positives,
                           std::memory_order_relaxed);
-  cum_screened_.fetch_add(qs.candidates_screened,
-                          std::memory_order_relaxed);
+  cum_screened_.fetch_add(qs.candidates_screened, std::memory_order_relaxed);
+}
+
+std::vector<ScoredStream> RtsiIndex::ExecutePlan(const exec::QueryPlan& plan,
+                                                 exec::ResultSink& sink,
+                                                 QueryStats* stats) {
+  // Diagnostics accumulate in a local and are published once on exit, so
+  // the per-candidate increments never write through the caller's pointer.
+  QueryStats qs;
+  if (!plan.empty()) {
+    ScratchLease lease(scratch_pool_);
+    QueryScratch& scratch = *lease;
+    std::unordered_set<StreamId> scored;
+    exec::ExactScorer exact(plan, scorer_, streams_, sink, qs);
+    exec::RunLiveTablePhase(plan, scorer_, live_terms_, scratch, scored,
+                            exact);
+    exec::RunL0Phase(plan, scorer_, tree_, scratch, scored, exact, qs);
+
+    // The query pins ONE immutable view here — a single atomic load — and
+    // traverses that view: no locks, no structure re-checks, no mirror
+    // lookups. Merges publishing mid-query cannot perturb the pinned
+    // component set, and pre-merge components stay alive because the pin
+    // references them.
+    const lsm::IndexViewPtr view = tree_.PinView();
+    const std::vector<exec::SelectedComponent> selected =
+        SelectSealed(plan, *view, scratch, qs, nullptr);
+    exec::SealedScorer policy(plan, scorer_, streams_, scored,
+                              scratch.screen_tfidf, plan.use_bound, scratch,
+                              streams_.max_stream_id(), sink);
+    exec::RunSealedSequential(plan, scorer_, selected, policy, sink, qs,
+                              nullptr);
+    AddLifetimeCounters(qs);
+  }
   if (stats != nullptr) *stats = qs;
-  return results;
+  return sink.SortedResults();
+}
+
+QueryExplanation RtsiIndex::ExplainQuery(const std::vector<TermId>& terms,
+                                         int k, Timestamp now,
+                                         const QueryFilter& filter) {
+  QueryExplanation explain;
+  const exec::QueryPlan plan = BuildPlan(terms, k, now, filter);
+  explain.terms = plan.terms;
+  explain.k = k;
+  explain.now = now;
+  if (plan.empty()) return explain;
+  explain.idfs = plan.idfs;
+
+  // The same phases and operators as ExecutePlan, with the recorder
+  // policies capturing per-candidate breakdowns and the selector/driver
+  // filling per-component bookkeeping.
+  QueryStats qs;
+  ScratchLease lease(scratch_pool_);
+  QueryScratch& scratch = *lease;
+  exec::TopKSink sink(k);
+  std::unordered_map<StreamId, ScoreBreakdown> breakdowns;
+  std::unordered_set<StreamId> scored;
+  ExplainRecorder recorder(plan, scorer_, streams_, sink, qs, breakdowns);
+  exec::RunLiveTablePhase(plan, scorer_, live_terms_, scratch, scored,
+                          recorder);
+  explain.live_table_candidates = scored.size();
+  explain.l0_candidates =
+      exec::RunL0Phase(plan, scorer_, tree_, scratch, scored, recorder, qs);
+  const lsm::IndexViewPtr view = tree_.PinView();
+  const std::vector<exec::SelectedComponent> selected =
+      SelectSealed(plan, *view, scratch, qs, &explain);
+  ExplainSealedPolicy policy(plan, scorer_, scratch, streams_.max_stream_id(),
+                             scored, recorder);
+  exec::RunSealedSequential(plan, scorer_, selected, policy, sink, qs,
+                            &explain);
+
+  const std::vector<ScoredStream> results = sink.SortedResults();
+  explain.results.reserve(results.size());
+  for (const auto& r : results) {
+    auto it = breakdowns.find(r.stream);
+    if (it != breakdowns.end()) explain.results.push_back(it->second);
+  }
+  AddLifetimeCounters(qs);
+  return explain;
 }
 
 std::size_t RtsiIndex::MemoryBytes() const {

@@ -26,6 +26,7 @@
 #ifndef RTSI_CORE_RTSI_INDEX_H_
 #define RTSI_CORE_RTSI_INDEX_H_
 
+#include <array>
 #include <atomic>
 #include <functional>
 #include <memory>
@@ -42,6 +43,7 @@
 #include "core/scorer.h"
 #include "core/search_index.h"
 #include "exec/query_plan.h"
+#include "exec/selector.h"
 #include "exec/sink.h"
 #include "index/live_term_table.h"
 #include "index/stream_info_table.h"
@@ -82,26 +84,12 @@ class RtsiIndex : public SearchIndex {
   /// synchronous mode). Benches call this to sequence phases.
   void WaitForMerges();
 
-  /// Changes the query parallelism degree (see RtsiConfig::query_threads),
-  /// growing or shrinking the worker pool to match (shrinking drains
-  /// in-flight tasks, joins the excess workers, and releases the now-spare
-  /// scratch buffers). NOT safe concurrently with queries; meant for
-  /// benches that sweep thread counts on one built index instead of
-  /// rebuilding it per setting.
-  void SetQueryThreads(int query_threads);
-
   /// Toggles upper-bound pruning (RtsiConfig::use_bound). With pruning off
-  /// every sealed component is walked to exhaustion; tests compare that
-  /// full walk against the pruned walk to certify bound soundness. NOT
-  /// safe concurrently with queries.
+  /// every sealed component is walked to exhaustion without consulting
+  /// any pruning structure (skip headers, summaries, admission screen);
+  /// tests and benches compare that full walk against the pruned walk to
+  /// certify bound soundness. NOT safe concurrently with queries.
   void SetUseBound(bool use_bound);
-
-  /// Toggles skip-header consultation (RtsiConfig::use_skip_header): the
-  /// per-component term Bloom filter, summary-based bounds, and the
-  /// candidate admission screen. Results are bit-identical either way
-  /// (see DESIGN.md §6f); benches A/B the two settings. NOT safe
-  /// concurrently with queries.
-  void SetUseSkipHeader(bool use_skip_header);
 
   /// Switches the LSM compaction policy; takes effect at the next merge
   /// cascade. Always safe: policies are stateless and re-plan from the
@@ -161,11 +149,11 @@ class RtsiIndex : public SearchIndex {
                             Timestamp now,
                             const QueryFilter& filter = QueryFilter{}) const;
 
-  /// Runs a prepared plan through the sequential pipeline into a
-  /// caller-supplied sink (the standing-query seam; Query/QueryFiltered
-  /// are this with a TopKSink, plus the parallel executor when
-  /// configured). The sink keeps its prior contents — re-executions can
-  /// accumulate — and the returned vector is its current rank order.
+  /// Runs a prepared plan through the pipeline into a caller-supplied
+  /// sink (the standing-query seam; Query/QueryFiltered are BuildPlan and
+  /// this with a TopKSink). The sink keeps its prior contents —
+  /// re-executions can accumulate — and the returned vector is its
+  /// current rank order.
   std::vector<ScoredStream> ExecutePlan(const exec::QueryPlan& plan,
                                         exec::ResultSink& sink,
                                         QueryStats* stats = nullptr);
@@ -190,9 +178,9 @@ class RtsiIndex : public SearchIndex {
     std::uint64_t candidates_screened = 0;
   };
   /// Aggregate WindowArena counters across the live ingest path: the L0
-  /// shard arenas plus the live-term table's shard arenas (zeroed struct
-  /// when use_arena is off). Benches derive allocations-per-insert from
-  /// the request counters; rtsi_cli stats prints the byte gauges.
+  /// shard arenas plus the live-term table's shard arenas. Benches derive
+  /// allocations-per-insert from the request counters; rtsi_cli stats
+  /// prints the byte gauges.
   WindowArena::Stats LiveArenaStats() const {
     WindowArena::Stats s = tree_.ArenaStats();
     s += live_terms_.ArenaStats();
@@ -221,21 +209,29 @@ class RtsiIndex : public SearchIndex {
  private:
   lsm::MergeHooks MakeMergeHooks();
 
+  /// Re-seeds the live-term table with a resuming stream's sealed totals.
+  void SeedLiveTotals(StreamId stream);
+
+  /// Drops a finished stream from the live-term table once all its
+  /// postings sit in one sealed component.
+  void EvictIfConsolidated(StreamId stream);
+
+  std::mutex& StreamMutex(StreamId stream) {
+    return stream_mu_[stream % stream_mu_.size()];
+  }
+
   /// Evicts finished, now-consolidated streams from the live-term table
   /// (queued by FinishStream while their postings were still in L0).
   void DrainPendingFinished();
 
-  /// Shared implementation behind Query / QueryFiltered / ExplainQuery.
-  std::vector<ScoredStream> QueryImpl(const std::vector<TermId>& terms,
-                                      int k, Timestamp now,
-                                      const QueryFilter& filter,
-                                      QueryStats* stats,
-                                      QueryExplanation* explain);
+  /// Phase-3 planning over a pinned view: skip headers are consulted
+  /// exactly when the plan prunes.
+  std::vector<exec::SelectedComponent> SelectSealed(
+      const exec::QueryPlan& plan, const lsm::IndexView& view,
+      QueryScratch& scratch, QueryStats& qs, QueryExplanation* explain) const;
 
-  /// The sequential fast-path pipeline (phases 1-3) into `sink`; the
-  /// common body of ExecutePlan and the non-executor Query path.
-  void RunSequential(const exec::QueryPlan& plan, exec::ResultSink& sink,
-                     QueryScratch& scratch, QueryStats& qs);
+  /// Folds one query's skip-planner counters into the lifetime totals.
+  void AddLifetimeCounters(const QueryStats& qs);
 
   RtsiConfig config_;
   Scorer scorer_;
@@ -250,22 +246,21 @@ class RtsiIndex : public SearchIndex {
   // Test seam: forwarded into MergeHooks::on_cascade_step at each merge.
   std::function<void()> cascade_observer_;
   std::atomic<bool> merge_scheduled_{false};
+  // Striped by stream: serializes a window's table/L0/count updates with
+  // the eviction of the same stream from the live-term table.
+  std::array<std::mutex, 64> stream_mu_;
   // Lifetime skip-planner counters (relaxed: statistics only).
   std::atomic<std::uint64_t> cum_visited_{0};
   std::atomic<std::uint64_t> cum_pruned_{0};
   std::atomic<std::uint64_t> cum_skipped_{0};
   std::atomic<std::uint64_t> cum_bloom_fp_{0};
   std::atomic<std::uint64_t> cum_screened_{0};
-  // Recycled query buffers; queries lease one scratch per executing
-  // thread so the scoring hot path never allocates in steady state.
+  // Recycled query buffers; each query leases one scratch so the scoring
+  // hot path never allocates in steady state.
   mutable ScratchPool scratch_pool_;
-  // Declared last: destroyed first, draining queued merges / in-flight
-  // query tasks while the members above are still alive.
+  // Declared last: destroyed first, draining queued merges while the
+  // members above are still alive.
   std::unique_ptr<ThreadPool> merge_executor_;
-  // Workers for the parallel query executor (query_threads - 1 threads;
-  // the querying thread itself is the remaining worker). Null when
-  // query_threads <= 1. Shared by all concurrent queries of this index.
-  std::unique_ptr<ThreadPool> query_pool_;
 };
 
 }  // namespace rtsi::core

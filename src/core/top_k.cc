@@ -41,27 +41,4 @@ std::vector<ScoredStream> TopKHeap::SortedResults() const {
   return {entries_.begin(), entries_.end()};
 }
 
-SharedTopK::SharedTopK(int k)
-    : heap_(k), threshold_(-std::numeric_limits<double>::infinity()) {}
-
-void SharedTopK::Offer(StreamId stream, double score) {
-  // A candidate strictly below the published k-th score can neither enter
-  // the heap nor win a tie-break; equal scores must take the lock because
-  // the stream id may still rank above the current k-th.
-  if (score < threshold_.load(std::memory_order_relaxed)) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  heap_.Offer(stream, score);
-  threshold_.store(heap_.KthScore(), std::memory_order_relaxed);
-}
-
-std::size_t SharedTopK::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return heap_.size();
-}
-
-std::vector<ScoredStream> SharedTopK::SortedResults() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return heap_.SortedResults();
-}
-
 }  // namespace rtsi::core

@@ -1,18 +1,14 @@
-// Bounded top-k result heaps: the single-threaded TopKHeap and the
-// SharedTopK used by the parallel query executor.
+// Bounded top-k result heap.
 //
-// Both break ties deterministically: results are ordered by (score
-// descending, stream id ascending). The total order makes the retained
-// top-k independent of the order candidates were offered in, which is what
-// lets the parallel executor produce bit-identical results to the
-// sequential query path.
+// Ties break deterministically: results are ordered by (score descending,
+// stream id ascending). The total order makes the retained top-k
+// independent of the order candidates were offered in, which is what lets
+// shard scatter-gather reproduce a single index's results bit for bit.
 
 #ifndef RTSI_CORE_TOP_K_H_
 #define RTSI_CORE_TOP_K_H_
 
-#include <atomic>
 #include <cstddef>
-#include <mutex>
 #include <set>
 #include <unordered_map>
 #include <vector>
@@ -25,8 +21,8 @@ namespace rtsi::core {
 /// is O(log k); ties are broken by stream id (lower wins), so the retained
 /// set does not depend on offer order. Re-offering a retained stream keeps
 /// only its better-ranked score: a stream whose postings transiently span
-/// several sealed components is scored once per component, and both query
-/// paths must deterministically keep the same (best) partial score.
+/// several sealed components is scored once per component, and every query
+/// path must deterministically keep the same (best) partial score.
 class TopKHeap {
  public:
   explicit TopKHeap(int k);
@@ -61,39 +57,6 @@ class TopKHeap {
   // keep-best-per-stream upsert; both hold at most k entries.
   std::set<ScoredStream, BestFirst> entries_;
   std::unordered_map<StreamId, double> index_;
-};
-
-/// Thread-safe top-k accumulator for the parallel query executor: a
-/// mutex-guarded TopKHeap plus a lock-free published k-th score that
-/// workers read for cooperative pruning.
-///
-/// The published threshold is monotone non-decreasing and is always the
-/// minimum score of k real (distinct within a worker) candidates, hence a
-/// valid lower bound on the final k-th score: pruning any component whose
-/// upper bound is *strictly below* it can never change the result set.
-class SharedTopK {
- public:
-  explicit SharedTopK(int k);
-
-  /// Thread-safe offer. Candidates strictly below the published threshold
-  /// are rejected without taking the lock.
-  void Offer(StreamId stream, double score);
-
-  /// Lower bound on the final k-th score (-infinity until k candidates
-  /// were offered). Lock-free; safe to read concurrently with Offer().
-  double ThresholdScore() const {
-    return threshold_.load(std::memory_order_relaxed);
-  }
-
-  std::size_t size() const;
-
-  /// Results sorted by descending score, ascending stream id on ties.
-  std::vector<ScoredStream> SortedResults() const;
-
- private:
-  mutable std::mutex mu_;
-  TopKHeap heap_;
-  std::atomic<double> threshold_;
 };
 
 }  // namespace rtsi::core

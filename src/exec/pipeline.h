@@ -11,15 +11,13 @@
 //   void Candidate(const Traversal&, StreamId, std::size_t term_index,
 //                  core::QueryStats&);
 //
-// RunSealedSequential drives the single-threaded walk (fast, explain, and
-// LSII policies); RunSealedWorker is one executor worker claiming
-// stream-sliced work units off a shared atomic cursor. RunLiveTablePhase /
-// RunL0Phase are the exact-total phases that precede the sealed walk.
+// RunSealedSequential drives the sealed-component walk (fast, explain, and
+// LSII policies). RunLiveTablePhase / RunL0Phase are the exact-total
+// phases that precede it.
 
 #ifndef RTSI_EXEC_PIPELINE_H_
 #define RTSI_EXEC_PIPELINE_H_
 
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <unordered_set>
@@ -65,13 +63,19 @@ void RunLiveTablePhase(const QueryPlan& plan, const core::Scorer& scorer,
   const std::size_t nq = plan.num_terms();
   std::vector<TermFreq>& tfs = scratch.tfs;
   for (const StreamId stream : table_matches) {
-    if (!scored.insert(stream).second) continue;
+    if (scored.count(stream) > 0) continue;
     double tfidf_sum = 0.0;
     tfs.assign(nq, 0);
     for (std::size_t i = 0; i < nq; ++i) {
       tfs[i] = live_terms.GetTotal(stream, plan.terms[i]);
       tfidf_sum += scorer.TermTfIdf(tfs[i], plan.idfs[i]);
     }
+    // RemoveStream unregisters a stream before erasing its counters, so a
+    // stream still registered after the reads was read whole. One being
+    // evicted meanwhile may have been read torn; its postings already sit
+    // in one published sealed component, so the sealed walk scores it.
+    if (!live_terms.ContainsStream(stream)) continue;
+    scored.insert(stream);
     exact.Candidate(stream, tfidf_sum, tfs.data(),
                     core::ScoreBreakdown::Source::kLiveTable);
   }
@@ -121,10 +125,10 @@ std::size_t RunL0Phase(const QueryPlan& plan, const core::Scorer& scorer,
   return l0_candidates;
 }
 
-/// Phase 3, single-threaded: walk the selected components best bound
-/// first (Algorithm 3's sc-top pruning, strengthened by processing in
-/// bound order), cut each traversal when the per-round threshold falls
-/// below the sink's k-th score.
+/// Phase 3: walk the selected components best bound first (Algorithm 3's
+/// sc-top pruning, strengthened by processing in bound order), cut each
+/// traversal when the per-round threshold falls below the sink's k-th
+/// score.
 template <typename Policy>
 void RunSealedSequential(const QueryPlan& plan, const core::Scorer& scorer,
                          const std::vector<SelectedComponent>& comps,
@@ -177,98 +181,6 @@ void RunSealedSequential(const QueryPlan& plan, const core::Scorer& scorer,
     if (explain != nullptr) {
       explain->components[comps[c].explain_slot].postings_yielded =
           traversal.postings_yielded();
-    }
-  }
-}
-
-/// One stream-sliced unit of parallel work: slice `slice` of
-/// `num_slices` over component `comp` (index into the selected vector).
-struct WorkUnit {
-  std::size_t comp;
-  std::uint32_t slice;
-  std::uint32_t num_slices;
-};
-
-/// Splits the selected components into stream-sliced work units. A
-/// settled LSM concentrates most postings in the bottom component, so
-/// component-granular fan-out alone is bounded by that straggler (Amdahl
-/// at the component level); large components get slices proportional to
-/// their posting share. Deterministic (integer arithmetic on snapshot
-/// sizes), hence identical across runs.
-std::vector<WorkUnit> MakeWorkUnits(
-    const std::vector<SelectedComponent>& comps, std::size_t threads);
-
-/// Phase 3, one executor worker: claim work units off the shared cursor
-/// (so the best bounds are traversed first), resolve only candidates in
-/// the unit's stream slice, prune cooperatively against the shared
-/// sink's published threshold. Slices partition the stream space, so
-/// every candidate is still scored by exactly one worker and the
-/// bit-identity argument is untouched. Stats that describe a component
-/// (visited/pruned/postings) are counted on slice 0 only, keeping their
-/// sequential meaning.
-template <typename Policy>
-void RunSealedWorker(const QueryPlan& plan, const core::Scorer& scorer,
-                     const std::vector<SelectedComponent>& comps,
-                     const std::vector<WorkUnit>& units,
-                     std::atomic<std::size_t>& next_unit, ResultSink& sink,
-                     Policy& policy, core::QueryStats& wqs) {
-  std::vector<index::Posting>& round = policy.round();
-  std::vector<std::uint32_t>& round_terms = policy.round_terms();
-  while (true) {
-    const std::size_t u = next_unit.fetch_add(1, std::memory_order_relaxed);
-    if (u >= units.size()) break;
-    const WorkUnit unit = units[u];
-    const std::size_t c = unit.comp;
-    if (plan.use_bound &&
-        Prunes(sink.Threshold(), comps[c].bound, plan.prune_if_equal)) {
-      if (unit.slice == 0) {
-        ++wqs.components_pruned;
-        wqs.terminated_early = true;
-      }
-      continue;
-    }
-    if (unit.slice == 0) ++wqs.components_visited;
-    Traversal traversal(*comps[c].component, plan.terms);
-    policy.BeginComponent(comps[c]);
-    round.clear();
-    round_terms.clear();
-    bool cut_off = false;
-    // The per-round Threshold() bound is exp()-heavy and a round yields
-    // only ~3 postings per term, so checking every round dominates a
-    // slice's duplicated scan cost. Checking every kBoundCheckInterval
-    // rounds only scans deeper before cutting off; with the sound
-    // kGlobalPop ceilings that can never change the result set.
-    constexpr std::uint32_t kBoundCheckInterval = 8;
-    std::uint32_t rounds_since_check = 0;
-    while (!cut_off && traversal.NextRound(round, round_terms)) {
-      for (std::size_t ri = 0; ri < round.size(); ++ri) {
-        const index::Posting& p = round[ri];
-        if (unit.num_slices > 1 &&
-            p.stream % unit.num_slices != unit.slice) {
-          continue;
-        }
-        if (!policy.Admit(p.stream)) continue;
-        policy.Candidate(traversal, p.stream, round_terms[ri], wqs);
-      }
-      // Slices > 0 re-scan postings that slice 0 also walks; count only
-      // slice 0 so the stat keeps its sequential meaning (distinct
-      // postings the traversal reached).
-      if (unit.slice == 0) wqs.postings_scanned += round.size();
-      round.clear();
-      round_terms.clear();
-      if (plan.use_bound && ++rounds_since_check >= kBoundCheckInterval) {
-        rounds_since_check = 0;
-        const double threshold = sink.Threshold();
-        if (std::isfinite(threshold) &&
-            Prunes(threshold,
-                   traversal.Threshold(scorer, plan.idfs, plan.now,
-                                       plan.max_pop, comps[c].frsh_ceiling,
-                                       plan.bound_mode),
-                   plan.prune_if_equal)) {
-          wqs.terminated_early = true;
-          cut_off = true;
-        }
-      }
     }
   }
 }

@@ -19,9 +19,9 @@
 
 namespace rtsi::exec {
 
-/// One query's resolved inputs, shared verbatim by every operator and by
-/// every worker of the parallel executor (capture-once semantics: all
-/// workers prune and score against the same max_pop / bound mode).
+/// One query's resolved inputs, shared verbatim by every operator
+/// (capture-once semantics: every operator prunes and scores against the
+/// same max_pop / bound mode).
 struct QueryPlan {
   std::vector<TermId> terms;   // Deduplicated, first-seen order.
   std::vector<double> idfs;    // Parallel to `terms`.
@@ -46,8 +46,7 @@ struct QueryPlan {
 /// order (membership via the caller's sorted flat set `term_set` — queries
 /// hold a handful of terms, so binary search in a contiguous vector beats
 /// both hashing and a quadratic scan) and resolves idfs from `df`. The
-/// scalar knobs are copied as given; `term_set` and the plan's vectors are
-/// reused across queries when the caller recycles them (QueryScratch).
+/// scalar knobs are copied as given; `term_set` is caller-owned scratch.
 void BuildQueryPlan(const std::vector<TermId>& terms,
                     const core::DocumentFrequencyTable& df, int k,
                     Timestamp now, const core::QueryFilter& filter,

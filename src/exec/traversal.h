@@ -1,8 +1,8 @@
 // The Traversal operator of the query-execution pipeline: component
 // upper bounds (the sc-top of Algorithm 3) and the threshold-algorithm
 // walk of a sealed component's three sorted inverted lists. Shared by
-// every query path (RTSI sequential/parallel/explain and the
-// extended-LSII baseline); moved here from core/query_util.
+// every query path (RTSI query/explain and the extended-LSII baseline);
+// moved here from core/query_util.
 
 #ifndef RTSI_EXEC_TRAVERSAL_H_
 #define RTSI_EXEC_TRAVERSAL_H_

@@ -23,9 +23,7 @@ constexpr std::size_t kLiveTableSlabBytes = 16 * 1024;
 
 }  // namespace
 
-LiveTermTable::LiveTermTable(bool use_arena,
-                             std::shared_ptr<MemoryTracker> tracker) {
-  if (!use_arena) return;
+LiveTermTable::LiveTermTable(std::shared_ptr<MemoryTracker> tracker) {
   for (TermShard& shard : term_shards_) {
     shard.arena = std::make_unique<WindowArena>(kLiveTableSlabBytes, tracker);
   }
@@ -196,20 +194,13 @@ std::size_t LiveTermTable::MemoryBytes() const {
     // Outer map: TermId -> StreamTfMap object, always on the heap.
     bytes += MapBytes(shard.map.bucket_count(), shard.map.size(),
                       sizeof(TermId) + sizeof(StreamTfMap));
-    if (shard.arena != nullptr) {
-      // Every inner-map node and bucket array was carved from the shard
-      // arena, so its in-use counter *is* the inner maps' footprint —
-      // report that instead of re-deriving an estimate that could drift
-      // from the arena's own accounting. Slab waste (owned - in-use) is
-      // deliberately not attributed here; it is observable exactly via
-      // ArenaStats()/the kLiveArena tracker gauge.
-      bytes += shard.arena->allocated_bytes();
-    } else {
-      for (const auto& [term, streams] : shard.map) {
-        bytes += MapBytes(streams.bucket_count(), streams.size(),
-                          sizeof(StreamId) + sizeof(TermFreq));
-      }
-    }
+    // Every inner-map node and bucket array was carved from the shard
+    // arena, so its in-use counter *is* the inner maps' footprint —
+    // report that instead of re-deriving an estimate that could drift
+    // from the arena's own accounting. Slab waste (owned - in-use) is
+    // deliberately not attributed here; it is observable exactly via
+    // ArenaStats()/the kLiveArena tracker gauge.
+    bytes += shard.arena->allocated_bytes();
   }
   for (const StreamShard& shard : stream_shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
@@ -232,7 +223,7 @@ WindowArena::Stats LiveTermTable::ArenaStats() const {
   WindowArena::Stats total;
   for (const TermShard& shard : term_shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
-    if (shard.arena != nullptr) total += shard.arena->GetStats();
+    total += shard.arena->GetStats();
   }
   return total;
 }

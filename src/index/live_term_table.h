@@ -31,8 +31,7 @@
 //
 // The per-stream counter maps allocate from a per-term-shard WindowArena
 // (table-lifetime, size-class free lists recycle erased nodes) so
-// steady-state ingest churn never touches the global allocator; pass
-// use_arena = false for plain heap maps.
+// steady-state ingest churn never touches the global allocator.
 
 #ifndef RTSI_INDEX_LIVE_TERM_TABLE_H_
 #define RTSI_INDEX_LIVE_TERM_TABLE_H_
@@ -51,7 +50,7 @@ namespace rtsi::index {
 class LiveTermTable {
  public:
   /// The per-stream counter map of one term. Arena-allocated (nodes and
-  /// bucket arrays) when the table was built with use_arena.
+  /// bucket arrays).
   using StreamTfAlloc = ArenaAllocator<std::pair<const StreamId, TermFreq>>;
   using StreamTfMap =
       std::unordered_map<StreamId, TermFreq, std::hash<StreamId>,
@@ -59,8 +58,7 @@ class LiveTermTable {
 
   /// `tracker` (optional) has the arenas' slab bytes charged to its
   /// kLiveArena category while the table is alive.
-  explicit LiveTermTable(bool use_arena = true,
-                         std::shared_ptr<MemoryTracker> tracker = nullptr);
+  explicit LiveTermTable(std::shared_ptr<MemoryTracker> tracker = nullptr);
 
   LiveTermTable(const LiveTermTable&) = delete;
   LiveTermTable& operator=(const LiveTermTable&) = delete;
@@ -133,11 +131,10 @@ class LiveTermTable {
 
   std::size_t MemoryBytes() const;
 
-  /// Aggregate allocation counters of the per-shard arenas (zeroed struct
-  /// when the table runs on the heap). owned_bytes here is exactly what
-  /// the kLiveArena tracker category carries for this table, and exactly
-  /// what MemoryBytes() attributes to the counter maps — the test suite
-  /// pins the three together.
+  /// Aggregate allocation counters of the per-shard arenas. owned_bytes
+  /// here is exactly what the kLiveArena tracker category carries for
+  /// this table, and exactly what MemoryBytes() attributes to the counter
+  /// maps — the test suite pins the three together.
   WindowArena::Stats ArenaStats() const;
 
  private:

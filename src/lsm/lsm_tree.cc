@@ -16,11 +16,9 @@ LsmTree::LsmTree(const Config& config)
   l0_shards_.reserve(num_shards);
   for (std::size_t i = 0; i < num_shards; ++i) {
     auto shard = std::make_unique<L0Shard>();
-    if (config_.use_arena) {
-      shard->arena = std::make_unique<WindowArena>(
-          WindowArena::kDefaultSlabBytes, mem_tracker_);
-      shard->index.set_arena(shard->arena.get());
-    }
+    shard->arena = std::make_unique<WindowArena>(
+        WindowArena::kDefaultSlabBytes, mem_tracker_);
+    shard->index.set_arena(shard->arena.get());
     l0_shards_.push_back(std::move(shard));
   }
   stream_seen_.reserve(num_shards);
@@ -184,7 +182,6 @@ std::shared_ptr<InvertedIndex> LsmTree::FreezeL0(const MergeHooks& hooks) {
   // (present or future) can ever observe freed slabs. Fresh arenas take
   // over the next window's ingest.
   for (auto& shard : l0_shards_) {
-    if (shard->arena == nullptr) continue;
     {
       // Fold the retiring arena's counters into the rotation accumulator
       // so ArenaStats() stays monotone across freezes (benches compute
@@ -238,8 +235,7 @@ void LsmTree::MergeCascade(const MergeHooks& hooks) {
   // recycle across the cascade's merges. Sealed outputs never reference
   // it (Seal() migrates to exact-size heap buffers), so it dies here. No
   // tracker: the kLiveArena gauge reports live-data arenas only.
-  std::unique_ptr<WindowArena> scratch;
-  if (config_.use_arena) scratch = std::make_unique<WindowArena>();
+  WindowArena scratch;
   const std::shared_ptr<const InvertedIndex> frozen = FreezeL0(hooks);
   if (frozen == nullptr) return;  // Drifted counter, nothing frozen.
   if (hooks.on_cascade_step) hooks.on_cascade_step();
@@ -266,7 +262,7 @@ void LsmTree::MergeCascade(const MergeHooks& hooks) {
     const std::shared_ptr<InvertedIndex> merged = CombineComponents(
         raw_inputs, step.out_level, config_.compress, hooks, &stats,
         AllocateComponentId(), std::make_shared<index::FreshnessCeiling>(),
-        hooks.on_retired ? &surviving : nullptr, scratch.get());
+        hooks.on_retired ? &surviving : nullptr, &scratch);
     merged->AttachSkipHeaderGauge(mem_tracker_);
 
     {
@@ -395,7 +391,7 @@ WindowArena::Stats LsmTree::ArenaStats() const {
   }
   for (const auto& shard : l0_shards_) {
     std::shared_lock<std::shared_mutex> lock(shard->mu);
-    if (shard->arena != nullptr) total += shard->arena->GetStats();
+    total += shard->arena->GetStats();
   }
   return total;
 }

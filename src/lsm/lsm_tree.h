@@ -58,10 +58,6 @@ class LsmTree {
     MergePolicy policy = MergePolicy::kGeometric;
     std::size_t tier_runs = 4;      // kTiered: runs accumulated per level
                                     // before the tier merges one level down.
-    // Back unsealed L0 posting vectors with per-shard WindowArenas,
-    // rotated at FreezeL0 (retired arenas are quarantined on the frozen
-    // component until the last pinned view drops). Off = global heap.
-    bool use_arena = true;
   };
 
   explicit LsmTree(const Config& config);
@@ -202,12 +198,12 @@ class LsmTree {
     return mem_tracker_;
   }
 
-  /// Aggregate allocation counters of the L0 ingest arenas (zeroed
-  /// struct when use_arena is off). Counters (requests, upstream, free-
-  /// list hits) are cumulative across arena rotations — monotone, so
-  /// benches can diff them across a freeze; the gauges (owned/allocated
-  /// bytes) reflect the current arenas only. Takes each shard's shared
-  /// lock briefly; counters themselves are relaxed atomics.
+  /// Aggregate allocation counters of the L0 ingest arenas. Counters
+  /// (requests, upstream, free-list hits) are cumulative across arena
+  /// rotations — monotone, so benches can diff them across a freeze; the
+  /// gauges (owned/allocated bytes) reflect the current arenas only.
+  /// Takes each shard's shared lock briefly; counters themselves are
+  /// relaxed atomics.
   WindowArena::Stats ArenaStats() const;
 
  private:
@@ -215,9 +211,10 @@ class LsmTree {
 
   struct L0Shard {
     mutable std::shared_mutex mu;
-    // Ingest arena for this shard's unsealed posting vectors; declared
-    // before `index` so the index (whose vectors deallocate into the
-    // arena) is destroyed first. Null when Config::use_arena is off.
+    // Ingest arena for this shard's unsealed posting vectors, rotated at
+    // FreezeL0 (the retired arena is quarantined on the frozen component
+    // until the last pinned view drops); declared before `index` so the
+    // index (whose vectors deallocate into the arena) is destroyed first.
     std::unique_ptr<WindowArena> arena;
     index::InvertedIndex index{0};
   };

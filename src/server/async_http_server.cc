@@ -226,10 +226,16 @@ void AsyncHttpServer::Pump(Conn& conn) {
       return;
     }
     if (conn.in_flight) return;  // Completion will resume us.
-    if (!MaybeDispatch(conn)) {
-      if (conn.read_closed) CloseConn(conn.fd);
+    if (MaybeDispatch(conn)) continue;
+    if (!conn.read_closed) return;  // Wait for the rest of the request.
+    if (!conn.parser.has_buffered_bytes()) {
+      CloseConn(conn.fd);  // Clean EOF between requests.
       return;
     }
+    // The peer half-closed mid-request: the request can never complete,
+    // so answer 400 and close once it is written.
+    SendResponse(conn, HttpResponse{400, "text/plain", "truncated request\n"},
+                 /*keep_alive=*/false);
   }
 }
 

@@ -1,15 +1,8 @@
 #include "server/http_server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <cctype>
 #include <cstdio>
-#include <cstring>
-
-#include "server/async_http_server.h"
+#include <cstdlib>
 
 namespace rtsi::server {
 namespace {
@@ -229,127 +222,5 @@ void RequestParser::Reset() {
 }
 
 }  // namespace internal
-
-HttpServer::~HttpServer() { Stop(); }
-
-void HttpServer::Route(const std::string& path, HttpHandler handler) {
-  routes_[path] = std::move(handler);
-}
-
-void HttpServer::RouteBatch(const std::string& path,
-                            HttpBatchHandler handler) {
-  // The blocking server handles one request at a time; a batch route is
-  // just a route that always sees single-element batches.
-  routes_[path] = [handler = std::move(handler)](const HttpRequest& request) {
-    const auto responses = handler({request});
-    return responses.empty() ? HttpResponse{500, "text/plain", "no response\n"}
-                             : responses.front();
-  };
-}
-
-ServerQueueStats HttpServer::QueueStats() const {
-  ServerQueueStats stats;
-  stats.accepted = requests_.load(std::memory_order_relaxed);
-  return stats;
-}
-
-Status HttpServer::Start(int port) {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) return Status::Internal("socket() failed");
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-             sizeof(addr)) != 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::Internal("bind() failed for port " +
-                            std::to_string(port));
-  }
-  if (::listen(listen_fd_, 16) != 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::Internal("listen() failed");
-  }
-  socklen_t len = sizeof(addr);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
-  port_ = ntohs(addr.sin_port);
-
-  running_.store(true);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  return Status::Ok();
-}
-
-void HttpServer::Stop() {
-  if (!running_.exchange(false)) return;
-  // Wake the blocked accept() but keep the fd alive until the thread has
-  // joined: a connection being handled right now finishes its response
-  // (drain), and the fd number can't be recycled under the loop.
-  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-}
-
-void HttpServer::AcceptLoop() {
-  while (running_.load()) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (!running_.load()) return;
-      continue;
-    }
-    HandleConnection(fd);
-    ::close(fd);
-  }
-}
-
-void HttpServer::HandleConnection(int fd) {
-  internal::RequestParser parser(config_.max_head_bytes,
-                                 config_.max_body_bytes);
-  char buf[4096];
-  internal::RequestParser::Result result =
-      internal::RequestParser::Result::kNeedMore;
-  bool got_bytes = false;
-  while (result == internal::RequestParser::Result::kNeedMore) {
-    const ssize_t n = ::read(fd, buf, sizeof(buf));
-    if (n <= 0) break;
-    got_bytes = true;
-    parser.Append(buf, static_cast<std::size_t>(n));
-    result = parser.Parse();
-  }
-  if (!got_bytes) return;  // Connected and left without a byte.
-
-  HttpResponse response;
-  if (result == internal::RequestParser::Result::kError) {
-    response = {parser.error_status(), "text/plain", "bad request\n"};
-  } else if (result == internal::RequestParser::Result::kNeedMore) {
-    response = {400, "text/plain", "truncated request\n"};
-  } else {
-    const HttpRequest& request = parser.request();
-    auto it = routes_.find(request.path);
-    if (it == routes_.end()) {
-      response = {404, "text/plain", "not found\n"};
-    } else {
-      response = it->second(request);
-    }
-  }
-
-  const std::string wire =
-      internal::SerializeResponse(response, /*http11=*/false,
-                                  /*keep_alive=*/false);
-  (void)!::write(fd, wire.data(), wire.size());
-  requests_.fetch_add(1, std::memory_order_relaxed);
-}
-
-std::unique_ptr<HttpServerBase> MakeHttpServer(const ServerConfig& config) {
-  if (config.async) return std::make_unique<AsyncHttpServer>(config);
-  return std::make_unique<HttpServer>(config);
-}
 
 }  // namespace rtsi::server

@@ -1,29 +1,21 @@
-// Embedded HTTP front-ends (raw POSIX sockets, no dependencies).
+// The embedded HTTP front-end's shared vocabulary (raw POSIX sockets, no
+// dependencies): request/response types, ServerConfig, the incremental
+// RequestParser, and HttpServerBase — the interface the route layer
+// (server/search_handler.h) registers against and that decorators (e.g.
+// a handler-timing wrapper) can implement.
 //
-// Two servers behind one interface:
-//
-//   * HttpServer — the original blocking demo server: one accept thread,
-//     requests handled sequentially. Simple, deterministic, right for
-//     examples/ and single-client tests.
-//   * AsyncHttpServer (server/async_http_server.h) — the production-shaped
-//     front-end: epoll edge-triggered network loop, per-connection state
-//     machines, keep-alive, a worker pool, request batching and admission
-//     control (DESIGN.md §6i).
-//
-// `MakeHttpServer(config)` picks one by `ServerConfig::async`. Both parse
-// with the same incremental RequestParser, enforce the same request-line /
-// body caps (400 / 413), and serve the same Route/RouteBatch handlers.
+// The server itself is AsyncHttpServer (server/async_http_server.h): an
+// epoll edge-triggered network loop, per-connection state machines,
+// keep-alive, a worker pool, request batching and admission control
+// (DESIGN.md §6i).
 
 #ifndef RTSI_SERVER_HTTP_SERVER_H_
 #define RTSI_SERVER_HTTP_SERVER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -56,30 +48,26 @@ struct HttpResponse {
 using HttpHandler = std::function<HttpResponse(const HttpRequest&)>;
 
 /// Handles a batch of requests to one path in order; must return exactly
-/// one response per request. The async server coalesces queued requests
-/// to a batch route into one call (insert batching); the blocking server
-/// calls it with single-element batches.
+/// one response per request. The server coalesces queued requests to a
+/// batch route into one call (insert batching).
 using HttpBatchHandler =
     std::function<std::vector<HttpResponse>(const std::vector<HttpRequest>&)>;
 
 struct ServerConfig {
-  /// false = blocking demo server, true = epoll async server.
-  bool async = false;
-  /// Async: worker threads computing handler responses.
+  /// Worker threads computing handler responses.
   int workers = 2;
-  /// Async admission control: when this many requests are already queued
-  /// for the workers, new requests are shed with 503 + Retry-After.
+  /// Admission control: when this many requests are already queued for
+  /// the workers, new requests are shed with 503 + Retry-After.
   std::size_t max_pending = 128;
-  /// Async: max queued same-path requests dispatched as one batch.
+  /// Max queued same-path requests dispatched as one batch.
   std::size_t max_batch = 16;
-  /// Request line + headers cap; longer heads get 400 (both servers).
+  /// Request line + headers cap; longer heads get 400.
   std::size_t max_head_bytes = 16 * 1024;
-  /// Body cap; a larger Content-Length gets 413 (both servers).
+  /// Body cap; a larger Content-Length gets 413.
   std::size_t max_body_bytes = 1 << 20;
 };
 
-/// Point-in-time queue depths and shed counters (async; the blocking
-/// server reports zeros for the queue fields).
+/// Point-in-time queue depths and shed counters.
 struct ServerQueueStats {
   std::size_t pending = 0;              // Requests waiting for a worker.
   std::size_t in_flight = 0;            // Requests being computed now.
@@ -98,7 +86,7 @@ class HttpServerBase {
   /// Registers a handler for an exact path (e.g. "/search").
   virtual void Route(const std::string& path, HttpHandler handler) = 0;
 
-  /// Registers a batchable handler: the async server may hand it several
+  /// Registers a batchable handler: the server may hand it several
   /// queued requests at once. Routes must be registered before Start.
   virtual void RouteBatch(const std::string& path,
                           HttpBatchHandler handler) = 0;
@@ -118,43 +106,6 @@ class HttpServerBase {
   virtual ServerQueueStats QueueStats() const = 0;
 };
 
-/// The blocking demo server: one accept thread, sequential handling,
-/// Connection: close per request.
-class HttpServer : public HttpServerBase {
- public:
-  HttpServer() = default;
-  explicit HttpServer(const ServerConfig& config) : config_(config) {}
-  ~HttpServer() override;
-
-  HttpServer(const HttpServer&) = delete;
-  HttpServer& operator=(const HttpServer&) = delete;
-
-  void Route(const std::string& path, HttpHandler handler) override;
-  void RouteBatch(const std::string& path, HttpBatchHandler handler) override;
-  Status Start(int port) override;
-  void Stop() override;
-  int port() const override { return port_; }
-  std::uint64_t requests_served() const override {
-    return requests_.load(std::memory_order_relaxed);
-  }
-  ServerQueueStats QueueStats() const override;
-
- private:
-  void AcceptLoop();
-  void HandleConnection(int fd);
-
-  ServerConfig config_;
-  std::map<std::string, HttpHandler> routes_;
-  int listen_fd_ = -1;
-  int port_ = 0;
-  std::atomic<bool> running_{false};
-  std::atomic<std::uint64_t> requests_{0};
-  std::thread accept_thread_;
-};
-
-/// Builds the server `config` asks for (blocking or async).
-std::unique_ptr<HttpServerBase> MakeHttpServer(const ServerConfig& config);
-
 /// Decodes %XX and '+' in a URL component.
 std::string UrlDecode(const std::string& in);
 
@@ -163,7 +114,7 @@ std::string JsonEscape(const std::string& in);
 
 namespace internal {
 
-/// Incremental HTTP/1.x request parser shared by both servers. Feed bytes
+/// Incremental HTTP/1.x request parser. Feed bytes
 /// with Append, then call Parse until it stops returning kNeedMore; after
 /// kDone, Reset consumes the parsed request and keeps any pipelined bytes
 /// for the next one.

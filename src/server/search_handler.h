@@ -5,15 +5,15 @@
 //   GET /live?q=...&k=N   — text-tree search restricted to live streams
 //   GET /ingest?stream=ID&words=a+b+c[&live=0|1] — index one window;
 //       also accepts a POST body of lines "STREAM word word ..." (one
-//       window per line). Registered as a batch route: the async server
+//       window per line). Registered as a batch route: the server
 //       coalesces queued /ingest requests into one IngestBatch call.
 //   GET /finish?stream=ID — end a broadcast
 //   GET /pop?stream=ID&delta=N — popularity update
 //   GET /stats            — index + shard + server-queue statistics, JSON
 //
-// Works on either front-end (blocking or epoll; see
-// server/http_server.h). Handlers pin the published index pair per
-// request, so they are safe under the async server's worker pool.
+// Registers against HttpServerBase (server/http_server.h), so decorators
+// of the server work too. Handlers pin the published index pair per
+// request, so they are safe under the server's worker pool.
 
 #ifndef RTSI_SERVER_SEARCH_HANDLER_H_
 #define RTSI_SERVER_SEARCH_HANDLER_H_

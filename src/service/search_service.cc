@@ -33,12 +33,6 @@ SearchService::SearchService(const SearchServiceConfig& config, Clock* clock)
   initial->text = std::make_shared<shard::IndexShardSet>(ShardConfig(config));
   initial->sound = std::make_shared<shard::IndexShardSet>(ShardConfig(config));
   indices_.Store(std::move(initial));
-  if (config.index.query_threads > 0) {
-    // Two threads: enough to overlap the offloaded modality of two
-    // concurrent searches. Each RtsiIndex brings its own executor pool,
-    // so a modality task never blocks on this pool's own workers.
-    modality_pool_ = std::make_unique<ThreadPool>(2);
-  }
 }
 
 void SearchService::ReplaceIndices(std::unique_ptr<core::RtsiIndex> text,
@@ -164,18 +158,6 @@ std::vector<SearchResult> SearchService::SearchBothModalities(
     const IndexPair& indices, const std::vector<TermId>& text_terms,
     const std::vector<TermId>& sound_terms, int fetch, int k) {
   const Timestamp now = clock_->Now();
-  if (modality_pool_ != nullptr) {
-    // Cross-modality fan-out: the sound tree runs on the modality pool
-    // while this thread searches the text tree; the fuse waits for both.
-    std::vector<core::ScoredStream> sound_results;
-    TaskGroup group(modality_pool_.get());
-    group.Submit([&] {
-      sound_results = indices.sound->Query(sound_terms, fetch, now);
-    });
-    const auto text_results = indices.text->Query(text_terms, fetch, now);
-    group.Wait();
-    return Fuse(text_results, sound_results, k);
-  }
   const auto text_results = indices.text->Query(text_terms, fetch, now);
   const auto sound_results = indices.sound->Query(sound_terms, fetch, now);
   return Fuse(text_results, sound_results, k);

@@ -14,7 +14,6 @@
 
 #include "common/atomic_shared_ptr.h"
 #include "common/clock.h"
-#include "common/thread_pool.h"
 #include "core/config.h"
 #include "core/rtsi_index.h"
 #include "service/ingestion.h"
@@ -94,9 +93,7 @@ class SearchService {
   void DeleteStream(StreamId stream);
   void UpdatePopularity(StreamId stream, std::uint64_t delta);
 
-  /// Keyword search across both modalities, fused. When the index is
-  /// configured with query_threads > 0, the text and sound trees are
-  /// searched concurrently (cross-modality fan-out).
+  /// Keyword search across both modalities, fused.
   std::vector<SearchResult> SearchKeywords(const std::string& query, int k);
 
   /// Voice search: the query is an audio buffer.
@@ -177,10 +174,6 @@ class SearchService {
   // query path.
   AtomicSharedPtr<const IndexPair> indices_;
   std::atomic<int> restores_in_flight_{0};
-  // Cross-modality fan-out workers (one task per query; the calling
-  // thread runs the text tree while the pool runs the sound tree). Null
-  // when query_threads == 0 so the default stays fully sequential.
-  std::unique_ptr<ThreadPool> modality_pool_;
   // The service RNG feeds ASR simulation for ingestion, query processing
   // and synthesis; entry points can run concurrently, so draws are
   // serialized by rng_mu_ (single-threaded call sequences are unaffected,

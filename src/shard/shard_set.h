@@ -8,8 +8,8 @@
 // disk failure degrades exactly one partition.
 //
 // Queries scatter-gather: the set fans the query out (each shard pins its
-// own epoch-published IndexView wait-free and runs the PR 1 executor at
-// its configured query_threads), then merges the per-shard top-k with the
+// own epoch-published IndexView wait-free and runs its sequential
+// pipeline), then merges the per-shard top-k with the
 // deterministic total order of core::TopKHeap. Results are bit-identical
 // to a single unsharded index holding the same streams:
 //   * every stream lives in exactly one shard, so the global top-k is a
@@ -56,7 +56,7 @@ struct ShardSetConfig {
   storage::JournalOptions journal;
   /// Fan the scatter phase out over this many pool workers (the calling
   /// thread gathers). 0 = scatter sequentially on the caller — the right
-  /// default on small machines; per-shard query_threads still applies.
+  /// default on small machines.
   int scatter_threads = 0;
   /// Per-shard compaction-policy overrides: entry i applies to shard i.
   /// Shards beyond the vector's length (and all shards when it is empty)

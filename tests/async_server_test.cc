@@ -1,6 +1,7 @@
 // The epoll front-end over real loopback sockets: keep-alive and
-// pipelining, request caps (400/413), admission control (503 +
-// Retry-After), insert batching, and the Stop drain contract.
+// pipelining, query decoding and 404s, request caps (400/413), truncated
+// requests (400), admission control (503 + Retry-After), insert
+// batching, and the Stop drain contract.
 //
 // Timing-sensitive behaviors are made deterministic with a "gate" route
 // whose handler blocks on a condition variable the test controls: with
@@ -125,7 +126,6 @@ void AwaitQueue(AsyncHttpServer& server,
 
 TEST(AsyncHttpServerTest, ServesKeepAliveAndPipelinedRequests) {
   ServerConfig config;
-  config.async = true;
   AsyncHttpServer server(config);
   server.Route("/echo", [](const HttpRequest& request) {
     auto it = request.query.find("msg");
@@ -159,9 +159,28 @@ TEST(AsyncHttpServerTest, ServesKeepAliveAndPipelinedRequests) {
   server.Stop();
 }
 
+TEST(AsyncHttpServerTest, DecodesQueryParamsAnd404s) {
+  AsyncHttpServer server(ServerConfig{});
+  server.Route("/echo", [](const HttpRequest& request) {
+    auto it = request.query.find("msg");
+    return HttpResponse{200, "text/plain",
+                        it == request.query.end() ? "none" : it->second};
+  });
+  ASSERT_TRUE(server.Start(0).ok());
+
+  Client client(server.port());
+  ASSERT_TRUE(client.Get("/echo?msg=hello+there%21"));
+  const std::string response = client.ReadResponse();
+  EXPECT_NE(response.find("200 OK"), std::string::npos);
+  EXPECT_NE(response.find("hello there!"), std::string::npos);
+  ASSERT_TRUE(client.Get("/nope"));
+  EXPECT_NE(client.ReadResponse().find("404 Not Found"), std::string::npos);
+  EXPECT_GE(server.requests_served(), 2u);
+  server.Stop();
+}
+
 TEST(AsyncHttpServerTest, PostBodyReachesHandler) {
   ServerConfig config;
-  config.async = true;
   AsyncHttpServer server(config);
   server.Route("/upload", [](const HttpRequest& request) {
     return HttpResponse{200, "text/plain",
@@ -180,7 +199,6 @@ TEST(AsyncHttpServerTest, PostBodyReachesHandler) {
 
 TEST(AsyncHttpServerTest, OversizedHeadGets400) {
   ServerConfig config;
-  config.async = true;
   config.max_head_bytes = 128;
   AsyncHttpServer server(config);
   server.Route("/", [](const HttpRequest&) {
@@ -199,7 +217,6 @@ TEST(AsyncHttpServerTest, OversizedHeadGets400) {
 
 TEST(AsyncHttpServerTest, OversizedBodyGets413) {
   ServerConfig config;
-  config.async = true;
   config.max_body_bytes = 64;
   AsyncHttpServer server(config);
   ASSERT_TRUE(server.Start(0).ok());
@@ -213,10 +230,30 @@ TEST(AsyncHttpServerTest, OversizedBodyGets413) {
   server.Stop();
 }
 
+TEST(AsyncHttpServerTest, TruncatedRequestGets400) {
+  AsyncHttpServer server(ServerConfig{});
+  ASSERT_TRUE(server.Start(0).ok());
+
+  // The head never terminates and the client half-closes mid-request:
+  // the request can never complete, so it is answered 400, then closed.
+  Client client(server.port());
+  ASSERT_TRUE(client.Send("GET /partial HTT"));
+  ::shutdown(client.fd, SHUT_WR);
+  const std::string response = client.ReadResponse();
+  EXPECT_NE(response.find("400 Bad Request"), std::string::npos);
+  EXPECT_NE(response.find("truncated request"), std::string::npos);
+  EXPECT_TRUE(client.ReadResponse().empty());
+
+  // A clean half-close between requests still closes without a reply.
+  Client idle(server.port());
+  ::shutdown(idle.fd, SHUT_WR);
+  EXPECT_TRUE(idle.ReadResponse().empty());
+  server.Stop();
+}
+
 TEST(AsyncHttpServerTest, AdmissionControlShedsWith503AndRecovers) {
   Gate gate;
   ServerConfig config;
-  config.async = true;
   config.workers = 1;
   config.max_pending = 2;
   AsyncHttpServer server(config);
@@ -269,7 +306,6 @@ TEST(AsyncHttpServerTest, BatchRouteCoalescesQueuedRequests) {
   std::mutex sizes_mu;
   std::vector<std::size_t> batch_sizes;
   ServerConfig config;
-  config.async = true;
   config.workers = 1;
   config.max_batch = 8;
   AsyncHttpServer server(config);
@@ -331,7 +367,6 @@ TEST(AsyncHttpServerTest, BatchRouteCoalescesQueuedRequests) {
 TEST(AsyncHttpServerTest, StopDrainsInFlightRequestBeforeReturning) {
   Gate gate;
   ServerConfig config;
-  config.async = true;
   config.workers = 1;
   AsyncHttpServer server(config);
   server.Route("/gate", [&gate](const HttpRequest&) {
@@ -363,7 +398,6 @@ TEST(AsyncHttpServerTest, StopDrainsInFlightRequestBeforeReturning) {
 
 TEST(AsyncHttpServerTest, StopIsIdempotent) {
   ServerConfig config;
-  config.async = true;
   AsyncHttpServer server(config);
   ASSERT_TRUE(server.Start(0).ok());
   server.Stop();
@@ -373,7 +407,6 @@ TEST(AsyncHttpServerTest, StopIsIdempotent) {
 
 TEST(AsyncHttpServerTest, ManyConnectionsManyRequests) {
   ServerConfig config;
-  config.async = true;
   config.workers = 2;
   AsyncHttpServer server(config);
   std::atomic<int> handled{0};
@@ -403,16 +436,6 @@ TEST(AsyncHttpServerTest, ManyConnectionsManyRequests) {
   EXPECT_EQ(ok.load(), kClients * kRequestsEach);
   EXPECT_EQ(handled.load(), kClients * kRequestsEach);
   server.Stop();
-}
-
-TEST(MakeHttpServerTest, PicksFrontEndByConfig) {
-  ServerConfig blocking;
-  auto a = MakeHttpServer(blocking);
-  EXPECT_NE(dynamic_cast<HttpServer*>(a.get()), nullptr);
-  ServerConfig async_config;
-  async_config.async = true;
-  auto b = MakeHttpServer(async_config);
-  EXPECT_NE(dynamic_cast<AsyncHttpServer*>(b.get()), nullptr);
 }
 
 }  // namespace

@@ -375,7 +375,7 @@ TEST(LiveTermTableTest, AddWindowDuringConsolidationNeverLeaksEntries) {
 TEST(LiveTermTableTest, MemoryAccountingMatchesArenaGauge) {
   auto tracker = std::make_shared<MemoryTracker>();
   {
-    LiveTermTable table(/*use_arena=*/true, tracker);
+    LiveTermTable table(tracker);
     for (StreamId s = 0; s < 64; ++s) {
       for (TermId t = 0; t < 32; ++t) table.Add(s, t, 1);
     }
@@ -397,19 +397,6 @@ TEST(LiveTermTableTest, MemoryAccountingMatchesArenaGauge) {
   }
   // Table destruction frees the slabs and balances the gauge to zero.
   EXPECT_EQ(tracker->bytes(MemCategory::kLiveArena), 0u);
-}
-
-TEST(LiveTermTableTest, HeapModeUsesUniformNodeAccounting) {
-  LiveTermTable table(/*use_arena=*/false);
-  const std::size_t empty = table.MemoryBytes();
-  constexpr std::size_t kEntries = 64;
-  for (StreamId s = 0; s < kEntries; ++s) table.Add(s, 5, 1);
-  // One formula for every map: each entry pays at least payload plus the
-  // node header; the old per-callsite formulas dropped parts of this.
-  const std::size_t per_entry =
-      sizeof(StreamId) + sizeof(TermFreq) + 2 * sizeof(void*);
-  EXPECT_GE(table.MemoryBytes(), empty + kEntries * per_entry);
-  EXPECT_EQ(table.ArenaStats().owned_bytes, 0u);  // No arenas in heap mode.
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
-// The embedded HTTP server and the search routes, exercised over real
-// loopback sockets.
+// The HTTP helpers and the search routes, exercised over real loopback
+// sockets against AsyncHttpServer. Server mechanics (keep-alive, caps,
+// admission control, batching, drain) live in async_server_test.
 
 #include "server/http_server.h"
 
@@ -11,6 +12,7 @@
 #include <unistd.h>
 
 #include "common/clock.h"
+#include "server/async_http_server.h"
 #include "server/search_handler.h"
 #include "service/search_service.h"
 
@@ -53,34 +55,6 @@ TEST(JsonEscapeTest, EscapesSpecials) {
   EXPECT_EQ(JsonEscape("back\\slash"), "back\\\\slash");
 }
 
-TEST(HttpServerTest, ServesRoutesAndQueryParams) {
-  HttpServer server;
-  server.Route("/echo", [](const HttpRequest& request) {
-    auto it = request.query.find("msg");
-    return HttpResponse{200, "text/plain",
-                        it == request.query.end() ? "none" : it->second};
-  });
-  ASSERT_TRUE(server.Start(0).ok());
-  ASSERT_GT(server.port(), 0);
-
-  const std::string response = Get(server.port(), "/echo?msg=hello+there");
-  EXPECT_NE(response.find("200 OK"), std::string::npos);
-  EXPECT_NE(response.find("hello there"), std::string::npos);
-
-  const std::string missing = Get(server.port(), "/nope");
-  EXPECT_NE(missing.find("404"), std::string::npos);
-  EXPECT_GE(server.requests_served(), 2u);
-  server.Stop();
-}
-
-TEST(HttpServerTest, StopIsIdempotent) {
-  HttpServer server;
-  ASSERT_TRUE(server.Start(0).ok());
-  server.Stop();
-  server.Stop();
-  SUCCEED();
-}
-
 // Sends raw bytes, half-closes the write side, reads the full response.
 std::string SendRaw(int port, const std::string& data) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -105,65 +79,12 @@ std::string SendRaw(int port, const std::string& data) {
   return response;
 }
 
-TEST(HttpServerTest, PostBodyReachesHandler) {
-  HttpServer server;
-  server.Route("/upload", [](const HttpRequest& request) {
-    return HttpResponse{200, "text/plain", "len:" +
-                        std::to_string(request.body.size())};
-  });
-  ASSERT_TRUE(server.Start(0).ok());
-  const std::string body = "7 volcano eruption\n8 tsunami warning\n";
-  const std::string response = SendRaw(
-      server.port(), "POST /upload HTTP/1.0\r\nContent-Length: " +
-                         std::to_string(body.size()) + "\r\n\r\n" + body);
-  EXPECT_NE(response.find("200"), std::string::npos);
-  EXPECT_NE(response.find("len:" + std::to_string(body.size())),
-            std::string::npos);
-  server.Stop();
-}
-
-TEST(HttpServerTest, OversizedHeadGets400) {
-  ServerConfig config;
-  config.max_head_bytes = 128;
-  HttpServer server(config);
-  ASSERT_TRUE(server.Start(0).ok());
-  const std::string response = SendRaw(
-      server.port(), "GET /" + std::string(500, 'x') + " HTTP/1.0\r\n\r\n");
-  EXPECT_NE(response.find("400"), std::string::npos);
-  server.Stop();
-}
-
-TEST(HttpServerTest, TruncatedRequestGets400) {
-  HttpServer server;
-  ASSERT_TRUE(server.Start(0).ok());
-  // Head never terminates; the client half-closes mid-request.
-  const std::string response = SendRaw(server.port(), "GET /partial HTT");
-  EXPECT_NE(response.find("400"), std::string::npos);
-  server.Stop();
-}
-
-TEST(HttpServerTest, OversizedBodyGets413) {
-  ServerConfig config;
-  config.max_body_bytes = 64;
-  HttpServer server(config);
-  ASSERT_TRUE(server.Start(0).ok());
-  const std::string response = SendRaw(
-      server.port(),
-      "POST /upload HTTP/1.0\r\nContent-Length: 100000\r\n\r\n");
-  EXPECT_NE(response.find("413"), std::string::npos);
-  server.Stop();
-}
-
-// Runs every route test against BOTH front-ends: the blocking demo
-// server (param false) and the epoll async server (param true).
-class SearchRoutesTest : public ::testing::TestWithParam<bool> {
+class SearchRoutesTest : public ::testing::Test {
  protected:
-  SearchRoutesTest() : service_(MakeConfig(), &clock_) {
-    ServerConfig server_config;
-    server_config.async = GetParam();
-    server_ = MakeHttpServer(server_config);
-    RegisterSearchRoutes(*server_, service_, clock_);
-    EXPECT_TRUE(server_->Start(0).ok());
+  SearchRoutesTest()
+      : service_(MakeConfig(), &clock_), server_(ServerConfig{}) {
+    RegisterSearchRoutes(server_, service_, clock_);
+    EXPECT_TRUE(server_.Start(0).ok());
     service_.IngestWindow(1, {"quantum", "physics", "lecture"});
     service_.IngestWindow(2, {"football", "goal", "stadium"});
     clock_.Advance(kMicrosPerMinute);
@@ -176,38 +97,32 @@ class SearchRoutesTest : public ::testing::TestWithParam<bool> {
     return config;
   }
 
-  int port() const { return server_->port(); }
+  int port() const { return server_.port(); }
 
   SimulatedClock clock_;
   service::SearchService service_;
-  std::unique_ptr<HttpServerBase> server_;
+  AsyncHttpServer server_;
 };
 
-INSTANTIATE_TEST_SUITE_P(BlockingAndAsync, SearchRoutesTest,
-                         ::testing::Values(false, true),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "Async" : "Blocking";
-                         });
-
-TEST_P(SearchRoutesTest, SearchReturnsMatchingStream) {
+TEST_F(SearchRoutesTest, SearchReturnsMatchingStream) {
   const std::string response =
       Get(port(), "/search?q=quantum+physics");
   EXPECT_NE(response.find("\"stream\":1"), std::string::npos);
   EXPECT_EQ(response.find("\"stream\":2"), std::string::npos);
 }
 
-TEST_P(SearchRoutesTest, SearchWithoutQueryIs400) {
+TEST_F(SearchRoutesTest, SearchWithoutQueryIs400) {
   const std::string response = Get(port(), "/search");
   EXPECT_NE(response.find("400"), std::string::npos);
 }
 
-TEST_P(SearchRoutesTest, IngestThenSearchRoundTrip) {
+TEST_F(SearchRoutesTest, IngestThenSearchRoundTrip) {
   Get(port(), "/ingest?stream=7&words=volcano+eruption+alert");
   const std::string response = Get(port(), "/search?q=volcano");
   EXPECT_NE(response.find("\"stream\":7"), std::string::npos);
 }
 
-TEST_P(SearchRoutesTest, IngestPostBodyIndexesOneWindowPerLine) {
+TEST_F(SearchRoutesTest, IngestPostBodyIndexesOneWindowPerLine) {
   const std::string body = "21 solar eclipse timelapse\n22 meteor shower\n";
   const std::string response = SendRaw(
       port(), "POST /ingest HTTP/1.0\r\nContent-Length: " +
@@ -219,7 +134,7 @@ TEST_P(SearchRoutesTest, IngestPostBodyIndexesOneWindowPerLine) {
             std::string::npos);
 }
 
-TEST_P(SearchRoutesTest, IngestBadBodyLineIs400) {
+TEST_F(SearchRoutesTest, IngestBadBodyLineIs400) {
   const std::string body = "31\n";  // A stream id with no words.
   const std::string response = SendRaw(
       port(), "POST /ingest HTTP/1.0\r\nContent-Length: " +
@@ -227,7 +142,7 @@ TEST_P(SearchRoutesTest, IngestBadBodyLineIs400) {
   EXPECT_NE(response.find("400"), std::string::npos);
 }
 
-TEST_P(SearchRoutesTest, LiveFilterExcludesFinished) {
+TEST_F(SearchRoutesTest, LiveFilterExcludesFinished) {
   Get(port(), "/finish?stream=1");
   const std::string live = Get(port(), "/live?q=quantum");
   EXPECT_EQ(live.find("\"stream\":1"), std::string::npos);
@@ -235,14 +150,14 @@ TEST_P(SearchRoutesTest, LiveFilterExcludesFinished) {
   EXPECT_NE(all.find("\"stream\":1"), std::string::npos);
 }
 
-TEST_P(SearchRoutesTest, PopUpdatesRanking) {
+TEST_F(SearchRoutesTest, PopUpdatesRanking) {
   Get(port(), "/ingest?stream=3&words=football+highlights");
   Get(port(), "/pop?stream=3&delta=100000");
   const std::string response = Get(port(), "/search?q=football&k=1");
   EXPECT_NE(response.find("\"stream\":3"), std::string::npos);
 }
 
-TEST_P(SearchRoutesTest, StatsReportsCounts) {
+TEST_F(SearchRoutesTest, StatsReportsCounts) {
   const std::string response = Get(port(), "/stats");
   EXPECT_NE(response.find("\"text_postings\""), std::string::npos);
   EXPECT_NE(response.find("\"streams\":2"), std::string::npos);
@@ -254,7 +169,7 @@ TEST_P(SearchRoutesTest, StatsReportsCounts) {
   EXPECT_NE(response.find("\"queue\":{\"pending\""), std::string::npos);
 }
 
-TEST_P(SearchRoutesTest, IndexPageIsHtml) {
+TEST_F(SearchRoutesTest, IndexPageIsHtml) {
   const std::string response = Get(port(), "/");
   EXPECT_NE(response.find("text/html"), std::string::npos);
   EXPECT_NE(response.find("RTSI"), std::string::npos);

@@ -1,10 +1,9 @@
-// Arena lifecycle through the full index: bit-identical results with the
-// arena on vs off, quarantine of retired arenas under pinned views, and
-// the kLiveArena gauge balancing to zero when everything is released.
+// Arena lifecycle through the full index: quarantine of retired arenas
+// under pinned views, free-list recycling, and the kLiveArena gauge
+// balancing to zero when everything is released.
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -17,10 +16,9 @@
 namespace rtsi::core {
 namespace {
 
-RtsiConfig SmallConfig(bool use_arena) {
+RtsiConfig SmallConfig() {
   RtsiConfig config;
   config.lsm.delta = 512;  // Small I0: a few hundred windows per freeze.
-  config.use_arena = use_arena;
   return config;
 }
 
@@ -52,32 +50,6 @@ void Feed(RtsiIndex& index, int num_streams, int windows_per_stream) {
   index.WaitForMerges();
 }
 
-TEST(LiveArenaTest, QueryResultsBitIdenticalArenaOnOff) {
-  RtsiIndex with_arena(SmallConfig(true));
-  RtsiIndex without_arena(SmallConfig(false));
-  Feed(with_arena, 40, 12);
-  Feed(without_arena, 40, 12);
-  ASSERT_GT(with_arena.tree().num_levels(), 0u);  // Merges happened.
-  ASSERT_GT(with_arena.LiveArenaStats().requests, 0u);
-  ASSERT_EQ(without_arena.LiveArenaStats().requests, 0u);
-
-  const Timestamp now = 100000;
-  const std::vector<std::vector<TermId>> queries = {
-      {1}, {5, 9}, {0, 13, 26}, {52}, {7, 7}, {999}, {2, 4, 8, 16, 32}};
-  for (const auto& q : queries) {
-    const auto a = with_arena.Query(q, 10, now, nullptr);
-    const auto b = without_arena.Query(q, 10, now, nullptr);
-    ASSERT_EQ(a.size(), b.size()) << "query size mismatch";
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].stream, b[i].stream) << "rank " << i;
-      // Bit-identical, not approximately equal: the arena relocates
-      // bytes, it must never change an intermediate fold.
-      EXPECT_EQ(std::memcmp(&a[i].score, &b[i].score, sizeof(double)), 0)
-          << "rank " << i << ": " << a[i].score << " vs " << b[i].score;
-    }
-  }
-}
-
 TEST(LiveArenaTest, RetiredArenasQuarantinedUntilPinnedViewDrops) {
   // Deterministic quarantine check at the LsmTree level: pin the view
   // from inside the merge (via the memoized is_deleted hook, which runs
@@ -87,7 +59,6 @@ TEST(LiveArenaTest, RetiredArenasQuarantinedUntilPinnedViewDrops) {
   lsm::LsmTree::Config config;
   config.delta = 256;
   config.num_l0_shards = 4;
-  config.use_arena = true;
   lsm::LsmTree tree(config);
   const std::shared_ptr<MemoryTracker> tracker = tree.memory_tracker();
 
@@ -122,7 +93,7 @@ TEST(LiveArenaTest, RetiredArenasQuarantinedUntilPinnedViewDrops) {
 }
 
 TEST(LiveArenaTest, GaugeBalancesToZeroWhenIndexDies) {
-  auto index = std::make_unique<RtsiIndex>(SmallConfig(true));
+  auto index = std::make_unique<RtsiIndex>(SmallConfig());
   const std::shared_ptr<MemoryTracker> tracker =
       index->tree().memory_tracker();
   Feed(*index, 30, 10);
@@ -136,7 +107,7 @@ TEST(LiveArenaTest, GaugeBalancesToZeroWhenIndexDies) {
 TEST(LiveArenaTest, FreelistAbsorbsSteadyStateChurn) {
   // After enough windows, the live path should mostly recycle: upstream
   // (operator new) allocations must be a small fraction of requests.
-  RtsiIndex index(SmallConfig(true));
+  RtsiIndex index(SmallConfig());
   Feed(index, 40, 15);
   const WindowArena::Stats stats = index.LiveArenaStats();
   ASSERT_GT(stats.requests, 1000u);

@@ -119,7 +119,6 @@ TEST(MergePolicyTest, EveryPolicyMatchesFullWalkAcrossInterleavings) {
   oracle_config.lsm.num_l0_shards = 4;
   auto oracle = std::make_unique<RtsiIndex>(oracle_config);
   oracle->SetUseBound(false);
-  oracle->SetUseSkipHeader(false);
   InsertWorkload(*oracle, /*seed=*/17, /*num_streams=*/600);
 
   for (const auto policy : kAllPolicies) {

@@ -1,19 +1,23 @@
 // Parity suite for the unified query-execution pipeline (exec::).
 //
-// Every query path in the repo — sequential, parallel executor, explain,
-// the LSII baseline, and the sharded scatter-gather — drives the same
-// exec::QueryPlan + operator chain, so this suite pins the one invariant
-// the refactor must preserve: bit-identical top-k (streams AND scores)
-// and identical QueryStats across the whole configuration matrix
-// (executor × filter × bound mode × skip header × merge policy), each
-// row checked against a full-walk oracle that disables every pruning and
-// skipping mechanism.
+// Every query path in the repo — query, explain, the LSII baseline, and
+// the sharded scatter-gather — drives the same exec::QueryPlan + operator
+// chain, so this suite pins the one invariant the pipeline must preserve:
+// bit-identical top-k (streams AND scores) and identical QueryStats
+// across the configuration matrix (filter × bound mode × merge policy),
+// each row checked against the full-walk oracle (use_bound off), which
+// consults no pruning or skipping structure. It also races queries
+// against inserts, updates and async merges on one index — the
+// inter-query concurrency the pinned views exist for.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cmath>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "baseline/lsii_index.h"
@@ -28,8 +32,7 @@
 namespace rtsi::core {
 namespace {
 
-RtsiConfig PipelineConfig(int query_threads, bool use_bound,
-                          bool use_skip_header,
+RtsiConfig PipelineConfig(bool use_bound,
                           lsm::MergePolicy policy = lsm::MergePolicy::kGeometric) {
   RtsiConfig config;
   config.lsm.delta = 300;  // Small: the workloads below seal many components.
@@ -37,8 +40,6 @@ RtsiConfig PipelineConfig(int query_threads, bool use_bound,
   config.lsm.num_l0_shards = 4;
   config.lsm.policy = policy;
   config.use_bound = use_bound;
-  config.use_skip_header = use_skip_header;
-  config.query_threads = query_threads;
   return config;
 }
 
@@ -191,9 +192,6 @@ void ExpectSameStats(const QueryStats& got, const QueryStats& want,
 // must match the full-walk oracle bit for bit.
 struct MatrixRow {
   const char* name;
-  int query_threads;
-  bool use_bound;
-  bool use_skip_header;
   BoundMode bound_mode;
   lsm::MergePolicy policy;
 };
@@ -202,16 +200,14 @@ class PipelineMatrixTest : public ::testing::TestWithParam<MatrixRow> {};
 
 TEST_P(PipelineMatrixTest, MatchesFullWalkOracleBitwise) {
   const MatrixRow row = GetParam();
-  auto config = PipelineConfig(row.query_threads, row.use_bound,
-                               row.use_skip_header, row.policy);
+  auto config = PipelineConfig(/*use_bound=*/true, row.policy);
   config.bound_mode = row.bound_mode;
   // The oracle scores every posting of every component: no bound walk,
-  // no skip headers, sequential. It shares the row's merge policy — a
-  // stream's relevance accumulates within the component that discovers
-  // it, so component structure is part of the score; what the oracle
-  // removes is every skipping and pruning mechanism.
-  auto oracle_config = PipelineConfig(0, /*use_bound=*/false,
-                                      /*use_skip_header=*/false, row.policy);
+  // no skip headers. It shares the row's merge policy — a stream's
+  // relevance accumulates within the component that discovers it, so
+  // component structure is part of the score; what the oracle removes is
+  // every skipping and pruning mechanism.
+  auto oracle_config = PipelineConfig(/*use_bound=*/false, row.policy);
   auto index = std::make_unique<RtsiIndex>(config);
   auto oracle = std::make_unique<RtsiIndex>(oracle_config);
 
@@ -251,32 +247,129 @@ TEST_P(PipelineMatrixTest, MatchesFullWalkOracleBitwise) {
 INSTANTIATE_TEST_SUITE_P(
     Matrix, PipelineMatrixTest,
     ::testing::Values(
-        MatrixRow{"seq_bound_skip", 0, true, true, BoundMode::kGlobalPop,
+        MatrixRow{"bound", BoundMode::kGlobalPop,
                   lsm::MergePolicy::kGeometric},
-        MatrixRow{"seq_bound_noskip", 0, true, false, BoundMode::kGlobalPop,
+        MatrixRow{"snapshot", BoundMode::kSnapshot,
                   lsm::MergePolicy::kGeometric},
-        MatrixRow{"seq_nobound_skip", 0, false, true, BoundMode::kGlobalPop,
-                  lsm::MergePolicy::kGeometric},
-        MatrixRow{"seq_snapshot", 0, true, true, BoundMode::kSnapshot,
-                  lsm::MergePolicy::kGeometric},
-        MatrixRow{"par_bound_skip", 2, true, true, BoundMode::kGlobalPop,
-                  lsm::MergePolicy::kGeometric},
-        MatrixRow{"par_bound_noskip", 2, true, false, BoundMode::kGlobalPop,
-                  lsm::MergePolicy::kGeometric},
-        MatrixRow{"seq_bound_skip_tiered", 0, true, true,
-                  BoundMode::kGlobalPop, lsm::MergePolicy::kTiered},
-        MatrixRow{"par_bound_skip_full", 2, true, true, BoundMode::kGlobalPop,
+        MatrixRow{"bound_tiered", BoundMode::kGlobalPop,
+                  lsm::MergePolicy::kTiered},
+        MatrixRow{"bound_full", BoundMode::kGlobalPop,
                   lsm::MergePolicy::kFullCompaction}),
     [](const ::testing::TestParamInfo<MatrixRow>& info) {
       return std::string(info.param.name);
     });
+
+// Pruning soundness, not just path equivalence: with the kGlobalPop
+// ceilings, early termination must never change the answer, so the
+// bounded index has to match an unbounded full walk bit-for-bit. The
+// workload re-inserts streams long after their early postings sealed, so
+// live freshness runs ahead of everything the old components store — the
+// exact regime where a component-local freshness bound silently
+// under-estimates and drops top-k streams.
+TEST(PipelineSoundnessTest, GlobalCeilingPruningMatchesFullWalk) {
+  auto bounded_config = PipelineConfig(/*use_bound=*/true);
+  bounded_config.bound_mode = BoundMode::kGlobalPop;
+  auto bounded = std::make_unique<RtsiIndex>(bounded_config);
+  auto full_walk =
+      std::make_unique<RtsiIndex>(PipelineConfig(/*use_bound=*/false));
+  Timestamp t = 0;
+  BuildWorkload({bounded.get(), full_walk.get()}, 57, &t);
+
+  Rng rng(5757);
+  for (int qi = 0; qi < 120; ++qi) {
+    std::vector<TermId> q;
+    const int nterms = 1 + static_cast<int>(rng.NextUint64(4));
+    for (int i = 0; i < nterms; ++i) {
+      q.push_back(static_cast<TermId>(rng.NextUint64(50)));
+    }
+    // Large k keeps the k-th score low, where stale-bound undershoot
+    // actually decides membership.
+    const int k = 10 + static_cast<int>(rng.NextUint64(40));
+    ExpectBitIdentical(bounded->Query(q, k, t), full_walk->Query(q, k, t),
+                       "full-walk query " + std::to_string(qi));
+  }
+}
+
+// Inserts, async merge cascades, popularity updates and deletions racing
+// three concurrent queriers on one index. Asserts structural sanity of
+// every answer; the real assertion is a clean TSan run
+// (tools/run_sanitizers.sh tsan).
+TEST(PipelineConcurrencyTest, ConcurrentStress) {
+  auto config = PipelineConfig(/*use_bound=*/true);
+  config.lsm.delta = 500;
+  config.async_merge = true;
+  RtsiIndex index(config);
+
+  std::atomic<bool> stop{false};
+  std::atomic<Timestamp> now{1000};
+
+  std::thread inserter([&] {
+    Rng rng(101);
+    for (int step = 0; step < 4000 && !stop.load(); ++step) {
+      const Timestamp t = now.fetch_add(kMicrosPerSecond);
+      const auto stream = static_cast<StreamId>(rng.NextUint64(200));
+      std::vector<TermCount> terms;
+      std::set<TermId> used;
+      for (int i = 0; i < 4; ++i) {
+        const auto term = static_cast<TermId>(rng.NextUint64(40));
+        if (!used.insert(term).second) continue;
+        terms.push_back({term, 1 + static_cast<TermFreq>(rng.NextUint64(3))});
+      }
+      index.InsertWindow(stream, t, terms, rng.NextBool(0.6));
+      if (rng.NextBool(0.05)) index.FinishStream(stream);
+      if (rng.NextBool(0.02)) index.DeleteStream(stream);
+    }
+    stop.store(true);
+  });
+
+  std::thread updater([&] {
+    Rng rng(202);
+    while (!stop.load()) {
+      index.UpdatePopularity(static_cast<StreamId>(rng.NextUint64(200)),
+                             1 + rng.NextUint64(20));
+    }
+  });
+
+  std::vector<std::thread> queriers;
+  for (int qt = 0; qt < 3; ++qt) {
+    queriers.emplace_back([&, qt] {
+      Rng rng(303 + qt);
+      while (!stop.load()) {
+        std::vector<TermId> q = {
+            static_cast<TermId>(rng.NextUint64(40)),
+            static_cast<TermId>(rng.NextUint64(40))};
+        const int k = 1 + static_cast<int>(rng.NextUint64(10));
+        const auto results = index.Query(q, k, now.load());
+        ASSERT_LE(results.size(), static_cast<std::size_t>(k));
+        for (std::size_t i = 0; i < results.size(); ++i) {
+          ASSERT_TRUE(std::isfinite(results[i].score));
+          if (i > 0) {
+            // Descending total order (score, then stream id).
+            ASSERT_TRUE(results[i - 1].score > results[i].score ||
+                        (results[i - 1].score == results[i].score &&
+                         results[i - 1].stream < results[i].stream));
+          }
+        }
+      }
+    });
+  }
+
+  inserter.join();
+  updater.join();
+  for (auto& th : queriers) th.join();
+  index.WaitForMerges();
+
+  // The index still answers exactly once quiescent.
+  const auto results = index.Query({1, 2}, 10, now.load());
+  for (const auto& r : results) EXPECT_TRUE(std::isfinite(r.score));
+}
 
 // QueryStats must be a pure function of (index contents, query): the
 // same query repeated — and the same query against an identically-built
 // twin — reports identical counters. A stats divergence is how a
 // traversal-order regression shows up before results drift.
 TEST(PipelineStatsTest, StatsDeterministicAcrossRunsAndTwins) {
-  auto config = PipelineConfig(0, /*use_bound=*/true, /*use_skip_header=*/true);
+  auto config = PipelineConfig(/*use_bound=*/true);
   config.bound_mode = BoundMode::kGlobalPop;
   auto index = std::make_unique<RtsiIndex>(config);
   auto twin = std::make_unique<RtsiIndex>(config);
@@ -301,7 +394,7 @@ TEST(PipelineStatsTest, StatsDeterministicAcrossRunsAndTwins) {
 // on: its ranked results must be bit-identical to Query's, and each
 // breakdown must decompose the reported score exactly.
 TEST(PipelineExplainTest, ExplainResultsMatchQueryBitwise) {
-  auto config = PipelineConfig(0, /*use_bound=*/true, /*use_skip_header=*/true);
+  auto config = PipelineConfig(/*use_bound=*/true);
   config.bound_mode = BoundMode::kGlobalPop;
   auto index = std::make_unique<RtsiIndex>(config);
   Timestamp t = 0;
@@ -328,7 +421,7 @@ TEST(PipelineExplainTest, ExplainResultsMatchQueryBitwise) {
 // exactly Query, and a sink carried across executions accumulates (the
 // contract future standing queries / fuzzy expansion lean on).
 TEST(PipelinePlanTest, ExecutePlanMatchesQueryAndSinkAccumulates) {
-  auto config = PipelineConfig(0, /*use_bound=*/true, /*use_skip_header=*/true);
+  auto config = PipelineConfig(/*use_bound=*/true);
   config.bound_mode = BoundMode::kGlobalPop;
   auto index = std::make_unique<RtsiIndex>(config);
   Timestamp t = 0;
@@ -358,11 +451,9 @@ TEST(PipelinePlanTest, ExecutePlanMatchesQueryAndSinkAccumulates) {
 // walk must match its own full walk bit for bit (LSII semantics differ
 // from RTSI — >= pruning, BigTable scores — so it gets its own oracle).
 TEST(PipelineLsiiTest, LsiiBoundMatchesLsiiFullWalkBitwise) {
-  auto bound_config =
-      PipelineConfig(0, /*use_bound=*/true, /*use_skip_header=*/false);
+  auto bound_config = PipelineConfig(/*use_bound=*/true);
   bound_config.bound_mode = BoundMode::kGlobalPop;
-  auto walk_config =
-      PipelineConfig(0, /*use_bound=*/false, /*use_skip_header=*/false);
+  auto walk_config = PipelineConfig(/*use_bound=*/false);
   auto bounded = std::make_unique<baseline::LsiiIndex>(bound_config);
   auto walker = std::make_unique<baseline::LsiiIndex>(walk_config);
   Timestamp t = 0;
@@ -382,8 +473,7 @@ TEST(PipelineLsiiTest, LsiiBoundMatchesLsiiFullWalkBitwise) {
 // index over the same streams.
 TEST(PipelineShardTest, ShardedGatherMatchesUnshardedBitwise) {
   shard::ShardSetConfig shard_config;
-  shard_config.index =
-      PipelineConfig(0, /*use_bound=*/true, /*use_skip_header=*/true);
+  shard_config.index = PipelineConfig(/*use_bound=*/true);
   shard_config.index.bound_mode = BoundMode::kGlobalPop;
   shard_config.num_shards = 3;
   auto sharded = std::make_unique<shard::IndexShardSet>(shard_config);
@@ -407,7 +497,7 @@ TEST(PipelineShardTest, ShardedGatherMatchesUnshardedBitwise) {
 // base policy.
 TEST(ShardPolicyTest, PerShardPolicyOverridesApply) {
   shard::ShardSetConfig config;
-  config.index = PipelineConfig(0, true, true);
+  config.index = PipelineConfig(/*use_bound=*/true);
   config.num_shards = 3;
   config.shard_policies = {lsm::MergePolicy::kTiered,
                            lsm::MergePolicy::kFullCompaction};
@@ -445,7 +535,7 @@ TEST(ShardPolicyTest, ServiceConfigOverridesReachShards) {
 // undefined behavior), and the rejected window must index nothing.
 TEST(ShardIdReuseTest, ShardedSetRejectsRetiredIds) {
   shard::ShardSetConfig config;
-  config.index = PipelineConfig(0, true, true);
+  config.index = PipelineConfig(/*use_bound=*/true);
   config.num_shards = 2;
   shard::IndexShardSet shards(config);
   const std::vector<TermCount> terms = {{7, 2}};
@@ -477,7 +567,7 @@ TEST(ShardIdReuseTest, ShardedSetRejectsRetiredIds) {
 // path and must stay accepted.
 TEST(ShardIdReuseTest, SingleShardStillAcceptsReuse) {
   shard::ShardSetConfig config;
-  config.index = PipelineConfig(0, true, true);
+  config.index = PipelineConfig(/*use_bound=*/true);
   config.num_shards = 1;
   shard::IndexShardSet shards(config);
   const std::vector<TermCount> terms = {{7, 2}};

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <set>
 
 #include "common/rng.h"
@@ -223,6 +224,38 @@ TEST(RtsiIndexTest, LiveTableShrinksAfterFinishAndMerge) {
   }
   // After merges, finished consolidated streams leave the live table.
   EXPECT_LT(index.live_table().num_streams(), 30u + 60u);
+}
+
+// A finished stream that resumes after a merge evicted it from the
+// live-term table must score its whole history, exactly as a stream that
+// never paused: the table has to carry its sealed totals again (and its
+// terms must not count twice toward df).
+TEST(RtsiIndexTest, ResumedStreamScoresItsWholeHistory) {
+  auto config = SmallConfig();
+  config.lsm.delta = 16;
+  const auto build = [&](bool pause) {
+    auto index = std::make_unique<RtsiIndex>(config);
+    index->InsertWindow(1, 1000, Terms({{7, 3}, {8, 1}}), true);
+    if (pause) index->FinishStream(1);
+    // Filler past delta: the cascade consolidates stream 1 into one
+    // sealed component, which evicts it from the table when it paused.
+    for (StreamId s = 100; s < 120; ++s) {
+      index->InsertWindow(s, 2000, Terms({{9, 1}}), false);
+      index->FinishStream(s);
+    }
+    EXPECT_EQ(index->live_table().ContainsStream(1), !pause);
+    index->InsertWindow(1, 3000, Terms({{7, 2}}), true);
+    return index;
+  };
+  const auto resumed = build(/*pause=*/true);
+  const auto continuous = build(/*pause=*/false);
+  const auto got = resumed->Query({7, 8}, 5, 4000);
+  const auto want = continuous->Query({7, 8}, 5, 4000);
+  ASSERT_EQ(got.size(), 1u);
+  ASSERT_EQ(want.size(), 1u);
+  EXPECT_EQ(got[0].stream, 1u);
+  EXPECT_EQ(got[0].score, want[0].score);
+  EXPECT_EQ(resumed->live_table().GetTotal(1, 7), 5u);
 }
 
 TEST(RtsiIndexTest, QueryStatsArePopulated) {

@@ -6,7 +6,7 @@
 #   3. bench smoke              (ctest -L bench-smoke: every bench binary
 #                                at RTSI_BENCH_SCALE=0.01 — catches bench
 #                                bit-rot plus the correctness exits: the
-#                                fig10 skip on/off checksum divergence and
+#                                fig10 pruned-vs-full-walk divergence and
 #                                the ablation_policy optimized-vs-walk
 #                                audit across all three compaction
 #                                policies)
