@@ -25,7 +25,7 @@ int main() {
                 "relevance weight (Eq. 1)"});
   table.AddRow({"w_f", rtsi::workload::FormatDouble(config.weights.frsh, 2),
                 "freshness weight (Eq. 1)"});
-  table.AddRow({"k", std::to_string(config.default_k), "top-k results"});
+  table.AddRow({"k", std::to_string(rtsi::bench::kDefaultK), "top-k results"});
   table.AddRow({"freshness tau",
                 rtsi::workload::FormatDouble(
                     config.freshness_tau_seconds / 3600.0, 1) + "h",

@@ -70,9 +70,11 @@ inline core::RtsiConfig DefaultIndexConfig() {
   config.weights.frsh = 0.2;
   config.freshness_tau_seconds = 6.0 * 3600.0;
   config.use_bound = true;
-  config.default_k = 10;
   return config;
 }
+
+/// The top-k the benches query with unless they sweep it (Table III).
+inline constexpr int kDefaultK = 10;
 
 inline std::unique_ptr<core::SearchIndex> MakeIndex(
     const std::string& name, const core::RtsiConfig& config) {

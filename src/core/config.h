@@ -57,8 +57,6 @@ struct RtsiConfig {
   bool use_bound = true;
   BoundMode bound_mode = BoundMode::kSnapshot;
 
-  int default_k = 10;
-
   /// Run merge cascades on a background thread instead of the inserting
   /// thread. Removes the merge spikes from insertion latency (Figure 6);
   /// queries are unaffected either way — they run against the immutable

@@ -4,8 +4,10 @@
 // Equation 1's popularity / relevance / freshness parts.
 //
 // For operators debugging ranking ("why is this stream first?") and for
-// tests asserting the pruning machinery (the explanation is computed by
-// the same code path as the query itself).
+// tests asserting the pruning machinery. The explanation is recorded from
+// the query's own walk: ExplainQuery runs the body of
+// RtsiIndex::ExecutePlan with an exec::BreakdownRecorder attached, so its
+// results, component fates and breakdowns are those of the query.
 
 #ifndef RTSI_CORE_EXPLAIN_H_
 #define RTSI_CORE_EXPLAIN_H_

@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
-#include "core/top_k.h"
 #include "exec/accumulator.h"
 #include "exec/pipeline.h"
 #include "exec/selector.h"
@@ -17,122 +15,6 @@ namespace rtsi::core {
 
 using index::Posting;
 using index::TermPostings;
-
-namespace {
-
-// Exact-phase candidate policy for explanations: scores exactly like
-// exec::ExactScorer and additionally records per-candidate breakdowns
-// (keep-best-per-stream under the heap's total order, so the retained
-// breakdown is the one whose score the result carries).
-class ExplainRecorder {
- public:
-  ExplainRecorder(const exec::QueryPlan& plan, const Scorer& scorer,
-                  const index::StreamInfoTable& streams,
-                  exec::ResultSink& sink, QueryStats& qs,
-                  std::unordered_map<StreamId, ScoreBreakdown>& breakdowns)
-      : plan_(plan),
-        scorer_(scorer),
-        streams_(streams),
-        sink_(sink),
-        qs_(qs),
-        breakdowns_(breakdowns) {}
-
-  void Candidate(StreamId stream, double tfidf_sum, const TermFreq* tfs,
-                 ScoreBreakdown::Source source) {
-    exec::PartScores parts;
-    if (!exec::ComputeScore(plan_, scorer_, streams_, stream, tfidf_sum,
-                            parts)) {
-      return;
-    }
-    sink_.Offer(stream, parts.total);
-    ++qs_.candidates_scored;
-    // A stream scored in several components keeps the breakdown of its
-    // better-ranked (retained) scoring.
-    const auto it = breakdowns_.find(stream);
-    if (it != breakdowns_.end() &&
-        !TopKHeap::RanksAbove({stream, parts.total},
-                              {stream, it->second.total})) {
-      return;
-    }
-    ScoreBreakdown breakdown;
-    breakdown.stream = stream;
-    breakdown.pop_score = parts.pop;
-    breakdown.rel_score = parts.rel;
-    breakdown.frsh_score = parts.frsh;
-    breakdown.total = parts.total;
-    breakdown.source = source;
-    if (tfs != nullptr) {
-      breakdown.term_tfs.assign(tfs, tfs + plan_.num_terms());
-    }
-    breakdowns_[stream] = std::move(breakdown);
-  }
-
- private:
-  const exec::QueryPlan& plan_;
-  const Scorer& scorer_;
-  const index::StreamInfoTable& streams_;
-  exec::ResultSink& sink_;
-  QueryStats& qs_;
-  std::unordered_map<StreamId, ScoreBreakdown>& breakdowns_;
-};
-
-// Sealed-component candidate policy for explanations: full scoring with
-// per-term tf capture, same discovering-term-first accumulation order as
-// the fast path so explained totals match Query() bit-for-bit. No
-// admission screen (the explanation reports every scored candidate).
-class ExplainSealedPolicy {
- public:
-  ExplainSealedPolicy(const exec::QueryPlan& plan, const Scorer& scorer,
-                      QueryScratch& scratch, StreamId max_stream,
-                      const std::unordered_set<StreamId>& scored,
-                      ExplainRecorder& recorder)
-      : plan_(plan),
-        scorer_(scorer),
-        scratch_(scratch),
-        gate_(scratch, max_stream, scored),
-        recorder_(recorder) {}
-
-  std::vector<Posting>& round() { return scratch_.round; }
-  std::vector<std::uint32_t>& round_terms() { return scratch_.round_terms; }
-
-  void BeginComponent(const exec::SelectedComponent&) {
-    gate_.NextComponent();
-  }
-
-  bool Admit(StreamId stream) { return gate_.Admit(stream); }
-
-  void Candidate(const exec::Traversal& traversal, StreamId stream,
-                 std::size_t ti, QueryStats&) {
-    const std::size_t nq = plan_.num_terms();
-    std::vector<TermFreq>& tfs = scratch_.tfs;
-    tfs.assign(nq, 0);
-    double tfidf_sum = 0.0;
-    Posting agg;
-    if (traversal.Find(ti, stream, agg)) {
-      tfs[ti] = agg.tf;
-      tfidf_sum = scorer_.TermTfIdf(agg.tf, plan_.idfs[ti]);
-    }
-    for (std::size_t i = 0; i < nq; ++i) {
-      if (i == ti) continue;
-      Posting found;
-      if (traversal.Find(i, stream, found)) {
-        tfs[i] = found.tf;
-        tfidf_sum += scorer_.TermTfIdf(found.tf, plan_.idfs[i]);
-      }
-    }
-    recorder_.Candidate(stream, tfidf_sum, tfs.data(),
-                        ScoreBreakdown::Source::kSealedComponent);
-  }
-
- private:
-  const exec::QueryPlan& plan_;
-  const Scorer& scorer_;
-  QueryScratch& scratch_;
-  exec::CandidateGate gate_;
-  ExplainRecorder& recorder_;
-};
-
-}  // namespace
 
 RtsiIndex::RtsiIndex(const RtsiConfig& config)
     : config_(config),
@@ -424,6 +306,12 @@ void RtsiIndex::AddLifetimeCounters(const QueryStats& qs) {
 std::vector<ScoredStream> RtsiIndex::ExecutePlan(const exec::QueryPlan& plan,
                                                  exec::ResultSink& sink,
                                                  QueryStats* stats) {
+  return Execute(plan, sink, stats, nullptr, nullptr);
+}
+
+std::vector<ScoredStream> RtsiIndex::Execute(
+    const exec::QueryPlan& plan, exec::ResultSink& sink, QueryStats* stats,
+    QueryExplanation* explain, exec::BreakdownRecorder* recorder) {
   // Diagnostics accumulate in a local and are published once on exit, so
   // the per-candidate increments never write through the caller's pointer.
   QueryStats qs;
@@ -431,10 +319,16 @@ std::vector<ScoredStream> RtsiIndex::ExecutePlan(const exec::QueryPlan& plan,
     ScratchLease lease(scratch_pool_);
     QueryScratch& scratch = *lease;
     std::unordered_set<StreamId> scored;
-    exec::ExactScorer exact(plan, scorer_, streams_, sink, qs);
+    exec::ExactScorer exact(plan, scorer_, streams_, sink, qs, recorder);
     exec::RunLiveTablePhase(plan, scorer_, live_terms_, scratch, scored,
                             exact);
-    exec::RunL0Phase(plan, scorer_, tree_, scratch, scored, exact, qs);
+    const std::size_t table_candidates = scored.size();
+    const std::size_t l0_candidates =
+        exec::RunL0Phase(plan, scorer_, tree_, scratch, scored, exact, qs);
+    if (explain != nullptr) {
+      explain->live_table_candidates = table_candidates;
+      explain->l0_candidates = l0_candidates;
+    }
 
     // The query pins ONE immutable view here — a single atomic load — and
     // traverses that view: no locks, no structure re-checks, no mirror
@@ -443,12 +337,12 @@ std::vector<ScoredStream> RtsiIndex::ExecutePlan(const exec::QueryPlan& plan,
     // references them.
     const lsm::IndexViewPtr view = tree_.PinView();
     const std::vector<exec::SelectedComponent> selected =
-        SelectSealed(plan, *view, scratch, qs, nullptr);
+        SelectSealed(plan, *view, scratch, qs, explain);
     exec::SealedScorer policy(plan, scorer_, streams_, scored,
                               scratch.screen_tfidf, plan.use_bound, scratch,
-                              streams_.max_stream_id(), sink);
+                              streams_.max_stream_id(), sink, recorder);
     exec::RunSealedSequential(plan, scorer_, selected, policy, sink, qs,
-                              nullptr);
+                              explain);
     AddLifetimeCounters(qs);
   }
   if (stats != nullptr) *stats = qs;
@@ -461,41 +355,19 @@ QueryExplanation RtsiIndex::ExplainQuery(const std::vector<TermId>& terms,
   QueryExplanation explain;
   const exec::QueryPlan plan = BuildPlan(terms, k, now, filter);
   explain.terms = plan.terms;
+  explain.idfs = plan.idfs;
   explain.k = k;
   explain.now = now;
-  if (plan.empty()) return explain;
-  explain.idfs = plan.idfs;
 
-  // The same phases and operators as ExecutePlan, with the recorder
-  // policies capturing per-candidate breakdowns and the selector/driver
-  // filling per-component bookkeeping.
-  QueryStats qs;
-  ScratchLease lease(scratch_pool_);
-  QueryScratch& scratch = *lease;
+  // The query's own walk, with the scorers recording breakdowns and the
+  // selector and driver filling per-component bookkeeping.
   exec::TopKSink sink(k);
-  std::unordered_map<StreamId, ScoreBreakdown> breakdowns;
-  std::unordered_set<StreamId> scored;
-  ExplainRecorder recorder(plan, scorer_, streams_, sink, qs, breakdowns);
-  exec::RunLiveTablePhase(plan, scorer_, live_terms_, scratch, scored,
-                          recorder);
-  explain.live_table_candidates = scored.size();
-  explain.l0_candidates =
-      exec::RunL0Phase(plan, scorer_, tree_, scratch, scored, recorder, qs);
-  const lsm::IndexViewPtr view = tree_.PinView();
-  const std::vector<exec::SelectedComponent> selected =
-      SelectSealed(plan, *view, scratch, qs, &explain);
-  ExplainSealedPolicy policy(plan, scorer_, scratch, streams_.max_stream_id(),
-                             scored, recorder);
-  exec::RunSealedSequential(plan, scorer_, selected, policy, sink, qs,
-                            &explain);
-
-  const std::vector<ScoredStream> results = sink.SortedResults();
-  explain.results.reserve(results.size());
-  for (const auto& r : results) {
-    auto it = breakdowns.find(r.stream);
-    if (it != breakdowns.end()) explain.results.push_back(it->second);
+  exec::BreakdownRecorder recorder(plan.num_terms());
+  for (const ScoredStream& r :
+       Execute(plan, sink, nullptr, &explain, &recorder)) {
+    const ScoreBreakdown* breakdown = recorder.Find(r.stream);
+    if (breakdown != nullptr) explain.results.push_back(*breakdown);
   }
-  AddLifetimeCounters(qs);
   return explain;
 }
 

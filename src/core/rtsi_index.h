@@ -49,6 +49,10 @@
 #include "index/stream_info_table.h"
 #include "lsm/lsm_tree.h"
 
+namespace rtsi::exec {
+class BreakdownRecorder;
+}  // namespace rtsi::exec
+
 namespace rtsi::core {
 
 /// Corpus-global scoring inputs shared by every shard of a sharded
@@ -134,7 +138,8 @@ class RtsiIndex : public SearchIndex {
                                           QueryStats* stats = nullptr);
 
   /// Answers the query and explains it: candidate sources, per-component
-  /// bounds and prune decisions, and per-result score decompositions.
+  /// bounds and prune decisions, and per-result score decompositions. It
+  /// runs ExecutePlan's walk with a breakdown recorder attached.
   QueryExplanation ExplainQuery(const std::vector<TermId>& terms, int k,
                                 Timestamp now,
                                 const QueryFilter& filter = QueryFilter{});
@@ -229,6 +234,14 @@ class RtsiIndex : public SearchIndex {
   std::vector<exec::SelectedComponent> SelectSealed(
       const exec::QueryPlan& plan, const lsm::IndexView& view,
       QueryScratch& scratch, QueryStats& qs, QueryExplanation* explain) const;
+
+  /// The one query walk behind ExecutePlan and ExplainQuery: phases 1-3
+  /// into `sink`. `explain` (candidate counts, component fates) and
+  /// `recorder` (per-candidate breakdowns) are null on the query path.
+  std::vector<ScoredStream> Execute(const exec::QueryPlan& plan,
+                                    exec::ResultSink& sink, QueryStats* stats,
+                                    QueryExplanation* explain,
+                                    exec::BreakdownRecorder* recorder);
 
   /// Folds one query's skip-planner counters into the lifetime totals.
   void AddLifetimeCounters(const QueryStats& qs);

@@ -1,10 +1,12 @@
 // Accumulator: per-candidate score assembly for the pipeline.
 //
 // ComputeScore() is the pure Equation-1 fold (pop/rel/frsh from the
-// stream table + a ready tf-idf sum); SealedScorer is the fast-path
-// candidate policy for sealed components — admission screen, then the
-// discovering-term-first ("ti-first") tf-idf accumulation that keeps
-// fast and explain totals bit-identical.
+// stream table + a ready tf-idf sum); SealedScorer is the candidate
+// policy for sealed components — admission screen, then the
+// discovering-term-first ("ti-first") tf-idf accumulation; ExactScorer
+// scores the exact-total phases. Both record per-candidate breakdowns
+// into an optional BreakdownRecorder, which is how ExplainQuery explains
+// the walk the query itself runs.
 //
 // Everything here is header-only so the per-posting work stays
 // monomorphic; only the per-candidate sink calls are virtual.
@@ -12,6 +14,7 @@
 #ifndef RTSI_EXEC_ACCUMULATOR_H_
 #define RTSI_EXEC_ACCUMULATOR_H_
 
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -19,6 +22,7 @@
 #include "core/query_scratch.h"
 #include "core/scorer.h"
 #include "core/search_index.h"
+#include "core/top_k.h"
 #include "exec/query_plan.h"
 #include "exec/selector.h"
 #include "exec/sink.h"
@@ -55,6 +59,43 @@ inline bool ComputeScore(const QueryPlan& plan, const core::Scorer& scorer,
   return true;
 }
 
+/// Explain's per-candidate record. A stream scored in several components
+/// keeps the breakdown of its best-ranked scoring under the sink's total
+/// order, so the breakdown kept for a result is the one whose score the
+/// result carries.
+class BreakdownRecorder {
+ public:
+  explicit BreakdownRecorder(std::size_t num_terms) : nq_(num_terms) {}
+
+  void Record(StreamId stream, const PartScores& parts, const TermFreq* tfs,
+              core::ScoreBreakdown::Source source) {
+    const auto it = best_.find(stream);
+    if (it != best_.end() &&
+        !core::TopKHeap::RanksAbove({stream, parts.total},
+                                    {stream, it->second.total})) {
+      return;
+    }
+    core::ScoreBreakdown& b = best_[stream];
+    b.stream = stream;
+    b.pop_score = parts.pop;
+    b.rel_score = parts.rel;
+    b.frsh_score = parts.frsh;
+    b.total = parts.total;
+    b.source = source;
+    b.term_tfs.assign(tfs, tfs + nq_);
+  }
+
+  /// The recorded breakdown of `stream`; null if it was never scored.
+  const core::ScoreBreakdown* Find(StreamId stream) const {
+    const auto it = best_.find(stream);
+    return it == best_.end() ? nullptr : &it->second;
+  }
+
+ private:
+  std::size_t nq_;
+  std::unordered_map<StreamId, core::ScoreBreakdown> best_;
+};
+
 /// Candidate admission for sealed traversal: the per-component epoch
 /// dedup plus the phase-1/2 exact-total set (read-only during phase 3 —
 /// it marks streams whose totals are already exact).
@@ -78,10 +119,11 @@ class CandidateGate {
   const std::unordered_set<StreamId>* scored_;
 };
 
-/// Fast-path sealed-component candidate policy (no explain): filter,
-/// admission screen against the sink's threshold, ti-first accumulation,
-/// offer. One instance per executing thread; the screen ingredients are
-/// shared read-only.
+/// Sealed-component candidate policy: filter, admission screen against
+/// the sink's threshold, ti-first accumulation, offer. With a recorder it
+/// also captures each scored candidate's per-term tfs and breakdown; a
+/// screened candidate scores strictly below the k-th score, so it is
+/// never a result and explain loses nothing by skipping it.
 class SealedScorer {
  public:
   SealedScorer(const QueryPlan& plan, const core::Scorer& scorer,
@@ -89,7 +131,7 @@ class SealedScorer {
                const std::unordered_set<StreamId>& scored,
                const std::vector<double>& screen_tfidf, bool screen_base,
                core::QueryScratch& scratch, StreamId max_stream,
-               ResultSink& sink)
+               ResultSink& sink, BreakdownRecorder* recorder = nullptr)
       : plan_(&plan),
         scorer_(&scorer),
         streams_(&streams),
@@ -98,6 +140,7 @@ class SealedScorer {
         scratch_(&scratch),
         gate_(scratch, max_stream, scored),
         sink_(&sink),
+        recorder_(recorder),
         nq_(plan.num_terms()),
         num_terms_(static_cast<int>(plan.num_terms())) {}
 
@@ -156,12 +199,29 @@ class SealedScorer {
       }
     }
     const double rel_score = scorer_->RelScore(tfidf_sum, num_terms_);
-    sink_->Offer(stream,
-                 scorer_->Combine(pop_score, rel_score, frsh_score));
+    const double total = scorer_->Combine(pop_score, rel_score, frsh_score);
+    sink_->Offer(stream, total);
     ++qs.candidates_scored;
+    if (recorder_ != nullptr) {
+      Record(traversal, stream, {pop_score, rel_score, frsh_score, total});
+    }
   }
 
  private:
+  // Explain only: the candidate's per-term tfs are looked up again here,
+  // so the scoring loop above carries no recording work.
+  void Record(const Traversal& traversal, StreamId stream,
+              const PartScores& parts) {
+    std::vector<TermFreq>& tfs = scratch_->tfs;
+    tfs.assign(nq_, 0);
+    for (std::size_t i = 0; i < nq_; ++i) {
+      index::Posting found;
+      if (traversal.Find(i, stream, found)) tfs[i] = found.tf;
+    }
+    recorder_->Record(stream, parts, tfs.data(),
+                      core::ScoreBreakdown::Source::kSealedComponent);
+  }
+
   const QueryPlan* plan_;
   const core::Scorer* scorer_;
   const index::StreamInfoTable* streams_;
@@ -170,6 +230,7 @@ class SealedScorer {
   core::QueryScratch* scratch_;
   CandidateGate gate_;
   ResultSink* sink_;
+  BreakdownRecorder* recorder_;
   std::size_t nq_;
   int num_terms_;
   // Per-component state (BeginComponent).
@@ -179,21 +240,22 @@ class SealedScorer {
 };
 
 /// Exact-phase candidate policy (live table + L0): score from the already
-/// exact tf-idf sum and offer. The explain path substitutes its own
-/// policy to additionally record breakdowns.
+/// exact tf-idf sum and offer; with a recorder, also record the
+/// breakdown.
 class ExactScorer {
  public:
   ExactScorer(const QueryPlan& plan, const core::Scorer& scorer,
               const index::StreamInfoTable& streams, ResultSink& sink,
-              core::QueryStats& qs)
+              core::QueryStats& qs, BreakdownRecorder* recorder = nullptr)
       : plan_(&plan),
         scorer_(&scorer),
         streams_(&streams),
         sink_(&sink),
-        qs_(&qs) {}
+        qs_(&qs),
+        recorder_(recorder) {}
 
-  void Candidate(StreamId stream, double tfidf_sum, const TermFreq*,
-                 core::ScoreBreakdown::Source) {
+  void Candidate(StreamId stream, double tfidf_sum, const TermFreq* tfs,
+                 core::ScoreBreakdown::Source source) {
     PartScores parts;
     if (!ComputeScore(*plan_, *scorer_, *streams_, stream, tfidf_sum,
                       parts)) {
@@ -201,6 +263,7 @@ class ExactScorer {
     }
     sink_->Offer(stream, parts.total);
     ++qs_->candidates_scored;
+    if (recorder_ != nullptr) recorder_->Record(stream, parts, tfs, source);
   }
 
  private:
@@ -209,6 +272,7 @@ class ExactScorer {
   const index::StreamInfoTable* streams_;
   ResultSink* sink_;
   core::QueryStats* qs_;
+  BreakdownRecorder* recorder_;
 };
 
 }  // namespace rtsi::exec

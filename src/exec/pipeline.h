@@ -11,9 +11,9 @@
 //   void Candidate(const Traversal&, StreamId, std::size_t term_index,
 //                  core::QueryStats&);
 //
-// RunSealedSequential drives the sealed-component walk (fast, explain, and
-// LSII policies). RunLiveTablePhase / RunL0Phase are the exact-total
-// phases that precede it.
+// RunSealedSequential drives the sealed-component walk (the RTSI and LSII
+// policies). RunLiveTablePhase / RunL0Phase are the exact-total phases
+// that precede it.
 
 #ifndef RTSI_EXEC_PIPELINE_H_
 #define RTSI_EXEC_PIPELINE_H_

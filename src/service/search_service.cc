@@ -14,8 +14,6 @@ shard::ShardSetConfig ShardConfig(const SearchServiceConfig& config) {
   shard::ShardSetConfig shard_config;
   shard_config.index = config.index;
   shard_config.num_shards = std::max(1, config.shards);
-  shard_config.scatter_threads = config.scatter_threads;
-  shard_config.shard_policies = config.shard_merge_policies;
   return shard_config;
 }
 

@@ -32,13 +32,6 @@ struct SearchServiceConfig {
   /// Partitions each modality across this many independent shards
   /// (DESIGN.md §6i). 1 = the classic single-index layout.
   int shards = 1;
-  /// Pool workers for the scatter phase of sharded queries (0 = scatter
-  /// on the calling thread; right for small machines and shards == 1).
-  int scatter_threads = 0;
-  /// Per-shard compaction-policy overrides, applied to both modality
-  /// trees: entry i overrides shard i's LSM policy; shards beyond the
-  /// vector (and all shards when it is empty) keep `index.lsm.policy`.
-  std::vector<lsm::MergePolicy> shard_merge_policies;
 };
 
 /// One window of one stream, for batched ingestion (the async server

@@ -1,11 +1,14 @@
 #include "shard/shard_set.h"
 
+#include <dirent.h>
 #include <sys/stat.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <mutex>
 
 #include "exec/sink.h"
+#include "storage/fs.h"
 
 namespace rtsi::shard {
 
@@ -28,12 +31,44 @@ std::string ShardDir(const std::string& root, int s) {
   return root + "/shard-" + std::to_string(s);
 }
 
-void MakeScatterPool(const ShardSetConfig& config,
-                     std::unique_ptr<ThreadPool>& pool) {
-  if (config.scatter_threads > 0 && config.num_shards > 1) {
-    pool = std::make_unique<ThreadPool>(
-        static_cast<std::size_t>(config.scatter_threads));
+// True when a shard directory holds acknowledged data: a snapshot, or a
+// journal (active, or rotated by a checkpoint that a crash interrupted).
+bool HoldsShardData(const std::string& dir) {
+  DIR* d = ::opendir(dir.c_str());
+  if (d == nullptr) return false;
+  bool found = false;
+  while (const dirent* entry = ::readdir(d)) {
+    const std::string name = entry->d_name;
+    if (name == "index.snap" || name.rfind("index.journal", 0) == 0) {
+      found = true;
+      break;
+    }
   }
+  ::closedir(d);
+  return found;
+}
+
+// The shard count of the layout under `root`: one past the highest
+// shard-<i> directory. 0 while no shard holds data yet (a fresh root, or
+// a first open that a crash cut short before any shard wrote).
+int ShardsOnDisk(const std::string& root) {
+  DIR* d = ::opendir(root.c_str());
+  if (d == nullptr) return 0;
+  int count = 0;
+  bool any_data = false;
+  while (const dirent* entry = ::readdir(d)) {
+    const std::string name = entry->d_name;
+    // shard-<i> with 1 to 9 digits, so <i> fits an int.
+    if (name.size() <= 6 || name.size() > 15 ||
+        name.rfind("shard-", 0) != 0 ||
+        name.find_first_not_of("0123456789", 6) != std::string::npos) {
+      continue;
+    }
+    count = std::max(count, std::atoi(name.c_str() + 6) + 1);
+    any_data = any_data || HoldsShardData(root + "/" + name);
+  }
+  ::closedir(d);
+  return any_data ? count : 0;
 }
 
 }  // namespace
@@ -51,8 +86,6 @@ IndexShardSet::IndexShardSet(const ShardSetConfig& config)
   for (core::RtsiIndex* index : raw_) {
     index->BindSharedScoring(shared_scoring_);
   }
-  ApplyShardPolicies();
-  MakeScatterPool(config_, scatter_pool_);
 }
 
 IndexShardSet::IndexShardSet(
@@ -67,8 +100,6 @@ IndexShardSet::IndexShardSet(
     raw_.push_back(index.get());
   }
   RefreshSharedScoring();
-  ApplyShardPolicies();
-  MakeScatterPool(config_, scatter_pool_);
 }
 
 Result<std::unique_ptr<IndexShardSet>> IndexShardSet::Open(
@@ -83,11 +114,28 @@ Result<std::unique_ptr<IndexShardSet>> IndexShardSet::Open(
   set->config_ = config;
   const int n = std::max(1, config.num_shards);
   set->config_.num_shards = n;
+  // Streams route by hash mod n: opening a set under another count would
+  // hide the streams of the shards beyond n, or split each stream's
+  // history across two shards.
+  const int on_disk = ShardsOnDisk(config.durable_dir);
+  if (on_disk > 0 && on_disk != n) {
+    return Status::FailedPrecondition(
+        config.durable_dir + " holds " + std::to_string(on_disk) +
+        " shards; opening it with num_shards=" + std::to_string(n) +
+        " would lose or misroute their streams");
+  }
   ::mkdir(config.durable_dir.c_str(), 0755);
+  // Every shard directory exists (durably) before any shard writes, so a
+  // crash inside this first open still leaves a layout of n shards.
+  for (int s = 0; s < n; ++s) {
+    ::mkdir(ShardDir(config.durable_dir, s).c_str(), 0755);
+  }
+  const Status synced =
+      storage::fs::SyncParentDir(ShardDir(config.durable_dir, 0));
+  if (!synced.ok()) return synced;
   if (recovery != nullptr) recovery->clear();
   for (int s = 0; s < n; ++s) {
     const std::string dir = ShardDir(config.durable_dir, s);
-    ::mkdir(dir.c_str(), 0755);
     storage::RecoveryStats stats;
     auto opened = storage::DurableIndex::Open(
         config.index, dir + "/index.snap", dir + "/index.journal",
@@ -103,19 +151,10 @@ Result<std::unique_ptr<IndexShardSet>> IndexShardSet::Open(
     set->raw_.push_back(&set->durables_.back()->index());
   }
   set->RefreshSharedScoring();
-  set->ApplyShardPolicies();
-  MakeScatterPool(set->config_, set->scatter_pool_);
   return set;
 }
 
 IndexShardSet::~IndexShardSet() { WaitForMerges(); }
-
-void IndexShardSet::ApplyShardPolicies() {
-  const std::size_t n = std::min(config_.shard_policies.size(), raw_.size());
-  for (std::size_t s = 0; s < n; ++s) {
-    raw_[s]->SetMergePolicy(config_.shard_policies[s]);
-  }
-}
 
 void IndexShardSet::RefreshSharedScoring() {
   // Rebind a fresh aggregate rather than clearing the old one in place:
@@ -201,24 +240,9 @@ std::vector<core::ScoredStream> IndexShardSet::QueryFiltered(
   }
   std::vector<std::vector<core::ScoredStream>> partials(n);
   std::vector<core::QueryStats> partial_stats(n);
-  if (scatter_pool_ != nullptr) {
-    // Fan out: pool workers take shards [1, n), the gathering thread runs
-    // shard 0. Every shard pins its own IndexView wait-free on entry.
-    TaskGroup group(scatter_pool_.get());
-    for (int s = 1; s < n; ++s) {
-      group.Submit([&, s] {
-        partials[s] =
-            raw_[s]->QueryFiltered(terms, k, now, filter, &partial_stats[s]);
-      });
-    }
-    partials[0] =
-        raw_[0]->QueryFiltered(terms, k, now, filter, &partial_stats[0]);
-    group.Wait();
-  } else {
-    for (int s = 0; s < n; ++s) {
-      partials[s] =
-          raw_[s]->QueryFiltered(terms, k, now, filter, &partial_stats[s]);
-    }
+  for (int s = 0; s < n; ++s) {
+    partials[s] =
+        raw_[s]->QueryFiltered(terms, k, now, filter, &partial_stats[s]);
   }
   if (stats != nullptr) {
     core::QueryStats total;
@@ -272,10 +296,6 @@ Status IndexShardSet::CheckpointShard(int s) {
 
 void IndexShardSet::WaitForMerges() {
   for (core::RtsiIndex* index : raw_) index->WaitForMerges();
-}
-
-void IndexShardSet::SetMergePolicy(int s, lsm::MergePolicy policy) {
-  raw_[s]->SetMergePolicy(policy);
 }
 
 IndexShardSet::ShardStats IndexShardSet::GetShardStats(int s) const {

@@ -2,14 +2,14 @@
 //
 // Partitions streams across N independent RTSI shards by a mixed hash of
 // the stream id. Every shard is a full single-node index — its own
-// LsmTree (own delta / L0 freeze schedule / compaction policy), its own
+// LsmTree (own delta / L0 freeze schedule / merge cascades), its own
 // journal and snapshot files in durable mode — so a window seal or merge
 // cascade on one shard never stalls ingest or queries on another, and a
 // disk failure degrades exactly one partition.
 //
-// Queries scatter-gather: the set fans the query out (each shard pins its
-// own epoch-published IndexView wait-free and runs its sequential
-// pipeline), then merges the per-shard top-k with the
+// Queries scatter-gather on the calling thread: each shard in turn pins
+// its own epoch-published IndexView wait-free and runs its sequential
+// pipeline, then the set merges the per-shard top-k with the
 // deterministic total order of core::TopKHeap. Results are bit-identical
 // to a single unsharded index holding the same streams:
 //   * every stream lives in exactly one shard, so the global top-k is a
@@ -24,8 +24,10 @@
 //   <dir>/shard-<i>/index.snap      — shard snapshot (storage/snapshot.h)
 //   <dir>/shard-<i>/index.journal   — shard journal  (storage/journal.h)
 // Recovery opens each shard independently (snapshot + journal replay, the
-// PR 3 crash-consistency contract per shard) and then rebuilds the shared
-// scoring aggregate by summing the recovered per-shard tables.
+// crash-consistency contract per shard) and then rebuilds the shared
+// scoring aggregate by summing the recovered per-shard tables. The shard
+// count is part of the on-disk layout: routing is hash mod N, so a set
+// must be reopened with the count it was written with.
 
 #ifndef RTSI_SHARD_SHARD_SET_H_
 #define RTSI_SHARD_SHARD_SET_H_
@@ -37,7 +39,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "core/config.h"
 #include "core/rtsi_index.h"
 #include "storage/journal.h"
@@ -54,15 +55,6 @@ struct ShardSetConfig {
   /// under this root (created if missing).
   std::string durable_dir;
   storage::JournalOptions journal;
-  /// Fan the scatter phase out over this many pool workers (the calling
-  /// thread gathers). 0 = scatter sequentially on the caller — the right
-  /// default on small machines.
-  int scatter_threads = 0;
-  /// Per-shard compaction-policy overrides: entry i applies to shard i.
-  /// Shards beyond the vector's length (and all shards when it is empty)
-  /// keep `index.lsm.policy`. Lets a deployment run, say, leveled
-  /// compaction on a hot shard and lazy-leveled everywhere else.
-  std::vector<lsm::MergePolicy> shard_policies;
 };
 
 /// The shard a stream routes to: splitmix64 finalizer over the id, mod N.
@@ -83,7 +75,8 @@ class IndexShardSet : public core::SearchIndex {
 
   /// Durable mode: opens (or recovers) every shard under
   /// `config.durable_dir`. `recovery`, when non-null, receives one entry
-  /// per shard.
+  /// per shard. Fails with FailedPrecondition when the directory already
+  /// holds shards and their count differs from `config.num_shards`.
   static Result<std::unique_ptr<IndexShardSet>> Open(
       const ShardSetConfig& config,
       std::vector<storage::RecoveryStats>* recovery = nullptr);
@@ -120,8 +113,9 @@ class IndexShardSet : public core::SearchIndex {
   void DeleteStream(StreamId stream) override;
   void UpdatePopularity(StreamId stream, std::uint64_t delta) override;
 
-  /// Scatter-gather top-k across all shards; bit-identical to a
-  /// single-shard index on the same data (see file comment).
+  /// Scatter-gather top-k across all shards, one shard after another on
+  /// the calling thread; bit-identical to a single-shard index on the
+  /// same data (see file comment).
   std::vector<core::ScoredStream> Query(const std::vector<TermId>& terms,
                                         int k, Timestamp now,
                                         core::QueryStats* stats) override;
@@ -159,9 +153,6 @@ class IndexShardSet : public core::SearchIndex {
   /// Blocks until no shard has a merge pending or running.
   void WaitForMerges();
 
-  /// Per-shard compaction policy (the per-shard tuning seam).
-  void SetMergePolicy(int s, lsm::MergePolicy policy);
-
   /// Rebuilds the shared scoring aggregate (df + max pop) from the
   /// shards' authoritative tables. Called automatically by the
   /// constructors and Open; call again after externally mutating a shard
@@ -189,9 +180,6 @@ class IndexShardSet : public core::SearchIndex {
  private:
   IndexShardSet() = default;  // Open() fills the members itself.
 
-  /// Applies config_.shard_policies to the constructed shards.
-  void ApplyShardPolicies();
-
   /// Records a finished/deleted id for the reuse guard (sharded sets
   /// only; a single shard keeps single-index semantics).
   void RecordRetired(StreamId stream);
@@ -206,7 +194,6 @@ class IndexShardSet : public core::SearchIndex {
   std::vector<core::SearchIndex*> shards_;
   std::vector<core::RtsiIndex*> raw_;
   std::shared_ptr<core::SharedScoringState> shared_scoring_;
-  std::unique_ptr<ThreadPool> scatter_pool_;
   // Stream ids retired by FinishStream/DeleteStream (populated only when
   // num_shards > 1): the insert-time reuse guard. Reader-heavy — every
   // checked insert takes the shared lock, retirements the exclusive one.

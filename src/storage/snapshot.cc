@@ -30,7 +30,9 @@ void WriteConfig(SnapshotWriter& writer, const RtsiConfig& config) {
   writer.WriteDouble(config.freshness_tau_seconds);
   writer.WriteU32(config.use_bound ? 1 : 0);
   writer.WriteU32(static_cast<std::uint32_t>(config.bound_mode));
-  writer.WriteU32(static_cast<std::uint32_t>(config.default_k));
+  // A retired default-k slot, kept so the layout does not change: always
+  // 10 (what every writer stored), ignored on load.
+  writer.WriteU32(10);
   // v5: the compaction policy and its tiering knob, so the restored tree
   // keeps folding runs the way the saved one did.
   writer.WriteU32(static_cast<std::uint32_t>(config.lsm.policy));
@@ -39,7 +41,7 @@ void WriteConfig(SnapshotWriter& writer, const RtsiConfig& config) {
 
 bool ReadConfig(SnapshotReader& reader, RtsiConfig& config) {
   std::uint64_t delta = 0, shards = 0;
-  std::uint32_t compress = 0, use_bound = 0, bound_mode = 0, k = 0;
+  std::uint32_t compress = 0, use_bound = 0, bound_mode = 0, retired_k = 0;
   if (!reader.ReadU64(delta) || !reader.ReadDouble(config.lsm.rho) ||
       !reader.ReadU32(compress) || !reader.ReadU64(shards) ||
       !reader.ReadDouble(config.weights.pop) ||
@@ -47,7 +49,7 @@ bool ReadConfig(SnapshotReader& reader, RtsiConfig& config) {
       !reader.ReadDouble(config.weights.frsh) ||
       !reader.ReadDouble(config.freshness_tau_seconds) ||
       !reader.ReadU32(use_bound) || !reader.ReadU32(bound_mode) ||
-      !reader.ReadU32(k)) {
+      !reader.ReadU32(retired_k)) {
     return false;
   }
   config.lsm.delta = delta;
@@ -55,7 +57,6 @@ bool ReadConfig(SnapshotReader& reader, RtsiConfig& config) {
   config.lsm.num_l0_shards = shards;
   config.use_bound = use_bound != 0;
   config.bound_mode = static_cast<core::BoundMode>(bound_mode);
-  config.default_k = static_cast<int>(k);
   if (reader.version() >= 5) {
     std::uint32_t policy = 0;
     std::uint64_t tier_runs = 0;

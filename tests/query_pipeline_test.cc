@@ -196,6 +196,20 @@ struct MatrixRow {
   lsm::MergePolicy policy;
 };
 
+// The row's workload, identical in every index of `indices`.
+Timestamp BuildRowWorkload(const MatrixRow& row,
+                           const std::vector<SearchIndex*>& indices) {
+  Timestamp t = 0;
+  if (row.bound_mode == BoundMode::kSnapshot) {
+    // kSnapshot bounds are exact only without post-seal popularity or
+    // freshness drift; write-once is the workload shape they are for.
+    BuildWriteOnceWorkload(indices, /*seed=*/77, &t);
+  } else {
+    BuildWorkload(indices, /*seed=*/77, &t);
+  }
+  return t;
+}
+
 class PipelineMatrixTest : public ::testing::TestWithParam<MatrixRow> {};
 
 TEST_P(PipelineMatrixTest, MatchesFullWalkOracleBitwise) {
@@ -211,14 +225,7 @@ TEST_P(PipelineMatrixTest, MatchesFullWalkOracleBitwise) {
   auto index = std::make_unique<RtsiIndex>(config);
   auto oracle = std::make_unique<RtsiIndex>(oracle_config);
 
-  Timestamp t = 0;
-  if (row.bound_mode == BoundMode::kSnapshot) {
-    // kSnapshot bounds are exact only without post-seal popularity or
-    // freshness drift; write-once is the workload shape they are for.
-    BuildWriteOnceWorkload({index.get(), oracle.get()}, /*seed=*/77, &t);
-  } else {
-    BuildWorkload({index.get(), oracle.get()}, /*seed=*/77, &t);
-  }
+  const Timestamp t = BuildRowWorkload(row, {index.get(), oracle.get()});
   // Full compaction folds everything into one component by design;
   // every other policy must leave a real multi-component cascade.
   const std::size_t min_components =
@@ -244,20 +251,19 @@ TEST_P(PipelineMatrixTest, MatchesFullWalkOracleBitwise) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Matrix, PipelineMatrixTest,
-    ::testing::Values(
-        MatrixRow{"bound", BoundMode::kGlobalPop,
-                  lsm::MergePolicy::kGeometric},
-        MatrixRow{"snapshot", BoundMode::kSnapshot,
-                  lsm::MergePolicy::kGeometric},
-        MatrixRow{"bound_tiered", BoundMode::kGlobalPop,
-                  lsm::MergePolicy::kTiered},
-        MatrixRow{"bound_full", BoundMode::kGlobalPop,
-                  lsm::MergePolicy::kFullCompaction}),
-    [](const ::testing::TestParamInfo<MatrixRow>& info) {
-      return std::string(info.param.name);
-    });
+const MatrixRow kMatrixRows[] = {
+    {"bound", BoundMode::kGlobalPop, lsm::MergePolicy::kGeometric},
+    {"snapshot", BoundMode::kSnapshot, lsm::MergePolicy::kGeometric},
+    {"bound_tiered", BoundMode::kGlobalPop, lsm::MergePolicy::kTiered},
+    {"bound_full", BoundMode::kGlobalPop, lsm::MergePolicy::kFullCompaction},
+};
+
+std::string RowName(const ::testing::TestParamInfo<MatrixRow>& info) {
+  return std::string(info.param.name);
+}
+
+INSTANTIATE_TEST_SUITE_P(Matrix, PipelineMatrixTest,
+                         ::testing::ValuesIn(kMatrixRows), RowName);
 
 // Pruning soundness, not just path equivalence: with the kGlobalPop
 // ceilings, early termination must never change the answer, so the
@@ -390,32 +396,54 @@ TEST(PipelineStatsTest, StatsDeterministicAcrossRunsAndTwins) {
   }
 }
 
-// ExplainQuery is the sequential pipeline with a recording policy bolted
-// on: its ranked results must be bit-identical to Query's, and each
-// breakdown must decompose the reported score exactly.
-TEST(PipelineExplainTest, ExplainResultsMatchQueryBitwise) {
-  auto config = PipelineConfig(/*use_bound=*/true);
-  config.bound_mode = BoundMode::kGlobalPop;
+// ExplainQuery is Query's own walk with a breakdown recorder attached, on
+// every row of the matrix: its ranked results must be bit-identical to
+// Query's, each breakdown must decompose the reported score exactly, and
+// its component fates must agree with the QueryStats Query reports.
+class PipelineExplainTest : public ::testing::TestWithParam<MatrixRow> {};
+
+TEST_P(PipelineExplainTest, ExplainResultsMatchQueryBitwise) {
+  const MatrixRow row = GetParam();
+  auto config = PipelineConfig(/*use_bound=*/true, row.policy);
+  config.bound_mode = row.bound_mode;
   auto index = std::make_unique<RtsiIndex>(config);
-  Timestamp t = 0;
-  BuildWorkload({index.get()}, 33, &t);
+  const Timestamp t = BuildRowWorkload(row, {index.get()});
+  const Scorer scorer(config.weights, config.freshness_tau_seconds);
 
   Rng rng(3333);
   for (int qi = 0; qi < 40; ++qi) {
     const auto q = RandomQuery(rng);
     const int k = 1 + static_cast<int>(rng.NextUint64(10));
-    const std::string context = "explain query " + std::to_string(qi);
-    const auto want = index->Query(q, k, t);
-    const auto explained = index->ExplainQuery(q, k, t);
+    QueryFilter filter;
+    if (rng.NextBool(0.5)) filter.live_only = rng.NextBool(0.5);
+    if (rng.NextBool(0.3)) filter.min_frsh = t / 2;
+    const std::string context =
+        std::string(row.name) + " explain query " + std::to_string(qi);
+    QueryStats stats;
+    const auto want = index->QueryFiltered(q, k, t, filter, &stats);
+    const auto explained = index->ExplainQuery(q, k, t, filter);
     ASSERT_EQ(explained.results.size(), want.size()) << context;
     for (std::size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(explained.results[i].stream, want[i].stream)
+      const ScoreBreakdown& b = explained.results[i];
+      EXPECT_EQ(b.stream, want[i].stream) << context << " rank " << i;
+      EXPECT_EQ(b.total, want[i].score) << context << " rank " << i;
+      EXPECT_EQ(b.total, scorer.Combine(b.pop_score, b.rel_score,
+                                        b.frsh_score))
           << context << " rank " << i;
-      EXPECT_EQ(explained.results[i].total, want[i].score)
-          << context << " rank " << i;
+      EXPECT_EQ(b.term_tfs.size(), explained.terms.size()) << context;
     }
+    std::size_t visited = 0, skipped = 0;
+    for (const ComponentExplanation& c : explained.components) {
+      visited += c.visited ? 1 : 0;
+      skipped += c.skipped ? 1 : 0;
+    }
+    EXPECT_EQ(visited, stats.components_visited) << context;
+    EXPECT_EQ(skipped, stats.components_skipped) << context;
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(Matrix, PipelineExplainTest,
+                         ::testing::ValuesIn(kMatrixRows), RowName);
 
 // The standing-query seam: BuildPlan + ExecutePlan through a TopKSink is
 // exactly Query, and a sink carried across executions accumulates (the
@@ -489,43 +517,6 @@ TEST(PipelineShardTest, ShardedGatherMatchesUnshardedBitwise) {
     const int k = 1 + static_cast<int>(rng.NextUint64(15));
     ExpectBitIdentical(sharded->Query(q, k, t), single->Query(q, k, t),
                        "shard query " + std::to_string(qi));
-  }
-}
-
-// Satellite: per-shard compaction-policy overrides flow from the
-// ShardSetConfig down to each shard's LSM tree; unlisted shards keep the
-// base policy.
-TEST(ShardPolicyTest, PerShardPolicyOverridesApply) {
-  shard::ShardSetConfig config;
-  config.index = PipelineConfig(/*use_bound=*/true);
-  config.num_shards = 3;
-  config.shard_policies = {lsm::MergePolicy::kTiered,
-                           lsm::MergePolicy::kFullCompaction};
-  shard::IndexShardSet shards(config);
-  EXPECT_EQ(shards.shard_index(0).tree().policy(),
-            lsm::MergePolicy::kTiered);
-  EXPECT_EQ(shards.shard_index(1).tree().policy(),
-            lsm::MergePolicy::kFullCompaction);
-  // Beyond the override vector: the base config's policy.
-  EXPECT_EQ(shards.shard_index(2).tree().policy(),
-            config.index.lsm.policy);
-}
-
-// Satellite: the service-level override plumbs through both modalities.
-TEST(ShardPolicyTest, ServiceConfigOverridesReachShards) {
-  service::SearchServiceConfig config;
-  config.index.lsm.delta = 500;
-  config.ingestion.transcriber.word_error_rate = 0.0;
-  config.shards = 2;
-  config.shard_merge_policies = {lsm::MergePolicy::kGeometric,
-                                 lsm::MergePolicy::kTiered};
-  SimulatedClock clock;
-  service::SearchService service(config, &clock);
-  for (auto* shards : {&service.text_shards(), &service.sound_shards()}) {
-    EXPECT_EQ(shards->shard_index(0).tree().policy(),
-              lsm::MergePolicy::kGeometric);
-    EXPECT_EQ(shards->shard_index(1).tree().policy(),
-              lsm::MergePolicy::kTiered);
   }
 }
 

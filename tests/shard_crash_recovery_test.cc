@@ -345,5 +345,71 @@ TEST(ShardCrashRecoveryTest, DegradedShardLeavesSiblingServing) {
   CleanDir();
 }
 
+// The shard count is part of the durable layout (streams route by hash
+// mod N): reopening a set under another count must fail instead of
+// hiding the streams of the shards beyond it (fewer shards) or splitting
+// each stream's history across two shards (more shards).
+TEST(ShardCrashRecoveryTest, ReopenWithDifferentShardCountFails) {
+  const std::string root = "/tmp/rtsi_shard_count_test";
+  const auto remove_root = [&root] {
+    for (int s = 0; s < 8; ++s) {
+      const std::string dir = root + "/shard-" + std::to_string(s);
+      for (const char* name : {"/index.snap", "/index.journal"}) {
+        std::remove((dir + name).c_str());
+      }
+      ::rmdir(dir.c_str());
+    }
+    ::rmdir(root.c_str());
+  };
+  remove_root();
+  ShardSetConfig config = SetConfig();
+  config.durable_dir = root;
+  config.num_shards = 4;
+
+  const std::vector<TraceOp> ops = MakeWorkload(20);
+  bool beyond_shard_0 = false;
+  for (const TraceOp& op : ops) {
+    beyond_shard_0 = beyond_shard_0 || ShardForStream(op.stream, 4) > 0;
+  }
+  ASSERT_TRUE(beyond_shard_0) << "workload must reach shards 1-3";
+
+  Probe written;
+  {
+    auto opened = IndexShardSet::Open(config);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      // A checkpoint midway leaves both snapshots and journals on disk.
+      if (i == ops.size() / 2) {
+        ASSERT_TRUE(opened.value()->Checkpoint().ok());
+      }
+      ApplyOp(*opened.value(), ops[i]);
+    }
+    written = ProbeIndex(*opened.value());
+  }
+
+  for (const int n : {1, 8}) {
+    config.num_shards = n;
+    auto reopened = IndexShardSet::Open(config);
+    ASSERT_FALSE(reopened.ok()) << "num_shards=" << n;
+    EXPECT_EQ(reopened.status().code(), StatusCode::kFailedPrecondition);
+    const std::string& message = reopened.status().message();
+    EXPECT_NE(message.find("holds 4 shards"), std::string::npos) << message;
+    EXPECT_NE(message.find("num_shards=" + std::to_string(n)),
+              std::string::npos)
+        << message;
+  }
+  // The refused opens left the layout as it was.
+  struct stat st{};
+  EXPECT_NE(::stat((root + "/shard-4").c_str(), &st), 0);
+
+  config.num_shards = 4;
+  {
+    auto reopened = IndexShardSet::Open(config);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    EXPECT_TRUE(SameProbe(ProbeIndex(*reopened.value()), written));
+  }
+  remove_root();
+}
+
 }  // namespace
 }  // namespace rtsi::shard

@@ -277,7 +277,6 @@ TEST(ShardDeterminismTest, ConcurrentIngestSealsCascadesStayIdentical) {
   ShardSetConfig config;
   config.index = concurrent_config;
   config.num_shards = 4;
-  config.scatter_threads = 2;
   IndexShardSet sharded(config);
 
   std::atomic<bool> stop{false};

@@ -193,7 +193,7 @@ TEST(SnapshotTest, LoadsVersion1Snapshots) {
     writer.WriteDouble(config.freshness_tau_seconds);
     writer.WriteU32(config.use_bound ? 1 : 0);
     writer.WriteU32(static_cast<std::uint32_t>(config.bound_mode));
-    writer.WriteU32(static_cast<std::uint32_t>(config.default_k));
+    writer.WriteU32(10);  // Retired default-k slot.
     // Document frequencies: 2 documents, term 7 in both.
     writer.WriteU64(2);
     writer.WriteVarint(1);
