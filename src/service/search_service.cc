@@ -35,8 +35,7 @@ SearchService::SearchService(const SearchServiceConfig& config, Clock* clock)
 
 void SearchService::ReplaceIndices(std::unique_ptr<core::RtsiIndex> text,
                                    std::unique_ptr<core::RtsiIndex> sound) {
-  // Adopt each restored index as a single-shard set; the adopt path
-  // rebuilds the shared scoring aggregate from the restored tables.
+  // Adopt each restored index as a single-shard set.
   auto wrap = [this](std::unique_ptr<core::RtsiIndex> index) {
     shard::ShardSetConfig shard_config = ShardConfig(config_);
     shard_config.num_shards = 1;
@@ -57,13 +56,6 @@ Status SearchService::IngestWindow(StreamId stream,
                                    const std::vector<std::string>& words,
                                    bool live) {
   const auto indices = PinIndices();
-  // Validate against both modalities before touching either, so a
-  // rejected window leaves the pair consistent. The check precedes the
-  // ASR simulation too: a rejected window must not advance the seeded
-  // RNG, or batched/unbatched runs would diverge after a rejection.
-  Status status = indices->text->CheckInsert(stream);
-  if (status.ok()) status = indices->sound->CheckInsert(stream);
-  if (!status.ok()) return status;
   WindowArtifacts artifacts;
   {
     std::lock_guard<std::mutex> rng_lock(rng_mu_);
@@ -75,15 +67,8 @@ Status SearchService::IngestWindow(StreamId stream,
   return Status::Ok();
 }
 
-Status SearchService::IngestBatch(const std::vector<IngestOp>& ops) {
+void SearchService::IngestBatch(const std::vector<IngestOp>& ops) {
   const auto indices = PinIndices();
-  // All-or-nothing: validate every op's stream id (both modalities)
-  // before any window of the batch is applied or any RNG draw happens.
-  for (const IngestOp& op : ops) {
-    Status status = indices->text->CheckInsert(op.stream);
-    if (status.ok()) status = indices->sound->CheckInsert(op.stream);
-    if (!status.ok()) return status;
-  }
   std::vector<WindowArtifacts> artifacts(ops.size());
   {
     // One RNG acquisition for the whole batch: the draw sequence matches
@@ -101,7 +86,6 @@ Status SearchService::IngestBatch(const std::vector<IngestOp>& ops) {
     indices->sound->InsertWindow(ops[i].stream, now, artifacts[i].sound_terms,
                                  ops[i].live);
   }
-  return Status::Ok();
 }
 
 void SearchService::FinishStream(StreamId stream) {

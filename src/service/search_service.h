@@ -66,21 +66,16 @@ class SearchService {
 
   /// Ingests one ~60 s window of a live stream, given its ground-truth
   /// words (what the broadcaster said). Runs ASR simulation, indexes both
-  /// modalities. On a sharded service (shards > 1) a stream id that was
-  /// already retired by FinishStream/DeleteStream is rejected with
-  /// FailedPrecondition before either modality is touched (the sharded
-  /// deployment's documented no-id-reuse precondition); nothing is
-  /// indexed for a rejected window.
+  /// modalities. A window for a deleted stream is dropped by each index
+  /// (core::RtsiIndex::InsertWindow). Always returns Ok.
   Status IngestWindow(StreamId stream, const std::vector<std::string>& words,
                       bool live = true);
 
   /// Ingests a batch of windows in order against one pinned pair. ASR
   /// simulation for the whole batch runs under a single RNG acquisition,
   /// so a batched run draws the same sequence as the same ops issued
-  /// one by one — batching changes throughput, not results. The sharded
-  /// id-reuse guard validates every op before any window of the batch is
-  /// applied; a rejected batch indexes nothing.
-  Status IngestBatch(const std::vector<IngestOp>& ops);
+  /// one by one — batching changes throughput, not results.
+  void IngestBatch(const std::vector<IngestOp>& ops);
 
   void FinishStream(StreamId stream);
   void DeleteStream(StreamId stream);

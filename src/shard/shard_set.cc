@@ -5,7 +5,7 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <mutex>
+#include <utility>
 
 #include "exec/sink.h"
 #include "storage/fs.h"
@@ -48,34 +48,59 @@ bool HoldsShardData(const std::string& dir) {
   return found;
 }
 
+// <i> when `name` is a shard directory name shard-<i> (1 to 9 digits, so
+// <i> fits an int), else -1.
+int ShardIndexOf(const std::string& name) {
+  if (name.size() <= 6 || name.size() > 15 || name.rfind("shard-", 0) != 0 ||
+      name.find_first_not_of("0123456789", 6) != std::string::npos) {
+    return -1;
+  }
+  return std::atoi(name.c_str() + 6);
+}
+
+// The shard directories under `root` as (<i>, path), in no particular
+// order.
+std::vector<std::pair<int, std::string>> ShardDirsOnDisk(
+    const std::string& root) {
+  std::vector<std::pair<int, std::string>> dirs;
+  DIR* d = ::opendir(root.c_str());
+  if (d == nullptr) return dirs;
+  while (const dirent* entry = ::readdir(d)) {
+    const int s = ShardIndexOf(entry->d_name);
+    if (s >= 0) dirs.emplace_back(s, root + "/" + entry->d_name);
+  }
+  ::closedir(d);
+  return dirs;
+}
+
 // The shard count of the layout under `root`: one past the highest
 // shard-<i> directory. 0 while no shard holds data yet (a fresh root, or
 // a first open that a crash cut short before any shard wrote).
 int ShardsOnDisk(const std::string& root) {
-  DIR* d = ::opendir(root.c_str());
-  if (d == nullptr) return 0;
   int count = 0;
   bool any_data = false;
-  while (const dirent* entry = ::readdir(d)) {
-    const std::string name = entry->d_name;
-    // shard-<i> with 1 to 9 digits, so <i> fits an int.
-    if (name.size() <= 6 || name.size() > 15 ||
-        name.rfind("shard-", 0) != 0 ||
-        name.find_first_not_of("0123456789", 6) != std::string::npos) {
-      continue;
-    }
-    count = std::max(count, std::atoi(name.c_str() + 6) + 1);
-    any_data = any_data || HoldsShardData(root + "/" + name);
+  for (const auto& [s, dir] : ShardDirsOnDisk(root)) {
+    count = std::max(count, s + 1);
+    any_data = any_data || HoldsShardData(dir);
   }
-  ::closedir(d);
   return any_data ? count : 0;
+}
+
+// Removes the shard directories with index >= n, files and all. Called
+// only while no shard holds data, so they hold no acknowledged write.
+Status RemoveShardDirsFrom(const std::string& root, int n) {
+  for (const auto& [s, dir] : ShardDirsOnDisk(root)) {
+    if (s < n) continue;
+    const Status removed = storage::fs::RemoveDir(dir);
+    if (!removed.ok()) return removed;
+  }
+  return Status::Ok();
 }
 
 }  // namespace
 
 IndexShardSet::IndexShardSet(const ShardSetConfig& config)
-    : config_(config),
-      shared_scoring_(std::make_shared<core::SharedScoringState>()) {
+    : config_(config) {
   const int n = std::max(1, config.num_shards);
   config_.num_shards = n;
   for (int s = 0; s < n; ++s) {
@@ -83,23 +108,17 @@ IndexShardSet::IndexShardSet(const ShardSetConfig& config)
     shards_.push_back(plain_.back().get());
     raw_.push_back(plain_.back().get());
   }
-  for (core::RtsiIndex* index : raw_) {
-    index->BindSharedScoring(shared_scoring_);
-  }
 }
 
 IndexShardSet::IndexShardSet(
     const ShardSetConfig& config,
     std::vector<std::unique_ptr<core::RtsiIndex>> shards)
-    : config_(config),
-      plain_(std::move(shards)),
-      shared_scoring_(std::make_shared<core::SharedScoringState>()) {
+    : config_(config), plain_(std::move(shards)) {
   config_.num_shards = static_cast<int>(plain_.size());
   for (auto& index : plain_) {
     shards_.push_back(index.get());
     raw_.push_back(index.get());
   }
-  RefreshSharedScoring();
 }
 
 Result<std::unique_ptr<IndexShardSet>> IndexShardSet::Open(
@@ -125,7 +144,15 @@ Result<std::unique_ptr<IndexShardSet>> IndexShardSet::Open(
         " would lose or misroute their streams");
   }
   ::mkdir(config.durable_dir.c_str(), 0755);
-  // Every shard directory exists (durably) before any shard writes, so a
+  // A first open under a larger count may have crashed after creating its
+  // directories; left in place, they would later read as a layout of that
+  // count. No shard holds data yet, so they go.
+  if (on_disk == 0) {
+    const Status removed = RemoveShardDirsFrom(config.durable_dir, n);
+    if (!removed.ok()) return removed;
+  }
+  // Every shard directory exists (durably, and the removals with them:
+  // one sync of the root covers both) before any shard writes, so a
   // crash inside this first open still leaves a layout of n shards.
   for (int s = 0; s < n; ++s) {
     ::mkdir(ShardDir(config.durable_dir, s).c_str(), 0755);
@@ -150,75 +177,23 @@ Result<std::unique_ptr<IndexShardSet>> IndexShardSet::Open(
     set->shards_.push_back(set->durables_.back().get());
     set->raw_.push_back(&set->durables_.back()->index());
   }
-  set->RefreshSharedScoring();
   return set;
 }
 
 IndexShardSet::~IndexShardSet() { WaitForMerges(); }
 
-void IndexShardSet::RefreshSharedScoring() {
-  // Rebind a fresh aggregate rather than clearing the old one in place:
-  // the old state may still be referenced by a query that pinned it.
-  auto next = std::make_shared<core::SharedScoringState>();
-  std::uint64_t documents = 0;
-  for (core::RtsiIndex* index : raw_) {
-    index->doc_freq().ForEach([&next](TermId term, std::uint64_t df) {
-      next->df.AddCount(term, df);
-    });
-    documents += index->doc_freq().num_documents();
-    next->BumpMaxPop(index->stream_table().max_pop_count());
-  }
-  next->df.SetNumDocuments(documents);
-  shared_scoring_ = next;
-  for (core::RtsiIndex* index : raw_) {
-    index->BindSharedScoring(shared_scoring_);
-  }
-}
-
 void IndexShardSet::InsertWindow(StreamId stream, Timestamp now,
                                  const std::vector<core::TermCount>& terms,
                                  bool live) {
-  // The void interface cannot report the reuse guard; a rejected window
-  // is dropped (on a sharded set it was undefined behavior before).
-  (void)InsertWindowChecked(stream, now, terms, live);
-}
-
-Status IndexShardSet::InsertWindowChecked(
-    StreamId stream, Timestamp now,
-    const std::vector<core::TermCount>& terms, bool live) {
-  const Status status = CheckInsert(stream);
-  if (!status.ok()) return status;
   shards_[ShardOf(stream)]->InsertWindow(stream, now, terms, live);
-  return Status::Ok();
-}
-
-Status IndexShardSet::CheckInsert(StreamId stream) const {
-  if (num_shards() > 1) {
-    std::shared_lock<std::shared_mutex> lock(retired_mu_);
-    if (retired_.count(stream) > 0) {
-      return Status::FailedPrecondition(
-          "stream id " + std::to_string(stream) +
-          " was retired by FinishStream/DeleteStream; sharded deployments "
-          "must not reuse stream ids");
-    }
-  }
-  return Status::Ok();
-}
-
-void IndexShardSet::RecordRetired(StreamId stream) {
-  if (num_shards() <= 1) return;
-  std::unique_lock<std::shared_mutex> lock(retired_mu_);
-  retired_.insert(stream);
 }
 
 void IndexShardSet::FinishStream(StreamId stream) {
   shards_[ShardOf(stream)]->FinishStream(stream);
-  RecordRetired(stream);
 }
 
 void IndexShardSet::DeleteStream(StreamId stream) {
   shards_[ShardOf(stream)]->DeleteStream(stream);
-  RecordRetired(stream);
 }
 
 void IndexShardSet::UpdatePopularity(StreamId stream, std::uint64_t delta) {
@@ -231,18 +206,40 @@ std::vector<core::ScoredStream> IndexShardSet::Query(
   return QueryFiltered(terms, k, now, core::QueryFilter{}, stats);
 }
 
+exec::QueryPlan IndexShardSet::BuildPlan(const std::vector<TermId>& terms,
+                                         int k, Timestamp now,
+                                         const core::QueryFilter& filter) const {
+  exec::QueryPlan plan = raw_[0]->BuildPlan(terms, k, now, filter);
+  if (num_shards() == 1) return plan;
+  // Each stream lives in one shard, so the sums are the counts a single
+  // index over all the streams would hold.
+  std::uint64_t documents = 0;
+  for (const core::RtsiIndex* index : raw_) {
+    documents += index->doc_freq().num_documents();
+    plan.max_pop =
+        std::max(plan.max_pop, index->stream_table().max_pop_count());
+  }
+  for (std::size_t i = 0; i < plan.terms.size(); ++i) {
+    std::uint64_t df = 0;
+    for (const core::RtsiIndex* index : raw_) {
+      df += index->doc_freq().DocumentFrequency(plan.terms[i]);
+    }
+    plan.idfs[i] = core::DocumentFrequencyTable::Idf(documents, df);
+  }
+  return plan;
+}
+
 std::vector<core::ScoredStream> IndexShardSet::QueryFiltered(
     const std::vector<TermId>& terms, int k, Timestamp now,
     const core::QueryFilter& filter, core::QueryStats* stats) {
   const int n = num_shards();
-  if (n == 1) {
-    return raw_[0]->QueryFiltered(terms, k, now, filter, stats);
-  }
+  if (n == 1) return raw_[0]->QueryFiltered(terms, k, now, filter, stats);
+  const exec::QueryPlan plan = BuildPlan(terms, k, now, filter);
   std::vector<std::vector<core::ScoredStream>> partials(n);
   std::vector<core::QueryStats> partial_stats(n);
   for (int s = 0; s < n; ++s) {
-    partials[s] =
-        raw_[s]->QueryFiltered(terms, k, now, filter, &partial_stats[s]);
+    exec::TopKSink sink(k);
+    partials[s] = raw_[s]->ExecutePlan(plan, sink, &partial_stats[s]);
   }
   if (stats != nullptr) {
     core::QueryStats total;

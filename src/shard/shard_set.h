@@ -1,46 +1,50 @@
 // IndexShardSet: the horizontal scale-out seam (DESIGN.md §6i).
 //
 // Partitions streams across N independent RTSI shards by a mixed hash of
-// the stream id. Every shard is a full single-node index — its own
-// LsmTree (own delta / L0 freeze schedule / merge cascades), its own
-// journal and snapshot files in durable mode — so a window seal or merge
-// cascade on one shard never stalls ingest or queries on another, and a
-// disk failure degrades exactly one partition.
+// the stream id. Every shard is a plain single-node RtsiIndex that knows
+// nothing of sharding — its own LsmTree (own delta / L0 freeze schedule /
+// merge cascades), its own df and stream tables, its own journal and
+// snapshot files in durable mode — so a window seal or merge cascade on
+// one shard never stalls ingest or queries on another, and a disk failure
+// degrades exactly one partition. The set does three things: it routes
+// each operation by stream id, builds one plan per query, and gathers.
 //
-// Queries scatter-gather on the calling thread: each shard in turn pins
-// its own epoch-published IndexView wait-free and runs its sequential
-// pipeline, then the set merges the per-shard top-k with the
-// deterministic total order of core::TopKHeap. Results are bit-identical
-// to a single unsharded index holding the same streams:
+// Queries run on the calling thread. BuildPlan resolves the query's
+// corpus-wide statistics once: each idf from the sum of the shards' df
+// and document counts (the same log1p(N / (1 + df)) over the same integer
+// sums a single index would hold), the popularity normalizer as the
+// maximum of the shards' counters. Every shard then runs that one plan
+// through ExecutePlan into its own sink, and the set merges the per-shard
+// top-k with the deterministic total order of core::TopKHeap. Results are
+// bit-identical to a single unsharded index holding the same streams:
 //   * every stream lives in exactly one shard, so the global top-k is a
 //     subset of the union of per-shard top-k lists;
-//   * per-candidate scores are computed from the corpus-global statistics
-//     in core::SharedScoringState (df for idf, max popularity for the
-//     PopScore normalizer), which every shard updates and reads;
+//   * every shard scores each candidate with the plan's corpus-wide idfs
+//     and normalizer, captured once per query;
 //   * the merge heap applies the same (score desc, stream asc) total
 //     order as every other query path in the repo.
+// A set of any shard count accepts exactly the operations one index
+// accepts, stream-id reuse after finish or delete included.
 //
 // Durable mode gives each shard its own directory:
 //   <dir>/shard-<i>/index.snap      — shard snapshot (storage/snapshot.h)
 //   <dir>/shard-<i>/index.journal   — shard journal  (storage/journal.h)
 // Recovery opens each shard independently (snapshot + journal replay, the
-// crash-consistency contract per shard) and then rebuilds the shared
-// scoring aggregate by summing the recovered per-shard tables. The shard
-// count is part of the on-disk layout: routing is hash mod N, so a set
-// must be reopened with the count it was written with.
+// crash-consistency contract per shard). The shard count is part of the
+// on-disk layout: routing is hash mod N, so a set must be reopened with
+// the count it was written with.
 
 #ifndef RTSI_SHARD_SHARD_SET_H_
 #define RTSI_SHARD_SHARD_SET_H_
 
 #include <memory>
-#include <shared_mutex>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
 #include "core/config.h"
 #include "core/rtsi_index.h"
+#include "exec/query_plan.h"
 #include "storage/journal.h"
 
 namespace rtsi::shard {
@@ -68,54 +72,33 @@ class IndexShardSet : public core::SearchIndex {
   explicit IndexShardSet(const ShardSetConfig& config);
 
   /// Adopts already-built indices as the shards (snapshot-restore path;
-  /// the vector's size becomes the shard count). Binds the shared scoring
-  /// state and rebuilds its aggregate from the adopted tables.
+  /// the vector's size becomes the shard count).
   IndexShardSet(const ShardSetConfig& config,
                 std::vector<std::unique_ptr<core::RtsiIndex>> shards);
 
   /// Durable mode: opens (or recovers) every shard under
   /// `config.durable_dir`. `recovery`, when non-null, receives one entry
   /// per shard. Fails with FailedPrecondition when the directory already
-  /// holds shards and their count differs from `config.num_shards`.
+  /// holds shards and their count differs from `config.num_shards`. While
+  /// no shard holds data yet, shard directories beyond the count (left by
+  /// a first open under a larger count that crashed) are removed.
   static Result<std::unique_ptr<IndexShardSet>> Open(
       const ShardSetConfig& config,
       std::vector<storage::RecoveryStats>* recovery = nullptr);
 
   ~IndexShardSet() override;
 
-  // SearchIndex: mutations route to the owning shard. On a sharded set
-  // (num_shards > 1) InsertWindow silently drops a window for a retired
-  // stream id (see CheckInsert); callers that need the error use
-  // InsertWindowChecked.
+  // SearchIndex: mutations route to the owning shard.
   void InsertWindow(StreamId stream, Timestamp now,
                     const std::vector<core::TermCount>& terms,
                     bool live) override;
-
-  /// Documented precondition of the sharded deployment: a stream id must
-  /// never be reused after FinishStream/DeleteStream (the scatter-gather
-  /// bit-identity argument assumes each stream's history lives and dies in
-  /// one shard epoch). On a sharded set this returns FailedPrecondition —
-  /// instead of undefined behavior — for such an id; a single-shard set
-  /// accepts everything (the classic single-index semantics, where
-  /// re-insertion after finish is the documented "stream resumes" path).
-  Status InsertWindowChecked(StreamId stream, Timestamp now,
-                             const std::vector<core::TermCount>& terms,
-                             bool live);
-
-  /// The precondition check of InsertWindowChecked alone: Ok when
-  /// inserting `stream` is allowed right now. Callers coordinating
-  /// several sets (e.g. the service's two modalities) validate all of
-  /// them before applying to any. Advisory under concurrency: a racing
-  /// FinishStream can retire the id between check and insert.
-  Status CheckInsert(StreamId stream) const;
-
   void FinishStream(StreamId stream) override;
   void DeleteStream(StreamId stream) override;
   void UpdatePopularity(StreamId stream, std::uint64_t delta) override;
 
   /// Scatter-gather top-k across all shards, one shard after another on
-  /// the calling thread; bit-identical to a single-shard index on the
-  /// same data (see file comment).
+  /// the calling thread, with one plan from BuildPlan; bit-identical to a
+  /// single-shard index on the same data (see file comment).
   std::vector<core::ScoredStream> Query(const std::vector<TermId>& terms,
                                         int k, Timestamp now,
                                         core::QueryStats* stats) override;
@@ -125,6 +108,13 @@ class IndexShardSet : public core::SearchIndex {
   std::vector<core::ScoredStream> QueryFiltered(
       const std::vector<TermId>& terms, int k, Timestamp now,
       const core::QueryFilter& filter, core::QueryStats* stats = nullptr);
+
+  /// The mirror of core::RtsiIndex::BuildPlan over the whole set: idfs
+  /// from the summed shard df and document counts, max_pop the maximum of
+  /// the shards' counters. At one shard it is that index's own plan.
+  exec::QueryPlan BuildPlan(
+      const std::vector<TermId>& terms, int k, Timestamp now,
+      const core::QueryFilter& filter = core::QueryFilter{}) const;
 
   std::size_t MemoryBytes() const override;
   std::string name() const override;
@@ -153,17 +143,6 @@ class IndexShardSet : public core::SearchIndex {
   /// Blocks until no shard has a merge pending or running.
   void WaitForMerges();
 
-  /// Rebuilds the shared scoring aggregate (df + max pop) from the
-  /// shards' authoritative tables. Called automatically by the
-  /// constructors and Open; call again after externally mutating a shard
-  /// (e.g. restoring a snapshot into it). NOT safe concurrently with
-  /// queries or inserts.
-  void RefreshSharedScoring();
-
-  const core::SharedScoringState& shared_scoring() const {
-    return *shared_scoring_;
-  }
-
   /// Point-in-time observability for /stats, rtsi_cli and benches.
   struct ShardStats {
     int shard = 0;
@@ -180,25 +159,15 @@ class IndexShardSet : public core::SearchIndex {
  private:
   IndexShardSet() = default;  // Open() fills the members itself.
 
-  /// Records a finished/deleted id for the reuse guard (sharded sets
-  /// only; a single shard keeps single-index semantics).
-  void RecordRetired(StreamId stream);
-
   ShardSetConfig config_;
   // Exactly one of the two per slot: plain shards own the index, durable
   // shards own it through the journaling wrapper.
   std::vector<std::unique_ptr<core::RtsiIndex>> plain_;
   std::vector<std::unique_ptr<storage::DurableIndex>> durables_;
   // shards_[i] is the SearchIndex ops route through; raw_[i] the
-  // underlying RtsiIndex (for stats and scoring state).
+  // underlying RtsiIndex (for planning, queries and stats).
   std::vector<core::SearchIndex*> shards_;
   std::vector<core::RtsiIndex*> raw_;
-  std::shared_ptr<core::SharedScoringState> shared_scoring_;
-  // Stream ids retired by FinishStream/DeleteStream (populated only when
-  // num_shards > 1): the insert-time reuse guard. Reader-heavy — every
-  // checked insert takes the shared lock, retirements the exclusive one.
-  mutable std::shared_mutex retired_mu_;
-  std::unordered_set<StreamId> retired_;
 };
 
 }  // namespace rtsi::shard

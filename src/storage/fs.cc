@@ -1,10 +1,13 @@
 #include "storage/fs.h"
 
+#include <dirent.h>
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstdio>
+#include <vector>
 
 #include "storage/fault_injection.h"
 
@@ -103,6 +106,28 @@ Status Remove(const std::string& path) {
     return Status::Internal("remove failed: " + path);
   }
   if (enabled) fi.CommitUnlink(path);
+  return Status::Ok();
+}
+
+Status RemoveDir(const std::string& dir) {
+  DIR* d = ::opendir(dir.c_str());
+  if (d == nullptr) {
+    if (errno == ENOENT) return Status::Ok();
+    return Status::Internal("cannot open dir: " + dir);
+  }
+  std::vector<std::string> files;
+  while (const dirent* entry = ::readdir(d)) {
+    const std::string name = entry->d_name;
+    if (name != "." && name != "..") files.push_back(dir + "/" + name);
+  }
+  ::closedir(d);
+  for (const std::string& file : files) {
+    const Status removed = Remove(file);
+    if (!removed.ok()) return removed;
+  }
+  if (::rmdir(dir.c_str()) != 0 && errno != ENOENT) {
+    return Status::Internal("rmdir failed: " + dir);
+  }
   return Status::Ok();
 }
 

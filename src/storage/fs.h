@@ -41,6 +41,11 @@ Status Rename(const std::string& from, const std::string& to);
 
 Status Remove(const std::string& path);
 
+/// Removes every file in `dir`, then `dir` itself; Ok when `dir` does not
+/// exist. Returns the first failure (a non-empty subdirectory fails).
+/// Durable only after SyncParentDir on `dir`.
+Status RemoveDir(const std::string& dir);
+
 Status Truncate(const std::string& path, std::uint64_t size);
 
 /// fsync of the directory containing `path` — makes prior renames,

@@ -96,7 +96,9 @@ TEST(IntegrationTest, ConcurrentInsertQueryUpdateIsSane) {
       std::set<StreamId> seen;
       for (std::size_t i = 0; i < results.size(); ++i) {
         ASSERT_TRUE(seen.insert(results[i].stream).second);
-        if (i > 0) ASSERT_LE(results[i].score, results[i - 1].score);
+        if (i > 0) {
+          ASSERT_LE(results[i].score, results[i - 1].score);
+        }
       }
       queries_done.fetch_add(1);
     }

@@ -139,7 +139,9 @@ TEST(DurableIndexTest, RecoveryMatchesUninterruptedExecution) {
       now += kMicrosPerSecond;
       const auto stream = static_cast<StreamId>(i % 40);
       target.InsertWindow(stream, now,
-                          {{static_cast<TermId>(i % 25), 1 + i % 3}}, true);
+                          {{static_cast<TermId>(i % 25),
+                            static_cast<TermFreq>(1 + i % 3)}},
+                          true);
       if (i % 7 == 0) target.UpdatePopularity(stream, 10);
     }
     return now;

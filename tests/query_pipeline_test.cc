@@ -21,12 +21,10 @@
 #include <vector>
 
 #include "baseline/lsii_index.h"
-#include "common/clock.h"
 #include "common/rng.h"
 #include "core/rtsi_index.h"
 #include "exec/query_plan.h"
 #include "exec/sink.h"
-#include "service/search_service.h"
 #include "shard/shard_set.h"
 
 namespace rtsi::core {
@@ -85,7 +83,7 @@ void BuildWorkload(const std::vector<SearchIndex*>& indices, int seed,
 // never updated, finished into a later insert, or deleted — so each
 // stream's live popularity and freshness equal what its sealed postings
 // snapshotted. This is the regime where kSnapshot bounds are exact (see
-// core/config.h); it is also a legal sharded workload (no id reuse).
+// core/config.h).
 void BuildWriteOnceWorkload(const std::vector<SearchIndex*>& indices,
                             int seed, Timestamp* end_time) {
   Rng rng(seed);
@@ -106,49 +104,6 @@ void BuildWriteOnceWorkload(const std::vector<SearchIndex*>& indices,
     for (SearchIndex* index : indices) {
       index->InsertWindow(stream, t, terms, live);
       if (!live) index->FinishStream(stream);
-    }
-  }
-  *end_time = t;
-}
-
-// Like BuildWorkload, but a stream id retired by FinishStream or
-// DeleteStream is never touched again — the legal sharded workload shape
-// (the id-reuse guard would otherwise drop windows a single index keeps).
-void BuildNoReuseWorkload(const std::vector<SearchIndex*>& indices, int seed,
-                          Timestamp* end_time) {
-  Rng rng(seed);
-  constexpr int kNumStreams = 120;
-  constexpr int kVocab = 50;
-  std::set<StreamId> retired;
-  Timestamp t = 1000;
-  for (int step = 0; step < 900; ++step) {
-    t += kMicrosPerSecond;
-    const auto stream = static_cast<StreamId>(rng.NextUint64(kNumStreams));
-    const double action = rng.NextDouble();
-    if (retired.count(stream) > 0) continue;
-    if (action < 0.85) {
-      std::vector<TermCount> terms;
-      std::set<TermId> used;
-      const int num_terms = 1 + static_cast<int>(rng.NextUint64(6));
-      for (int i = 0; i < num_terms; ++i) {
-        const auto term = static_cast<TermId>(rng.NextUint64(kVocab));
-        if (!used.insert(term).second) continue;
-        terms.push_back({term, 1 + static_cast<TermFreq>(rng.NextUint64(4))});
-      }
-      const bool live = rng.NextBool(0.9);
-      for (SearchIndex* index : indices) {
-        index->InsertWindow(stream, t, terms, live);
-        if (!live) index->FinishStream(stream);
-      }
-      if (!live) retired.insert(stream);
-    } else if (action < 0.93) {
-      const std::uint64_t delta = 1 + rng.NextUint64(50);
-      for (SearchIndex* index : indices) {
-        index->UpdatePopularity(stream, delta);
-      }
-    } else {
-      for (SearchIndex* index : indices) index->DeleteStream(stream);
-      retired.insert(stream);
     }
   }
   *end_time = t;
@@ -496,116 +451,72 @@ TEST(PipelineLsiiTest, LsiiBoundMatchesLsiiFullWalkBitwise) {
   }
 }
 
-// Sharded scatter-gather folds per-shard stats and gathers through the
-// pipeline's sink; a 3-shard set must answer exactly like one unsharded
-// index over the same streams.
-TEST(PipelineShardTest, ShardedGatherMatchesUnshardedBitwise) {
-  shard::ShardSetConfig shard_config;
-  shard_config.index = PipelineConfig(/*use_bound=*/true);
-  shard_config.index.bound_mode = BoundMode::kGlobalPop;
-  shard_config.num_shards = 3;
-  auto sharded = std::make_unique<shard::IndexShardSet>(shard_config);
-  auto single = std::make_unique<RtsiIndex>(shard_config.index);
-  Timestamp t = 0;
-  // Legal sharded workload: retired ids are never reused (the guard
-  // would drop the reuse on the sharded set only, forking the content).
-  BuildNoReuseWorkload({sharded.get(), single.get()}, 83, &t);
+// Sharded scatter-gather runs one set-wide plan on every shard and
+// gathers through the pipeline's sink. A set of any shard count accepts
+// what one index accepts, stream ids reused after FinishStream (the
+// stream resumes) and after DeleteStream (the window is dropped)
+// included: BuildWorkload does both freely. The results must stay
+// bit-identical to one index, and the shards' summed df must equal its
+// df. Runs on the full walk and under kGlobalPop with
+// both compaction policies; kSnapshot is left out because its stale
+// per-list bounds already drop true hits on one index (the known pruning
+// defect, ROADMAP "Sound by default"), so shard-count parity under it
+// would test the defect, not the routing.
+TEST(ShardIdReuseTest, EveryShardCountMatchesOneIndex) {
+  struct Mode {
+    const char* name;
+    bool use_bound;
+    lsm::MergePolicy policy;
+  };
+  const Mode modes[] = {
+      {"full walk", false, lsm::MergePolicy::kGeometric},
+      {"globalpop geometric", true, lsm::MergePolicy::kGeometric},
+      {"globalpop tiered", true, lsm::MergePolicy::kTiered},
+  };
+  for (const Mode& mode : modes) {
+    for (const int seed : {91, 92}) {
+      RtsiConfig config = PipelineConfig(mode.use_bound, mode.policy);
+      config.bound_mode = BoundMode::kGlobalPop;
+      auto single = std::make_unique<RtsiIndex>(config);
+      std::vector<std::unique_ptr<shard::IndexShardSet>> sets;
+      std::vector<SearchIndex*> indices = {single.get()};
+      for (const int n : {1, 2, 3, 4}) {
+        shard::ShardSetConfig shard_config;
+        shard_config.index = config;
+        shard_config.num_shards = n;
+        sets.push_back(std::make_unique<shard::IndexShardSet>(shard_config));
+        indices.push_back(sets.back().get());
+      }
+      Timestamp t = 0;
+      BuildWorkload(indices, seed, &t);
 
-  Rng rng(8383);
-  for (int qi = 0; qi < 60; ++qi) {
-    const auto q = RandomQuery(rng);
-    const int k = 1 + static_cast<int>(rng.NextUint64(15));
-    ExpectBitIdentical(sharded->Query(q, k, t), single->Query(q, k, t),
-                       "shard query " + std::to_string(qi));
+      for (const auto& set : sets) {
+        const std::string context = std::string(mode.name) + " seed " +
+                                    std::to_string(seed) + " shards " +
+                                    std::to_string(set->num_shards());
+        std::uint64_t documents = 0;
+        for (int s = 0; s < set->num_shards(); ++s) {
+          documents += set->shard_index(s).doc_freq().num_documents();
+        }
+        EXPECT_EQ(documents, single->doc_freq().num_documents()) << context;
+        for (TermId term = 0; term < 50; ++term) {
+          std::uint64_t df = 0;
+          for (int s = 0; s < set->num_shards(); ++s) {
+            df += set->shard_index(s).doc_freq().DocumentFrequency(term);
+          }
+          EXPECT_EQ(df, single->doc_freq().DocumentFrequency(term))
+              << context << " term " << term;
+        }
+        Rng rng(seed * 100);
+        for (int qi = 0; qi < 40; ++qi) {
+          const auto q = RandomQuery(rng);
+          const int k = 1 + static_cast<int>(rng.NextUint64(15));
+          ExpectBitIdentical(set->Query(q, k, t), single->Query(q, k, t),
+                             context + " query " + std::to_string(qi));
+        }
+      }
+    }
   }
-}
-
-// Satellite: the sharded id-reuse guard. Reusing a stream id after
-// FinishStream/DeleteStream on a sharded set is a documented
-// precondition violation — it must surface as FailedPrecondition (not
-// undefined behavior), and the rejected window must index nothing.
-TEST(ShardIdReuseTest, ShardedSetRejectsRetiredIds) {
-  shard::ShardSetConfig config;
-  config.index = PipelineConfig(/*use_bound=*/true);
-  config.num_shards = 2;
-  shard::IndexShardSet shards(config);
-  const std::vector<TermCount> terms = {{7, 2}};
-
-  ASSERT_TRUE(shards.InsertWindowChecked(1, 1000, terms, true).ok());
-  shards.FinishStream(1);
-  const Status reuse = shards.InsertWindowChecked(1, 2000, terms, true);
-  EXPECT_EQ(reuse.code(), StatusCode::kFailedPrecondition);
-
-  ASSERT_TRUE(shards.InsertWindowChecked(2, 1000, terms, true).ok());
-  shards.DeleteStream(2);
-  EXPECT_EQ(shards.InsertWindowChecked(2, 2000, terms, true).code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_FALSE(shards.CheckInsert(2).ok());
-
-  // The void SearchIndex interface drops the window instead of touching
-  // the wrong shard epoch: stream 2 stays deleted.
-  shards.InsertWindow(2, 3000, terms, true);
-  for (const auto& r : shards.Query({7}, 10, 4000)) {
-    EXPECT_NE(r.stream, 2u) << "dropped window resurrected a deleted stream";
-  }
-
-  // A fresh id is unaffected by the guard.
-  EXPECT_TRUE(shards.InsertWindowChecked(3, 3000, terms, true).ok());
-}
-
-// A single-shard set keeps the classic single-index semantics:
-// re-insertion after FinishStream is the documented "stream resumes"
-// path and must stay accepted.
-TEST(ShardIdReuseTest, SingleShardStillAcceptsReuse) {
-  shard::ShardSetConfig config;
-  config.index = PipelineConfig(/*use_bound=*/true);
-  config.num_shards = 1;
-  shard::IndexShardSet shards(config);
-  const std::vector<TermCount> terms = {{7, 2}};
-  ASSERT_TRUE(shards.InsertWindowChecked(1, 1000, terms, true).ok());
-  shards.FinishStream(1);
-  EXPECT_TRUE(shards.CheckInsert(1).ok());
-  EXPECT_TRUE(shards.InsertWindowChecked(1, 2000, terms, true).ok());
-}
-
-// Service level: a sharded service rejects the whole window (both
-// modalities untouched, seeded RNG not advanced) while the single-shard
-// default keeps accepting resumes.
-TEST(ShardIdReuseTest, ShardedServiceRejectsReuseAtomically) {
-  service::SearchServiceConfig config;
-  config.index.lsm.delta = 500;
-  config.ingestion.transcriber.word_error_rate = 0.0;
-  config.shards = 2;
-  SimulatedClock clock;
-  service::SearchService service(config, &clock);
-
-  ASSERT_TRUE(service.IngestWindow(1, {"hello", "world"}).ok());
-  service.FinishStream(1);
-  const Status reuse = service.IngestWindow(1, {"hello", "again"});
-  EXPECT_EQ(reuse.code(), StatusCode::kFailedPrecondition);
-
-  // Batch all-or-nothing: one bad op poisons the batch, nothing lands.
-  const auto pinned = service.PinIndices();
-  const std::size_t before = pinned->text->shard_index(0).tree().total_postings() +
-                             pinned->text->shard_index(1).tree().total_postings();
-  std::vector<service::IngestOp> ops(2);
-  ops[0].stream = 5;
-  ops[0].words = {"fresh", "stream"};
-  ops[1].stream = 1;  // Retired.
-  ops[1].words = {"poison"};
-  EXPECT_EQ(service.IngestBatch(ops).code(),
-            StatusCode::kFailedPrecondition);
-  const std::size_t after = pinned->text->shard_index(0).tree().total_postings() +
-                            pinned->text->shard_index(1).tree().total_postings();
-  EXPECT_EQ(after, before);
-
-  // Single-shard service: resumes stay legal.
-  service::SearchServiceConfig single = config;
-  single.shards = 1;
-  service::SearchService classic(single, &clock);
-  ASSERT_TRUE(classic.IngestWindow(1, {"hello"}).ok());
-  classic.FinishStream(1);
-  EXPECT_TRUE(classic.IngestWindow(1, {"resumed"}).ok());
 }
 
 }  // namespace

@@ -67,7 +67,9 @@ TEST_P(RankingInvariants, SortedAndDuplicateFree) {
     std::set<StreamId> seen;
     for (std::size_t i = 0; i < results.size(); ++i) {
       ASSERT_TRUE(seen.insert(results[i].stream).second) << q;
-      if (i > 0) ASSERT_LE(results[i].score, results[i - 1].score) << q;
+      if (i > 0) {
+        ASSERT_LE(results[i].score, results[i - 1].score) << q;
+      }
     }
   }
 }

@@ -181,6 +181,41 @@ TEST(RtsiIndexTest, DeletedStreamDisappearsImmediately) {
   EXPECT_EQ(results[0].stream, 2u);
 }
 
+// Deletion is monotone, so a window for a deleted stream is dropped: it
+// must move neither the df table (idf of every other stream's terms) nor
+// any result. Stream 3 is deleted before any content, which must not let
+// its window count as a new document either.
+TEST(RtsiIndexTest, WindowForDeletedStreamChangesNothing) {
+  const auto build = [](bool late_windows) {
+    auto index = std::make_unique<RtsiIndex>(SmallConfig());
+    index->InsertWindow(1, 1000, Terms({{10, 2}, {11, 1}}), true);
+    index->InsertWindow(2, 1000, Terms({{10, 1}, {12, 3}}), true);
+    index->DeleteStream(1);
+    index->DeleteStream(3);
+    if (late_windows) {
+      index->InsertWindow(1, 2000, Terms({{10, 4}, {12, 1}}), true);
+      index->InsertWindow(3, 2000, Terms({{12, 2}}), true);
+    }
+    return index;
+  };
+  const auto dropped = build(/*late_windows=*/true);
+  const auto reference = build(/*late_windows=*/false);
+  EXPECT_EQ(dropped->doc_freq().num_documents(),
+            reference->doc_freq().num_documents());
+  for (const TermId term : {10, 11, 12}) {
+    EXPECT_EQ(dropped->doc_freq().DocumentFrequency(term),
+              reference->doc_freq().DocumentFrequency(term))
+        << "term " << term;
+  }
+  const auto got = dropped->Query({10, 12}, 5, 3000);
+  const auto want = reference->Query({10, 12}, 5, 3000);
+  ASSERT_EQ(got.size(), 1u);
+  ASSERT_EQ(want.size(), 1u);
+  EXPECT_EQ(got[0].stream, 2u);
+  EXPECT_EQ(got[0].score, want[0].score);
+  EXPECT_FALSE(dropped->live_table().ContainsStream(1));
+}
+
 TEST(RtsiIndexTest, LazyDeletionPurgesAtMerge) {
   auto config = SmallConfig();
   config.lsm.delta = 50;

@@ -8,15 +8,15 @@
 // The invariant per crash point: each recovered shard matches some
 // prefix of ITS OWN op subsequence (the workload partitioned by
 // ShardForStream) of length >= the ops acknowledged by that shard.
-// Probes unbind the shared scoring state first so each shard compares
-// bit-for-bit against a plain single-index oracle fed only its
-// subsequence.
+// Each shard is a plain index, so its probe compares bit-for-bit against
+// a plain single-index oracle fed only its subsequence.
 
 #include "shard/shard_set.h"
 
 #include <dirent.h>
 #include <gtest/gtest.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
@@ -27,6 +27,7 @@
 
 #include "core/rtsi_index.h"
 #include "storage/fault_injection.h"
+#include "storage/fs.h"
 #include "storage/journal.h"
 #include "workload/trace.h"
 
@@ -60,6 +61,15 @@ void CleanDir() {
       std::remove((shard_dir + "/" + name).c_str());
     }
   }
+}
+
+// Removes `root` and its shard directories 0..shards-1, files and all.
+void RemoveRoot(const std::string& root, int shards) {
+  for (int s = 0; s < shards; ++s) {
+    const std::string dir = root + "/shard-" + std::to_string(s);
+    EXPECT_TRUE(storage::fs::RemoveDir(dir).ok()) << dir;
+  }
+  EXPECT_TRUE(storage::fs::RemoveDir(root).ok()) << root;
 }
 
 RtsiConfig SmallConfig() {
@@ -246,9 +256,6 @@ TEST(ShardCrashRecoveryTest, EveryCrashPointLosesNoAckedOpsPerShard) {
     ASSERT_EQ(recovery.size(), static_cast<std::size_t>(kShards));
 
     for (int s = 0; s < kShards; ++s) {
-      // Unbind the cross-shard scoring aggregate so the probe scores
-      // from shard-local tables, exactly like the per-shard oracle.
-      reopened.value()->shard_index(s).BindSharedScoring(nullptr);
       const Probe recovered = ProbeIndex(reopened.value()->shard_index(s));
       bool matched = false;
       for (std::size_t len = acked[s];
@@ -324,7 +331,6 @@ TEST(ShardCrashRecoveryTest, DegradedShardLeavesSiblingServing) {
   auto reopened = IndexShardSet::Open(SetConfig());
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   for (int s = 0; s < kShards; ++s) {
-    reopened.value()->shard_index(s).BindSharedScoring(nullptr);
     const Probe recovered = ProbeIndex(reopened.value()->shard_index(s));
     core::RtsiIndex reference(SmallConfig());
     std::vector<Probe> prefixes;
@@ -351,17 +357,7 @@ TEST(ShardCrashRecoveryTest, DegradedShardLeavesSiblingServing) {
 // each stream's history across two shards (more shards).
 TEST(ShardCrashRecoveryTest, ReopenWithDifferentShardCountFails) {
   const std::string root = "/tmp/rtsi_shard_count_test";
-  const auto remove_root = [&root] {
-    for (int s = 0; s < 8; ++s) {
-      const std::string dir = root + "/shard-" + std::to_string(s);
-      for (const char* name : {"/index.snap", "/index.journal"}) {
-        std::remove((dir + name).c_str());
-      }
-      ::rmdir(dir.c_str());
-    }
-    ::rmdir(root.c_str());
-  };
-  remove_root();
+  RemoveRoot(root, 8);
   ShardSetConfig config = SetConfig();
   config.durable_dir = root;
   config.num_shards = 4;
@@ -408,7 +404,61 @@ TEST(ShardCrashRecoveryTest, ReopenWithDifferentShardCountFails) {
     ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
     EXPECT_TRUE(SameProbe(ProbeIndex(*reopened.value()), written));
   }
-  remove_root();
+  RemoveRoot(root, 8);
+}
+
+// A first Open(num_shards=4) that crashed after creating its directories
+// leaves empty shard-0..shard-3. An open under another count that then
+// writes must own the layout: the empty directories beyond its count go,
+// so the root reopens at the count it was written with and refuses the
+// crashed open's count. A leftover directory that cannot be removed fails
+// the open before it writes anything.
+TEST(ShardCrashRecoveryTest, CrashedFirstOpenLeavesNoForeignLayout) {
+  const std::string root = "/tmp/rtsi_shard_crashed_open_test";
+  // A non-empty subdirectory: RemoveDir removes files only.
+  const std::string stuck = root + "/shard-3/stuck";
+  std::remove((stuck + "/file").c_str());
+  ::rmdir(stuck.c_str());
+  RemoveRoot(root, 4);
+  ::mkdir(root.c_str(), 0755);
+  for (int s = 0; s < 4; ++s) {
+    ::mkdir((root + "/shard-" + std::to_string(s)).c_str(), 0755);
+  }
+  ShardSetConfig config = SetConfig();
+  config.durable_dir = root;
+  config.num_shards = 1;
+
+  ASSERT_EQ(::mkdir(stuck.c_str(), 0755), 0);
+  std::FILE* file = std::fopen((stuck + "/file").c_str(), "w");
+  ASSERT_NE(file, nullptr);
+  std::fclose(file);
+  EXPECT_FALSE(IndexShardSet::Open(config).ok());
+  ASSERT_EQ(std::remove((stuck + "/file").c_str()), 0);
+  ASSERT_EQ(::rmdir(stuck.c_str()), 0);
+
+  Probe written;
+  {
+    auto opened = IndexShardSet::Open(config);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    for (const TraceOp& op : MakeWorkload(20)) ApplyOp(*opened.value(), op);
+    written = ProbeIndex(*opened.value());
+  }
+  struct stat st{};
+  EXPECT_NE(::stat((root + "/shard-1").c_str(), &st), 0);
+
+  {
+    auto reopened = IndexShardSet::Open(config);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    EXPECT_TRUE(SameProbe(ProbeIndex(*reopened.value()), written));
+  }
+  config.num_shards = 4;
+  auto refused = IndexShardSet::Open(config);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(refused.status().message().find("holds 1 shards"),
+            std::string::npos)
+      << refused.status().message();
+  RemoveRoot(root, 4);
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 // Scatter-gather soundness: an IndexShardSet must return BIT-IDENTICAL
 // results to a single unsharded index over the same streams — same
 // streams, same order, same double scores — because every stream lives in
-// exactly one shard, scores are computed from the corpus-global
-// SharedScoringState, and the merge applies the same (score desc, stream
-// asc) total order as every other query path (DESIGN.md §6i).
+// exactly one shard, every shard scores with one plan whose idfs and
+// popularity normalizer come from the summed shard statistics, and the
+// merge applies the same (score desc, stream asc) total order as every
+// other query path (DESIGN.md §6i).
 //
 // The concurrent variant runs ingest, window seals and merge cascades on
 // all shards while queries scatter-gather across them, then quiesces and
@@ -45,11 +46,9 @@ struct Op {
 };
 
 // A deterministic mutation workload: inserts with overlapping vocab,
-// popularity updates, finishes and one delete. Stream ids are never
-// reused after their finish/delete (the live-streaming model: one id per
-// broadcast) — that is the precondition for cross-shard-count
-// bit-identity, because the df first-occurrence dedup forgets reclaimed
-// streams on a merge-timing-dependent schedule (DESIGN.md §6i).
+// popularity updates, finishes and one delete, with one id per broadcast
+// (the live-streaming model). Id reuse after finish or delete is covered
+// by query_pipeline_test's ShardIdReuseTest.
 std::vector<Op> MakeWorkload(int n) {
   std::vector<Op> ops;
   Timestamp now = 0;
@@ -178,7 +177,9 @@ TEST(ShardDeterminismTest, ScatterGatherBitIdenticalToSingleShard) {
   }
 }
 
-TEST(ShardDeterminismTest, SharedScoringAggregatesMatchOracle) {
+// The set's plan carries the corpus-wide statistics: a 3-shard plan must
+// hold exactly the idfs and popularity normalizer of one index's plan.
+TEST(ShardDeterminismTest, ShardedPlanMatchesOraclePlan) {
   const std::vector<Op> ops = MakeWorkload(180);
 
   ShardSetConfig single;
@@ -193,28 +194,29 @@ TEST(ShardDeterminismTest, SharedScoringAggregatesMatchOracle) {
   IndexShardSet sharded(config);
   for (const Op& op : ops) Apply(sharded, op);
 
-  const core::SharedScoringState& shared = sharded.shared_scoring();
-  const core::RtsiIndex& reference = oracle.shard_index(0);
-  EXPECT_EQ(shared.df.num_documents(),
-            reference.doc_freq().num_documents());
-  for (TermId t = 0; t < kVocab; ++t) {
-    EXPECT_EQ(shared.df.Idf(t), reference.doc_freq().Idf(t))
-        << "idf diverged for term " << t;
+  std::vector<TermId> all_terms;
+  for (TermId t = 0; t < kVocab; ++t) all_terms.push_back(t);
+  all_terms.push_back(kVocab + 7);  // Unknown term: df 0 on every shard.
+  const exec::QueryPlan got = sharded.BuildPlan(all_terms, 10, kQueryTime);
+  const exec::QueryPlan want =
+      oracle.shard_index(0).BuildPlan(all_terms, 10, kQueryTime);
+  ASSERT_EQ(got.terms, want.terms);
+  for (std::size_t i = 0; i < want.terms.size(); ++i) {
+    EXPECT_EQ(got.idfs[i], want.idfs[i])
+        << "idf diverged for term " << want.terms[i];
   }
-  EXPECT_EQ(shared.max_pop.load(),
-            reference.stream_table().max_pop_count());
+  EXPECT_GT(want.max_pop, 0u);
+  EXPECT_EQ(got.max_pop, want.max_pop);
 }
 
-TEST(ShardDeterminismTest, AdoptedShardsRebuildSharedScoring) {
-  // The adopt constructor (snapshot-restore path) must rebuild the
-  // aggregate from the adopted tables, not start from zero.
+TEST(ShardDeterminismTest, AdoptedShardAnswersLikeItsIndex) {
+  // The adopt constructor (snapshot-restore path) wraps a populated
+  // index: the set must answer exactly as the index itself.
   const std::vector<Op> ops = MakeWorkload(120);
   auto index = std::make_unique<core::RtsiIndex>(SmallConfig());
   for (const Op& op : ops) Apply(*index, op);
-  const std::uint64_t documents = index->doc_freq().num_documents();
-  const std::uint64_t max_pop = index->stream_table().max_pop_count();
-  ASSERT_GT(documents, 0u);
-  ASSERT_GT(max_pop, 0u);
+  ASSERT_GT(index->doc_freq().num_documents(), 0u);
+  ASSERT_GT(index->stream_table().max_pop_count(), 0u);
 
   ShardSetConfig config;
   config.index = SmallConfig();
@@ -222,8 +224,13 @@ TEST(ShardDeterminismTest, AdoptedShardsRebuildSharedScoring) {
   shards.push_back(std::move(index));
   IndexShardSet adopted(config, std::move(shards));
   EXPECT_EQ(adopted.num_shards(), 1);
-  EXPECT_EQ(adopted.shared_scoring().df.num_documents(), documents);
-  EXPECT_EQ(adopted.shared_scoring().max_pop.load(), max_pop);
+  core::RtsiIndex& own = adopted.shard_index(0);
+  for (TermId t = 0; t < kVocab; ++t) {
+    const std::vector<TermId> q = {t, static_cast<TermId>((t + 3) % kVocab)};
+    ExpectIdentical(adopted.Query(q, 10, kQueryTime),
+                    own.Query(q, 10, kQueryTime),
+                    "term " + std::to_string(t));
+  }
 }
 
 // The TSan target: concurrent per-thread ingest (disjoint stream sets, so
@@ -242,7 +249,7 @@ TEST(ShardDeterminismTest, ConcurrentIngestSealsCascadesStayIdentical) {
   // Per-writer deterministic op streams over disjoint stream ids
   // (stream ≡ w mod kWriters, so no two writers ever share a stream and
   // cross-writer interleavings commute). Streams that get finished stop
-  // receiving inserts beforehand — see MakeWorkload on why.
+  // receiving inserts beforehand, one id per broadcast as in MakeWorkload.
   const auto writer_ops = [&](int w) {
     std::vector<Op> ops;
     Timestamp now = 0;
