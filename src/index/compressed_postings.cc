@@ -14,25 +14,30 @@ namespace {
 //   frsh         (delta vs previous; arrival order is non-decreasing)
 //   pop          (raw float32 bits, little endian, 4 bytes each)
 //   tf           (varint)
+// Postings are written in arrival order, which a sealed list reaches
+// through its freshness permutation.
 std::vector<std::uint8_t> Serialize(const TermPostings& postings) {
-  const auto& entries = postings.entries();
+  const std::size_t n = postings.size();
   std::vector<std::uint8_t> bytes;
-  bytes.reserve(entries.size() * 8 + 8);
-  PutVarint64(bytes, entries.size());
+  bytes.reserve(n * 8 + 8);
+  PutVarint64(bytes, n);
 
   std::int64_t prev_stream = 0;
-  for (const Posting& p : entries) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const Posting& p = postings.Arrival(i);
     PutVarint64(bytes,
                 ZigZagEncode(static_cast<std::int64_t>(p.stream) -
                              prev_stream));
     prev_stream = static_cast<std::int64_t>(p.stream);
   }
   Timestamp prev_frsh = 0;
-  for (const Posting& p : entries) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const Posting& p = postings.Arrival(i);
     PutVarint64(bytes, static_cast<std::uint64_t>(p.frsh - prev_frsh));
     prev_frsh = p.frsh;
   }
-  for (const Posting& p : entries) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const Posting& p = postings.Arrival(i);
     std::uint32_t bits;
     std::memcpy(&bits, &p.pop, sizeof(bits));
     bytes.push_back(static_cast<std::uint8_t>(bits));
@@ -40,8 +45,8 @@ std::vector<std::uint8_t> Serialize(const TermPostings& postings) {
     bytes.push_back(static_cast<std::uint8_t>(bits >> 16));
     bytes.push_back(static_cast<std::uint8_t>(bits >> 24));
   }
-  for (const Posting& p : entries) {
-    PutVarint64(bytes, p.tf);
+  for (std::size_t i = 0; i < n; ++i) {
+    PutVarint64(bytes, postings.Arrival(i).tf);
   }
   return bytes;
 }

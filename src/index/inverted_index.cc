@@ -67,10 +67,6 @@ void InvertedIndex::SealAll() {
   for (auto& [term, postings] : terms_) postings.Seal();
 }
 
-void InvertedIndex::ConsolidateAndSealAll() {
-  for (auto& [term, postings] : terms_) postings.ConsolidateAndSeal();
-}
-
 void InvertedIndex::CompressAll() {
   if (compressed_) return;
   compressed_terms_.reserve(terms_.size());
@@ -85,41 +81,27 @@ void InvertedIndex::CompressAll() {
 void InvertedIndex::BuildSkipHeader() {
   std::vector<TermSummary> summaries;
   summaries.reserve(num_terms());
+  // Sealed lists hold one aggregated posting per stream, so df equals the
+  // posting count and the stored max_tf already is the aggregated
+  // per-stream maximum the traversal scores against. Compressed storage
+  // keeps the same exact maxima uncompressed.
+  const auto summarize = [&](TermId term, const auto& postings) {
+    TermSummary s;
+    s.term = term;
+    s.max_pop = postings.max_pop();
+    s.max_frsh = postings.max_frsh();
+    s.max_tf = postings.max_tf();
+    s.df = static_cast<std::uint32_t>(postings.size());
+    s.postings = s.df;
+    summaries.push_back(s);
+  };
   if (compressed_) {
-    // Compressed storage keeps exact per-term maxima uncompressed. Merge
-    // outputs are consolidated (one aggregated posting per stream), so
-    // df == postings and the stored max_tf already is the aggregated
-    // per-stream maximum.
     for (const auto& [term, compressed] : compressed_terms_) {
-      TermSummary s;
-      s.term = term;
-      s.max_pop = compressed.max_pop();
-      s.max_frsh = compressed.max_frsh();
-      s.max_tf = compressed.max_tf();
-      s.df = static_cast<std::uint32_t>(compressed.size());
-      s.postings = static_cast<std::uint32_t>(compressed.size());
-      summaries.push_back(s);
+      summarize(term, compressed);
     }
   } else {
     SealAll();  // Frozen-L0 path; idempotent when already sealed.
-    for (const auto& [term, postings] : terms_) {
-      TermSummary s;
-      s.term = term;
-      s.max_pop = postings.max_pop();
-      s.max_frsh = postings.max_frsh();
-      // The aggregated per-stream tf maximum, not the per-posting one: a
-      // frozen L0 component may store several windows of one stream, and
-      // the traversal scores their folded sum.
-      TermFreq max_agg_tf = 0;
-      const auto& aggregates = postings.stream_aggregates();
-      for (const auto& p : aggregates) {
-        if (p.tf > max_agg_tf) max_agg_tf = p.tf;
-      }
-      s.max_tf = max_agg_tf;
-      s.df = static_cast<std::uint32_t>(aggregates.size());
-      s.postings = static_cast<std::uint32_t>(postings.size());
-      summaries.push_back(s);
-    }
+    for (const auto& [term, postings] : terms_) summarize(term, postings);
   }
   skip_header_ =
       std::make_unique<SkipHeader>(SkipHeader::Build(std::move(summaries)));
@@ -147,6 +129,17 @@ std::unordered_map<TermId, TermPostings> InvertedIndex::TakeTerms() {
   num_postings_ = 0;
   max_stored_frsh_ = 0;
   return out;
+}
+
+std::vector<TermId> InvertedIndex::TermIds() const {
+  std::vector<TermId> ids;
+  ids.reserve(num_terms());
+  if (compressed_) {
+    for (const auto& entry : compressed_terms_) ids.push_back(entry.first);
+  } else {
+    for (const auto& entry : terms_) ids.push_back(entry.first);
+  }
+  return ids;
 }
 
 std::size_t InvertedIndex::MemoryBytes() const {

@@ -96,15 +96,11 @@ class InvertedIndex {
   /// Per-term maxima without decoding (pruning bounds).
   TermBounds Bounds(TermId term) const;
 
-  /// Seals every term list (sorts the three views). Idempotent.
+  /// Seals every term list: folds duplicate per-stream postings (the
+  /// merge fold: summed tf, newest frsh, largest pop) and builds the three
+  /// views, so a sealed component holds one aggregated posting per
+  /// (term, stream), the invariant the pruning bounds assume. Idempotent.
   void SealAll();
-
-  /// Consolidates duplicate per-stream postings of every term (the merge
-  /// fold: summed tf, newest frsh, largest pop), then seals. The freeze
-  /// path uses this so sealed components always hold one aggregated
-  /// posting per (term, stream) — the invariant the pruning bounds
-  /// assume. Idempotent; a no-op on already-consolidated data.
-  void ConsolidateAndSealAll();
 
   /// Converts every plain list to the Huffman-compressed representation.
   /// Requires SealAll() first (merge output is always sealed).
@@ -181,6 +177,9 @@ class InvertedIndex {
   /// Moves all plain term lists out, leaving the component empty.
   /// Used when freezing level 0 into an immutable component.
   std::unordered_map<TermId, TermPostings> TakeTerms();
+
+  /// The component's term ids, in no particular order (no decode).
+  std::vector<TermId> TermIds() const;
 
   /// Calls fn(TermId, const TermPostings&) for every term. On compressed
   /// components each term is decoded for the duration of the call.

@@ -17,16 +17,26 @@
 namespace rtsi::index {
 
 struct Posting {
+  // The two 8-byte fields lead so the two 4-byte fields pack behind them:
+  // 24 bytes, no padding. The constructor keeps the historical argument
+  // order (stream, pop, frsh, tf); braces still reject narrowing.
   StreamId stream = 0;
-  float pop = 0.0f;     // Popularity snapshot at insertion time.
   Timestamp frsh = 0;   // Timestamp of the inserted audio window.
+  float pop = 0.0f;     // Popularity snapshot at insertion time.
   TermFreq tf = 0;      // Term frequency contributed by the window.
+
+  constexpr Posting() = default;
+  constexpr Posting(StreamId stream_id, float pop_snapshot, Timestamp fresh,
+                    TermFreq freq)
+      : stream(stream_id), frsh(fresh), pop(pop_snapshot), tf(freq) {}
 
   friend bool operator==(const Posting& a, const Posting& b) {
     return a.stream == b.stream && a.pop == b.pop && a.frsh == b.frsh &&
            a.tf == b.tf;
   }
 };
+
+static_assert(sizeof(Posting) == 24, "Posting must stay unpadded");
 
 /// Which of the three sorted inverted lists to traverse.
 enum class SortKey {

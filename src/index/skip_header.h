@@ -28,9 +28,9 @@ namespace rtsi::index {
 /// Per-term bounds captured at seal/merge time.
 ///
 /// `max_tf` is the maximum *aggregated* per-stream term frequency (a
-/// frozen-L0 component may hold several postings of one stream for a term;
-/// the summary bounds their sum), so it upper-bounds the tf a query
-/// traversal can ever accumulate for one stream in this component.
+/// sealed list holds one folded posting per stream, summing the tf of all
+/// its windows), so it upper-bounds the tf a query traversal can ever
+/// accumulate for one stream in this component.
 /// `max_frsh` is the frozen snapshot maximum; planners must clamp it with
 /// the component's live FreshnessCeiling cell (see exec/traversal.h).
 struct TermSummary {
@@ -39,7 +39,7 @@ struct TermSummary {
   Timestamp max_frsh = 0;   // Max freshness timestamp (frozen).
   TermFreq max_tf = 0;      // Max aggregated per-stream term frequency.
   std::uint32_t df = 0;     // Distinct streams holding the term.
-  std::uint32_t postings = 0;  // Stored posting count (>= df when frozen).
+  std::uint32_t postings = 0;  // Stored posting count (== df once sealed).
 };
 
 /// Split-block Bloom filter: one 64-byte cache-line block per probe, eight

@@ -1,8 +1,9 @@
 #include "index/term_postings.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
-#include <numeric>
+#include <utility>
 
 namespace rtsi::index {
 
@@ -14,95 +15,99 @@ void TermPostings::Append(const Posting& posting) {
   max_tf_ = std::max(max_tf_, posting.tf);
 }
 
-void TermPostings::Seal() {
-  if (sealed_) return;
-  // Sealed state outlives the live window, so the entries must leave the
-  // window's arena before anything below takes a dependency on them.
-  // POCMA is enabled on ArenaAllocator, so the move-assignment carries the
-  // heap buffer and the heap allocator into entries_ in O(1).
-  if (entries_.get_allocator().arena() != nullptr) {
-    PostingVec heap(entries_.begin(), entries_.end(),
-                    ArenaAllocator<Posting>());
-    entries_ = std::move(heap);
-  }
-  by_pop_.resize(entries_.size());
-  by_tf_.resize(entries_.size());
-  std::iota(by_pop_.begin(), by_pop_.end(), 0);
-  std::iota(by_tf_.begin(), by_tf_.end(), 0);
-  // Contiguous by-stream-sorted copy with duplicates pre-folded, so
-  // AggregateForStream is a cache-friendly binary search with no
-  // indirection and no per-lookup fold loop.
-  by_stream_.assign(entries_.begin(), entries_.end());
-  std::stable_sort(by_stream_.begin(), by_stream_.end(),
-                   [](const Posting& a, const Posting& b) {
-                     return a.stream < b.stream;
-                   });
-  std::size_t n = 0;
-  for (std::size_t i = 0; i < by_stream_.size(); ++i) {
-    if (n > 0 && by_stream_[n - 1].stream == by_stream_[i].stream) {
-      Posting& merged = by_stream_[n - 1];
-      merged.tf += by_stream_[i].tf;
-      merged.frsh = std::max(merged.frsh, by_stream_[i].frsh);
-      merged.pop = std::max(merged.pop, by_stream_[i].pop);
-    } else {
-      by_stream_[n++] = by_stream_[i];
-    }
-  }
-  by_stream_.resize(n);
-  by_stream_.shrink_to_fit();
-  std::stable_sort(by_pop_.begin(), by_pop_.end(),
-                   [this](std::uint32_t a, std::uint32_t b) {
-                     return entries_[a].pop > entries_[b].pop;
-                   });
-  std::stable_sort(by_tf_.begin(), by_tf_.end(),
-                   [this](std::uint32_t a, std::uint32_t b) {
-                     return entries_[a].tf > entries_[b].tf;
-                   });
-  sealed_ = true;
+namespace {
+
+// Order-preserving map of a float onto uint32 (-0 folded onto +0), so a
+// popularity sort compares plain integers.
+std::uint32_t PopKey(float pop) {
+  const std::uint32_t bits = std::bit_cast<std::uint32_t>(pop + 0.0f);
+  return (bits & 0x80000000u) != 0 ? ~bits : bits | 0x80000000u;
 }
 
-void TermPostings::ConsolidateAndSeal() {
+// Fills `perm` with the slots in descending `key` order, ties in arrival
+// order: one sort of (inverted key, arrival rank) packed into a uint64.
+template <typename KeyFn>
+void SortDescending(const std::vector<std::pair<Timestamp, std::uint32_t>>&
+                        arrival,
+                    KeyFn key, std::vector<std::uint64_t>& packed,
+                    std::vector<std::uint32_t>& perm) {
+  for (std::size_t r = 0; r < arrival.size(); ++r) {
+    packed[r] = static_cast<std::uint64_t>(~key(arrival[r].second)) << 32 | r;
+  }
+  std::sort(packed.begin(), packed.end());
+  perm.resize(arrival.size());
+  for (std::size_t i = 0; i < packed.size(); ++i) {
+    perm[i] = arrival[packed[i] & 0xffffffffu].second;
+  }
+}
+
+}  // namespace
+
+void TermPostings::Seal() {
   if (sealed_) return;
-  // Fold duplicates stream-wise (the by_stream_ / merge rule), then
-  // restore the ascending-frsh arrival invariant Seal() relies on. The
-  // folded vector is heap-backed, so this also serves as the off-arena
-  // migration Seal() would otherwise perform.
-  std::vector<Posting> folded(entries_.begin(), entries_.end());
-  std::stable_sort(folded.begin(), folded.end(),
-                   [](const Posting& a, const Posting& b) {
-                     return a.stream < b.stream;
-                   });
-  std::size_t n = 0;
-  for (std::size_t i = 0; i < folded.size(); ++i) {
-    if (n > 0 && folded[n - 1].stream == folded[i].stream) {
-      Posting& merged = folded[n - 1];
-      merged.tf += folded[i].tf;
-      merged.frsh = std::max(merged.frsh, folded[i].frsh);
-      merged.pop = std::max(merged.pop, folded[i].pop);
+  // Every sort below orders plain (key, index) values, never indices
+  // through a comparator that chases entries_. First, (stream, index)
+  // groups each stream's postings; the fold writes the survivors, in
+  // stream order, into an exact-size heap array. Sealed state outlives
+  // the live window, so that array is also what takes the list off the
+  // window's arena: POCMA is enabled on ArenaAllocator, so the
+  // move-assignment below carries the heap buffer and the heap allocator
+  // into entries_ in O(1).
+  std::vector<std::pair<StreamId, std::uint32_t>> by_stream(entries_.size());
+  for (std::size_t i = 0; i < entries_.size(); ++i) {
+    by_stream[i] = {entries_[i].stream, static_cast<std::uint32_t>(i)};
+  }
+  std::sort(by_stream.begin(), by_stream.end());
+  std::size_t distinct = 0;
+  for (std::size_t i = 0; i < by_stream.size(); ++i) {
+    if (i == 0 || by_stream[i].first != by_stream[i - 1].first) ++distinct;
+  }
+  PostingVec folded{ArenaAllocator<Posting>()};
+  folded.reserve(distinct);
+  for (const auto& [stream, i] : by_stream) {
+    const Posting& p = entries_[i];
+    if (!folded.empty() && folded.back().stream == stream) {
+      Posting& merged = folded.back();
+      merged.tf += p.tf;
+      merged.frsh = std::max(merged.frsh, p.frsh);
+      merged.pop = std::max(merged.pop, p.pop);
     } else {
-      folded[n++] = folded[i];
+      folded.push_back(p);
     }
   }
-  folded.resize(n);
-  std::sort(folded.begin(), folded.end(),
-            [](const Posting& a, const Posting& b) {
-              return a.frsh != b.frsh ? a.frsh < b.frsh
-                                      : a.stream < b.stream;
-            });
-  PostingVec heap(folded.begin(), folded.end(), ArenaAllocator<Posting>());
-  entries_ = std::move(heap);
+  entries_ = std::move(folded);
   // The aggregated tf maximum can exceed the per-posting one; pop and
   // frsh maxima are unchanged (max of per-stream maxima).
   max_tf_ = 0;
   for (const Posting& p : entries_) max_tf_ = std::max(max_tf_, p.tf);
-  Seal();
+
+  // Arrival order is ascending (frsh, stream) = (frsh, slot); the
+  // freshness view is its reverse. Popularity and tf ties keep arrival
+  // order.
+  const std::size_t n = entries_.size();
+  std::vector<std::pair<Timestamp, std::uint32_t>> arrival(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    arrival[j] = {entries_[j].frsh, static_cast<std::uint32_t>(j)};
+  }
+  std::sort(arrival.begin(), arrival.end());
+  by_frsh_.resize(n);
+  for (std::size_t r = 0; r < n; ++r) by_frsh_[n - 1 - r] = arrival[r].second;
+  std::vector<std::uint64_t> packed(n);
+  SortDescending(
+      arrival, [this](std::uint32_t j) { return PopKey(entries_[j].pop); },
+      packed, by_pop_);
+  SortDescending(
+      arrival, [this](std::uint32_t j) { return entries_[j].tf; }, packed,
+      by_tf_);
+  sealed_ = true;
 }
 
 const Posting& TermPostings::At(SortKey key, std::size_t i) const {
   switch (key) {
     case SortKey::kFreshness:
-      // Arrival order is ascending frsh; descending = reverse.
-      return entries_[entries_.size() - 1 - i];
+      // Unsealed arrival order is ascending frsh; descending = reverse.
+      return sealed_ ? entries_[by_frsh_[i]]
+                     : entries_[entries_.size() - 1 - i];
     case SortKey::kPopularity:
       assert(sealed_);
       return entries_[by_pop_[i]];
@@ -115,30 +120,26 @@ const Posting& TermPostings::At(SortKey key, std::size_t i) const {
 
 bool TermPostings::AggregateForStream(StreamId stream, Posting& out) const {
   assert(sealed_);
-  // Binary search in the contiguous aggregated copy; duplicates were
-  // folded at Seal(), so a hit is a single load.
+  // Duplicates were folded at Seal(), so a hit is a single load.
   std::size_t lo = 0;
-  std::size_t hi = by_stream_.size();
+  std::size_t hi = entries_.size();
   while (lo < hi) {
     const std::size_t mid = lo + (hi - lo) / 2;
-    if (by_stream_[mid].stream < stream) {
+    if (entries_[mid].stream < stream) {
       lo = mid + 1;
     } else {
       hi = mid;
     }
   }
-  if (lo >= by_stream_.size() || by_stream_[lo].stream != stream) {
-    return false;
-  }
-  out = by_stream_[lo];
+  if (lo >= entries_.size() || entries_[lo].stream != stream) return false;
+  out = entries_[lo];
   return true;
 }
 
 std::size_t TermPostings::MemoryBytes() const {
-  return entries_.capacity() * sizeof(Posting) +
-         by_pop_.capacity() * sizeof(std::uint32_t) +
-         by_tf_.capacity() * sizeof(std::uint32_t) +
-         by_stream_.capacity() * sizeof(Posting) + sizeof(*this);
+  return sizeof(*this) + entries_.capacity() * sizeof(Posting) +
+         (by_pop_.capacity() + by_frsh_.capacity() + by_tf_.capacity()) *
+             sizeof(std::uint32_t);
 }
 
 bool TermPostings::IsSorted(SortKey key) const {

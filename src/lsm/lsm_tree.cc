@@ -168,15 +168,15 @@ std::shared_ptr<InvertedIndex> LsmTree::FreezeL0(const MergeHooks& hooks) {
     l0_postings_.store(0, std::memory_order_relaxed);
     return nullptr;
   }
-  // Consolidate + seal: a stream that emitted several windows of one
-  // term inside this epoch folds to one aggregated posting, so the
-  // frozen component satisfies the same one-posting-per-stream invariant
-  // as merge outputs — the pruning bounds (Bounds(), Threshold()) are
-  // only sound under it. Matters doubly under tiered compaction, where
-  // frozen runs stay query-visible for many epochs.
-  frozen->ConsolidateAndSealAll();
+  // Seal: a stream that emitted several windows of one term inside this
+  // epoch folds to one aggregated posting, so the frozen component
+  // satisfies the same one-posting-per-stream invariant as merge outputs
+  // — the pruning bounds (Bounds(), Threshold()) are only sound under it.
+  // Matters doubly under tiered compaction, where frozen runs stay
+  // query-visible for many epochs.
+  frozen->SealAll();
   // Rotate the ingest arenas while the shard locks are still held: the
-  // consolidation migrated every frozen posting vector to the heap, but the
+  // seal migrated every frozen posting vector to the heap, but the
   // retired arenas are quarantined on the frozen component anyway — they
   // die with it, after the last pinned view drops, so no code path
   // (present or future) can ever observe freed slabs. Fresh arenas take
@@ -186,7 +186,7 @@ std::shared_ptr<InvertedIndex> LsmTree::FreezeL0(const MergeHooks& hooks) {
       // Fold the retiring arena's counters into the rotation accumulator
       // so ArenaStats() stays monotone across freezes (benches compute
       // per-insert deltas from it). Gauges are excluded: allocated_bytes
-      // is zero after the consolidate-and-seal migration above, and owned_bytes
+      // is zero after the seal migration above, and owned_bytes
       // belongs to the quarantined arena until it dies with the
       // component — ArenaStats() gauges track the *current* arenas only.
       WindowArena::Stats retiring = shard->arena->GetStats();

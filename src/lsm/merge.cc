@@ -15,32 +15,11 @@ using index::Posting;
 using index::TermPostings;
 
 // Merge-transient containers draw from the caller's scratch arena (null
-// allocator = global heap): node-based churn — one map node per distinct
-// (term, stream) pair per merge — recycles through the arena free lists.
-using ConsolidatedMap =
-    std::unordered_map<StreamId, Posting, std::hash<StreamId>,
-                       std::equal_to<StreamId>,
-                       ArenaAllocator<std::pair<const StreamId, Posting>>>;
+// allocator = global heap), so the per-merge churn recycles through the
+// arena free lists.
 template <typename T>
 using ArenaSet =
     std::unordered_set<T, std::hash<T>, std::equal_to<T>, ArenaAllocator<T>>;
-
-// Folds `entries` of one term from one input into consolidated per-stream
-// postings. Deletion is resolved per consolidated stream by the caller
-// (one predicate call per stream, not per posting).
-void Accumulate(const TermPostings& postings, ConsolidatedMap& consolidated,
-                MergeStats* stats) {
-  for (const Posting& p : postings.entries()) {
-    auto [it, inserted] = consolidated.emplace(p.stream, p);
-    if (!inserted) {
-      Posting& merged = it->second;
-      merged.tf += p.tf;
-      merged.frsh = std::max(merged.frsh, p.frsh);
-      merged.pop = std::max(merged.pop, p.pop);
-      if (stats != nullptr) ++stats->consolidated_postings;
-    }
-  }
-}
 
 // Memoizes the lazy-deletion predicate: one call per distinct stream per
 // merge, no matter how many terms the stream spans. Fires `on_purged` on
@@ -91,65 +70,44 @@ std::shared_ptr<InvertedIndex> CombineComponents(
   DeletionCache deleted(hooks.is_deleted, hooks.on_purged);
   const bool track_streams = static_cast<bool>(hooks.on_stream);
 
-  auto emit = [&](TermId term, ConsolidatedMap& consolidated) {
-    std::vector<Posting, ArenaAllocator<Posting>> ordered{
-        ArenaAllocator<Posting>(scratch)};
-    ordered.reserve(consolidated.size());
-    for (const auto& [stream, posting] : consolidated) {
-      if (deleted(stream)) {
-        if (stats != nullptr) ++stats->purged_postings;
-        continue;
-      }
-      ordered.push_back(posting);
-    }
-    if (ordered.empty()) return;
-    std::sort(ordered.begin(), ordered.end(),
-              [](const Posting& x, const Posting& y) {
-                return x.frsh < y.frsh;  // Append order: ascending frsh.
-              });
-    // Built in the scratch arena, then sealed: Seal() migrates the
-    // entries to an exact-size heap buffer, so the stored component holds
-    // no scratch memory and the arena can be recycled per cascade.
-    TermPostings out(scratch);
-    for (const Posting& p : ordered) out.Append(p);
-    out.Seal();
-    if (stats != nullptr) stats->postings_out += out.size();
-    merged->Put(term, std::move(out));
-  };
-
   // One pass per input i, in order: every term first seen at input i is
-  // folded with the matching postings of every later input (looked up by
-  // View); terms already consolidated by an earlier pass are skipped.
-  // With two inputs this is exactly the historical merge — pass 1 walks
-  // input 0's terms joining input 1, pass 2 walks input 1's leftovers —
-  // so the same call sequence hits the same containers and the output is
-  // bit-identical.
+  // joined with the matching postings of every later input (looked up by
+  // View); terms already emitted by an earlier pass are skipped. The
+  // surviving postings of a term are appended, in the scratch arena, to
+  // one list and sealed: Seal() folds each stream's postings (summed tf,
+  // newest frsh, largest pop) and fixes the order, so the output does not
+  // depend on the order of the inputs, and it moves the postings to an
+  // exact-size heap buffer, so the stored component holds no scratch
+  // memory and the arena can be recycled per cascade.
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     inputs[i]->ForEachTerm([&](TermId term, const TermPostings& postings_i) {
       if (i > 0 && seen_terms.count(term) > 0) return;
       seen_terms.insert(term);
-      ConsolidatedMap consolidated{ConsolidatedMap::allocator_type(scratch)};
-      if (track_streams) {
-        for (const Posting& p : postings_i.entries()) {
-          input_streams[i].insert(p.stream);
+      TermPostings out(scratch);
+      const auto take = [&](const TermPostings& in, std::size_t k) {
+        for (const Posting& p : in.entries()) {
+          if (track_streams) input_streams[k].insert(p.stream);
+          if (deleted(p.stream)) {
+            if (stats != nullptr) ++stats->purged_postings;
+            continue;
+          }
+          out.Append(p);
         }
-      }
-      Accumulate(postings_i, consolidated, stats);
-      if (stats != nullptr) stats->postings_in += postings_i.size();
-
+        if (stats != nullptr) stats->postings_in += in.size();
+      };
+      take(postings_i, i);
       for (std::size_t j = i + 1; j < inputs.size(); ++j) {
         const index::TermPostingsView view_j = inputs[j]->View(term);
-        if (view_j) {
-          if (track_streams) {
-            for (const Posting& p : view_j->entries()) {
-              input_streams[j].insert(p.stream);
-            }
-          }
-          Accumulate(*view_j, consolidated, stats);
-          if (stats != nullptr) stats->postings_in += view_j->size();
-        }
+        if (view_j) take(*view_j, j);
       }
-      emit(term, consolidated);
+      if (out.empty()) return;
+      const std::size_t appended = out.size();
+      out.Seal();
+      if (stats != nullptr) {
+        stats->consolidated_postings += appended - out.size();
+        stats->postings_out += out.size();
+      }
+      merged->Put(term, std::move(out));
     });
   }
 

@@ -68,8 +68,7 @@ asr::PhoneticLattice IngestionPipeline::BuildLattice(
   asr::PhoneticLattice lattice;
   double t = 0.0;
   for (const std::string& word : words) {
-    for (const asr::PhonemeId phone :
-         const_cast<asr::Lexicon&>(lexicon_).Pronounce(word)) {
+    for (const asr::PhonemeId phone : lexicon_.Pronounce(word)) {
       asr::LatticeSegment segment;
       segment.start_seconds = t;
       segment.duration_seconds = asr::PhonemeSpec(phone).duration_seconds;

@@ -1,5 +1,6 @@
 #include "storage/snapshot.h"
 
+#include <algorithm>
 #include <cstring>
 #include <unordered_set>
 #include <utility>
@@ -37,6 +38,13 @@ void WriteConfig(SnapshotWriter& writer, const RtsiConfig& config) {
   // keeps folding runs the way the saved one did.
   writer.WriteU32(static_cast<std::uint32_t>(config.lsm.policy));
   writer.WriteU64(config.lsm.tier_runs);
+}
+
+// Orders (key, value) entries by their unique key.
+template <typename Entries>
+void SortByKey(Entries& entries) {
+  std::sort(entries.begin(), entries.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
 }
 
 bool ReadConfig(SnapshotReader& reader, RtsiConfig& config) {
@@ -83,6 +91,10 @@ Status SaveIndexSnapshot(const RtsiIndex& index, const std::string& path,
   WriteConfig(writer, index.config());
   writer.WriteU64(journal_epoch);
 
+  // Every hash-keyed section is written in key order, so the file depends
+  // only on the index contents: saving a loaded snapshot reproduces it
+  // byte for byte.
+
   // Document frequencies.
   {
     const auto& df = index.doc_freq();
@@ -91,6 +103,7 @@ Status SaveIndexSnapshot(const RtsiIndex& index, const std::string& path,
     df.ForEach([&](TermId term, std::uint64_t count) {
       entries.emplace_back(term, count);
     });
+    SortByKey(entries);
     writer.WriteVarint(entries.size());
     for (const auto& [term, count] : entries) {
       writer.WriteVarint(term);
@@ -105,6 +118,7 @@ Status SaveIndexSnapshot(const RtsiIndex& index, const std::string& path,
         [&](StreamId stream, const StreamInfo& info) {
           entries.emplace_back(stream, info);
         });
+    SortByKey(entries);
     writer.WriteVarint(entries.size());
     for (const auto& [stream, info] : entries) {
       writer.WriteVarint(stream);
@@ -126,8 +140,10 @@ Status SaveIndexSnapshot(const RtsiIndex& index, const std::string& path,
             const std::unordered_map<TermId, TermFreq>& terms) {
           std::vector<std::pair<TermId, TermFreq>> flat(terms.begin(),
                                                         terms.end());
+          SortByKey(flat);
           entries.emplace_back(stream, std::move(flat));
         });
+    SortByKey(entries);
     writer.WriteVarint(entries.size());
     for (const auto& [stream, terms] : entries) {
       writer.WriteVarint(stream);
@@ -156,13 +172,17 @@ Status SaveIndexSnapshot(const RtsiIndex& index, const std::string& path,
       const index::SkipHeader* header = component->skip_header();
       writer.WriteBlob(header != nullptr ? header->Serialize()
                                          : std::vector<std::uint8_t>{});
-      writer.WriteVarint(component->num_terms());
-      component->ForEachTerm([&](TermId term, const TermPostings& postings) {
+      // Only the term ids are sorted; each list is encoded and written in
+      // turn, so the save holds one encoded list at a time.
+      std::vector<TermId> terms = component->TermIds();
+      std::sort(terms.begin(), terms.end());
+      writer.WriteVarint(terms.size());
+      for (const TermId term : terms) {
         writer.WriteVarint(term);
-        const auto compressed =
-            CompressedTermPostings::FromPostings(postings);
-        writer.WriteBlob(compressed.blob());
-      });
+        writer.WriteBlob(
+            CompressedTermPostings::FromPostings(*component->View(term))
+                .blob());
+      }
     }
   }
 
@@ -175,6 +195,7 @@ Status SaveIndexSnapshot(const RtsiIndex& index, const std::string& path,
           terms.emplace_back(term, std::vector<Posting>(entries.begin(),
                                                         entries.end()));
         });
+    SortByKey(terms);
     writer.WriteVarint(terms.size());
     for (const auto& [term, postings] : terms) {
       writer.WriteVarint(term);

@@ -195,15 +195,14 @@ TEST(LsmTreeTest, SnapshotSeesEveryPostingDuringAndAfterMerges) {
   }
 }
 
-TEST(LsmTreeTest, HuffmanCompressionShrinksSealedComponents) {
-  auto config = SmallConfig(200, 2.0);
-  LsmTree plain_tree(config);
-  config.compress = true;
-  LsmTree compressed_tree(config);
-
+// Feeds a plain and a Huffman-compressed tree the same 2000 postings:
+// term i % 20, stream stream_of(i), one timestamp per posting.
+template <typename StreamOf>
+void FeedPlainAndCompressed(LsmTree& plain_tree, LsmTree& compressed_tree,
+                            StreamOf stream_of) {
   Timestamp t = 0;
   for (int i = 0; i < 2000; ++i) {
-    const Posting p = P(i % 100, ++t, 1 + i % 4);
+    const Posting p = P(stream_of(i), ++t, 1 + i % 4);
     plain_tree.AddPosting(i % 20, p);
     compressed_tree.AddPosting(i % 20, p);
     if (plain_tree.NeedsMerge()) plain_tree.MergeCascade(MergeHooks{});
@@ -211,6 +210,43 @@ TEST(LsmTreeTest, HuffmanCompressionShrinksSealedComponents) {
       compressed_tree.MergeCascade(MergeHooks{});
     }
   }
+}
+
+TEST(LsmTreeTest, HuffmanCompressionShrinksSealedComponents) {
+  auto config = SmallConfig(200, 2.0);
+  LsmTree plain_tree(config);
+  config.compress = true;
+  LsmTree compressed_tree(config);
+
+  // Term k only ever sees streams k, k+20, ..., k+80, each many times, so
+  // every sealed list folds to 5 postings. A Huffman blob carries a fixed
+  // code table (a u32 length and 256 code-length bytes) per list, which
+  // outweighs 5 plain sealed postings (36 B each): compression shrinks the
+  // coded postings, and the table is the whole of its cost on lists this
+  // short. Longer lists are covered below.
+  FeedPlainAndCompressed(plain_tree, compressed_tree,
+                         [](int i) { return i % 100; });
+  constexpr std::size_t kCodeTableBytes = sizeof(std::uint32_t) + 256;
+  std::size_t sealed_lists = 0;
+  for (const auto& component : compressed_tree.SealedSnapshot()) {
+    sealed_lists += component->num_terms();
+  }
+  ASSERT_GT(sealed_lists, 0u);
+  EXPECT_LT(compressed_tree.MemoryBytes() - kCodeTableBytes * sealed_lists,
+            plain_tree.MemoryBytes());
+  EXPECT_EQ(compressed_tree.total_postings(), plain_tree.total_postings());
+}
+
+TEST(LsmTreeTest, HuffmanCompressionShrinksLongLists) {
+  auto config = SmallConfig(200, 2.0);
+  LsmTree plain_tree(config);
+  config.compress = true;
+  LsmTree compressed_tree(config);
+
+  // Every term spans all 100 streams, so the sealed lists are long enough
+  // for compression to pay for its code tables outright.
+  FeedPlainAndCompressed(plain_tree, compressed_tree,
+                         [](int i) { return (i / 20) % 100; });
   EXPECT_LT(compressed_tree.MemoryBytes(), plain_tree.MemoryBytes());
   EXPECT_EQ(compressed_tree.total_postings(), plain_tree.total_postings());
 }

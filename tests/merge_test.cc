@@ -24,6 +24,8 @@ TEST(MergeTest, CombineWithNullConsolidatesDuplicates) {
   a.Add(1, P(10, 2.0f, 200, 3));  // Same stream, later window.
   a.Add(1, P(11, 5.0f, 150, 1));
   a.SealAll();
+  // Sealing already folded stream 10's two windows into one posting.
+  EXPECT_EQ(a.GetPlain(1)->size(), 2u);
 
   MergeStats stats;
   const auto merged =
@@ -36,7 +38,7 @@ TEST(MergeTest, CombineWithNullConsolidatesDuplicates) {
   EXPECT_EQ(out.tf, 5u);
   EXPECT_EQ(out.frsh, 200);
   EXPECT_FLOAT_EQ(out.pop, 2.0f);
-  EXPECT_EQ(stats.consolidated_postings, 1u);
+  EXPECT_EQ(stats.consolidated_postings, 0u);  // Nothing left to fold.
 }
 
 TEST(MergeTest, CombineMergesTermsFromBothInputs) {
@@ -67,8 +69,10 @@ TEST(MergeTest, CrossComponentDuplicatesAreConsolidated) {
   b.Add(1, P(10, 4.0f, 100, 6));
   b.SealAll();
 
+  MergeStats stats;
   const auto merged =
-      CombineComponents(a, &b, 2, false, MergeHooks{}, nullptr);
+      CombineComponents(a, &b, 2, false, MergeHooks{}, &stats);
+  EXPECT_EQ(stats.consolidated_postings, 1u);
   ASSERT_EQ(merged->GetPlain(1)->size(), 1u);
   const Posting& p = merged->GetPlain(1)->entries()[0];
   EXPECT_EQ(p.tf, 8u);
@@ -207,6 +211,45 @@ TEST(MergeTest, OutputIsSealedAndSorted) {
   EXPECT_TRUE(postings->IsSorted(index::SortKey::kPopularity));
   EXPECT_TRUE(postings->IsSorted(index::SortKey::kFreshness));
   EXPECT_TRUE(postings->IsSorted(index::SortKey::kTermFrequency));
+}
+
+// Inputs whose postings tie on frsh (and on pop and tf) across several
+// streams: the merged component must not depend on the order the inputs
+// are passed in, in arrival order, in stored order or in any view.
+TEST(MergeTest, OutputIndependentOfInputOrderUnderTies) {
+  InvertedIndex a(0);
+  InvertedIndex b(1);
+  for (StreamId s = 0; s < 40; ++s) {
+    const Timestamp frsh = 100 * static_cast<Timestamp>(1 + s % 3);
+    const float pop = static_cast<float>(s % 4);
+    a.Add(static_cast<TermId>(s % 5), P(s, pop, frsh, 1 + s % 2));
+    // b repeats half of a's streams (folded by the merge) and adds its own.
+    const StreamId t = s % 2 == 0 ? s : 100 + s;
+    b.Add(static_cast<TermId>(s % 5), P(t, pop, frsh, 1 + s % 3));
+  }
+  a.SealAll();
+  b.SealAll();
+
+  const auto ab = CombineComponents(a, &b, 2, false, MergeHooks{}, nullptr);
+  const auto ba = CombineComponents(b, &a, 2, false, MergeHooks{}, nullptr);
+  ASSERT_EQ(ab->num_terms(), ba->num_terms());
+  ab->ForEachTerm([&](TermId term, const index::TermPostings& x) {
+    const index::TermPostings* y = ba->GetPlain(term);
+    ASSERT_NE(y, nullptr) << term;
+    ASSERT_EQ(x.size(), y->size()) << term;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      EXPECT_EQ(x.entries()[i], y->entries()[i]) << term << " " << i;
+      EXPECT_EQ(x.Arrival(i), y->Arrival(i)) << term << " " << i;
+      for (const index::SortKey key :
+           {index::SortKey::kPopularity, index::SortKey::kFreshness,
+            index::SortKey::kTermFrequency}) {
+        EXPECT_EQ(x.At(key, i), y->At(key, i)) << term << " " << i;
+      }
+    }
+  });
+  ASSERT_NE(ab->skip_header(), nullptr);
+  ASSERT_NE(ba->skip_header(), nullptr);
+  EXPECT_EQ(ab->skip_header()->Serialize(), ba->skip_header()->Serialize());
 }
 
 TEST(MergeTest, CompressedOutputWhenRequested) {

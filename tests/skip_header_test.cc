@@ -97,7 +97,7 @@ TEST(SkipHeaderTest, IndexBuildAggregatesPerStream) {
   EXPECT_EQ(s1->max_frsh, 250);
   EXPECT_EQ(s1->max_tf, 5u);      // 2 + 3 aggregated for stream 10.
   EXPECT_EQ(s1->df, 2u);          // Streams 10, 11.
-  EXPECT_EQ(s1->postings, 3u);    // Raw stored postings.
+  EXPECT_EQ(s1->postings, 2u);    // Sealing folded stream 10's windows.
   const TermSummary* s2 = header.Find(2);
   ASSERT_NE(s2, nullptr);
   EXPECT_EQ(s2->df, 1u);

@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <set>
+#include <vector>
 
 #include "common/crc32.h"
 #include "common/rng.h"
@@ -59,6 +60,56 @@ std::unique_ptr<RtsiIndex> BuildPopulatedIndex(const RtsiConfig& config) {
     index->UpdatePopularity(s, rng.NextUint64(500));
   }
   return index;
+}
+
+std::vector<char> ReadBytes(const std::string& path) {
+  std::vector<char> bytes;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return bytes;
+  char buf[4096];
+  std::size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+    bytes.insert(bytes.end(), buf, buf + n);
+  }
+  std::fclose(f);
+  return bytes;
+}
+
+// Windows of many streams share each timestamp, so merged components hold
+// runs of equal-frsh postings. A sealed list writes them in its canonical
+// (frsh, stream) arrival order and rebuilds the same layout on load, so
+// saving the loaded index reproduces the file byte for byte.
+TEST(SnapshotTest, SaveLoadSaveIsByteIdenticalUnderFreshnessTies) {
+  const std::string first = TempPath("ties_first");
+  const std::string second = TempPath("ties_second");
+  RtsiIndex index(SmallConfig());
+  Rng rng(17);
+  for (int w = 0; w < 4; ++w) {
+    const Timestamp t = (w + 1) * kMicrosPerSecond;
+    for (StreamId s = 0; s < 60; ++s) {
+      std::vector<TermCount> terms;
+      std::set<TermId> used;
+      for (int i = 0; i < 5; ++i) {
+        const auto term = static_cast<TermId>(rng.NextUint64(20));
+        if (used.insert(term).second) {
+          terms.push_back({term, 1 + static_cast<TermFreq>(s % 3)});
+        }
+      }
+      index.InsertWindow(s, t, terms, w < 3);
+    }
+  }
+  for (StreamId s = 0; s < 60; s += 7) index.UpdatePopularity(s, 5);
+  ASSERT_FALSE(index.tree().SealedSnapshot().empty());
+
+  ASSERT_TRUE(SaveIndexSnapshot(index, first).ok());
+  auto loaded = LoadIndexSnapshot(first);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_TRUE(SaveIndexSnapshot(*loaded.value(), second).ok());
+  const std::vector<char> a = ReadBytes(first);
+  ASSERT_FALSE(a.empty());
+  EXPECT_TRUE(a == ReadBytes(second));
+  std::remove(first.c_str());
+  std::remove(second.c_str());
 }
 
 TEST(SnapshotTest, JournalEpochRoundTrips) {

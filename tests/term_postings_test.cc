@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <map>
+#include <vector>
 
 #include "common/rng.h"
 
@@ -84,33 +87,34 @@ TEST(TermPostingsTest, AggregateForStreamFoldsDuplicates) {
   EXPECT_FLOAT_EQ(out.pop, 3.0f);  // Largest snapshot.
 }
 
-// Seal() builds one contiguous, stream-sorted, duplicate-folded copy
-// (AggregateForStream was a double-indirect walk per lookup before).
-// Randomized cross-check: every distinct stream aggregates exactly, the
-// copy is accounted for in MemoryBytes().
+// Randomized cross-check against a fold computed before Seal(): every
+// distinct stream aggregates exactly, and MemoryBytes() is exactly the
+// object plus one 24-byte posting and three uint32 slots per stream.
 TEST(TermPostingsTest, SealedAggregateMatchesLinearFold) {
   TermPostings postings;
+  std::vector<Posting> raw;
   std::uint32_t state = 12345;
   const auto next = [&state] {
     state = state * 1664525u + 1013904223u;
     return state >> 16;
   };
   for (int i = 0; i < 400; ++i) {
-    postings.Append(MakePosting(next() % 37,
-                                static_cast<float>(next() % 100),
-                                static_cast<Timestamp>(next() % 10000),
-                                1 + next() % 5));
+    raw.push_back(MakePosting(next() % 37, static_cast<float>(next() % 100),
+                              static_cast<Timestamp>(next() % 10000),
+                              1 + next() % 5));
+    postings.Append(raw.back());
   }
-  const std::size_t unsealed_bytes = postings.MemoryBytes();
   postings.Seal();
-  EXPECT_GT(postings.MemoryBytes(), unsealed_bytes);
+  EXPECT_EQ(postings.MemoryBytes(),
+            sizeof(TermPostings) +
+                postings.size() * (sizeof(Posting) + 3 * sizeof(std::uint32_t)));
 
   for (StreamId stream = 0; stream < 37; ++stream) {
     TermFreq tf = 0;
     Timestamp frsh = 0;
     float pop = 0.0f;
     bool present = false;
-    for (const Posting& p : postings.entries()) {
+    for (const Posting& p : raw) {
       if (p.stream != stream) continue;
       present = true;
       tf += p.tf;
@@ -145,31 +149,119 @@ TEST(TermPostingsTest, SealIsIdempotent) {
 
 class TermPostingsProperty : public ::testing::TestWithParam<int> {};
 
-TEST_P(TermPostingsProperty, SortedViewsAreTruePermutations) {
+// The sealed layout against a fold computed before Seal(), on random lists
+// with duplicate streams and many freshness, popularity and tf ties: one
+// posting per distinct stream in ascending stream order, every view an
+// exact permutation of those slots, sorted, with deterministic ties, and
+// the same layout whatever order the postings were appended in.
+TEST_P(TermPostingsProperty, SealedLayoutMatchesFold) {
   Rng rng(GetParam());
-  TermPostings postings;
+  std::vector<Posting> raw;
   Timestamp t = 0;
   const int n = 200 + static_cast<int>(rng.NextUint64(300));
   for (int i = 0; i < n; ++i) {
-    t += static_cast<Timestamp>(rng.NextUint64(50));
-    postings.Append(MakePosting(rng.NextUint64(100),
-                                static_cast<float>(rng.NextUint64(1000)), t,
-                                1 + static_cast<TermFreq>(rng.NextUint64(20))));
+    t += static_cast<Timestamp>(rng.NextUint64(3));
+    raw.push_back(MakePosting(rng.NextUint64(100),
+                              static_cast<float>(rng.NextUint64(20)), t,
+                              1 + static_cast<TermFreq>(rng.NextUint64(4))));
   }
+  std::map<StreamId, Posting> fold;
+  for (const Posting& p : raw) {
+    auto [it, inserted] = fold.emplace(p.stream, p);
+    if (inserted) continue;
+    it->second.tf += p.tf;
+    it->second.frsh = std::max(it->second.frsh, p.frsh);
+    it->second.pop = std::max(it->second.pop, p.pop);
+  }
+
+  TermPostings postings;
+  for (const Posting& p : raw) postings.Append(p);
   postings.Seal();
 
+  ASSERT_EQ(postings.size(), fold.size());
+  std::size_t slot = 0;
+  for (const auto& [stream, expected] : fold) {
+    EXPECT_EQ(postings.entries()[slot++], expected) << stream;
+  }
+  EXPECT_EQ(postings.max_tf(),
+            std::max_element(fold.begin(), fold.end(),
+                             [](const auto& a, const auto& b) {
+                               return a.second.tf < b.second.tf;
+                             })->second.tf);
+
+  // Arrival order: ascending (frsh, stream); its rank breaks pop/tf ties.
+  std::map<StreamId, std::size_t> arrival_rank;
+  for (std::size_t i = 0; i < postings.size(); ++i) {
+    const Posting& p = postings.Arrival(i);
+    arrival_rank[p.stream] = i;
+    if (i == 0) continue;
+    const Posting& prev = postings.Arrival(i - 1);
+    ASSERT_TRUE(prev.frsh < p.frsh ||
+                (prev.frsh == p.frsh && prev.stream < p.stream))
+        << i;
+  }
+  ASSERT_EQ(arrival_rank.size(), postings.size());
+
+  const Posting* base = postings.entries().data();
   for (const SortKey key : {SortKey::kPopularity, SortKey::kFreshness,
                             SortKey::kTermFrequency}) {
     EXPECT_TRUE(postings.IsSorted(key));
-    // Each view must visit every entry exactly once: sum tf as a cheap
-    // multiset fingerprint.
-    std::uint64_t direct_sum = 0;
-    std::uint64_t view_sum = 0;
+    std::vector<int> visits(postings.size(), 0);
     for (std::size_t i = 0; i < postings.size(); ++i) {
-      direct_sum += postings.entries()[i].tf;
-      view_sum += postings.At(key, i).tf;
+      const Posting& cur = postings.At(key, i);
+      const std::ptrdiff_t index = &cur - base;
+      ASSERT_GE(index, 0);
+      ASSERT_LT(static_cast<std::size_t>(index), postings.size());
+      ++visits[static_cast<std::size_t>(index)];
+      if (i == 0) continue;
+      const Posting& prev = postings.At(key, i - 1);
+      switch (key) {
+        case SortKey::kFreshness:
+          ASSERT_TRUE(prev.frsh > cur.frsh ||
+                      (prev.frsh == cur.frsh && prev.stream > cur.stream))
+              << i;
+          break;
+        case SortKey::kPopularity:
+          if (prev.pop == cur.pop) {
+            ASSERT_LT(arrival_rank[prev.stream], arrival_rank[cur.stream]);
+          }
+          break;
+        case SortKey::kTermFrequency:
+          if (prev.tf == cur.tf) {
+            ASSERT_LT(arrival_rank[prev.stream], arrival_rank[cur.stream]);
+          }
+          break;
+      }
     }
-    EXPECT_EQ(direct_sum, view_sum);
+    EXPECT_EQ(visits, std::vector<int>(postings.size(), 1));
+  }
+
+  // Absent streams miss; present ones were checked against the fold above
+  // through entries(), and hit here.
+  for (StreamId stream = 0; stream < 110; ++stream) {
+    Posting out;
+    const auto it = fold.find(stream);
+    ASSERT_EQ(postings.AggregateForStream(stream, out), it != fold.end())
+        << stream;
+    if (it != fold.end()) {
+      EXPECT_EQ(out, it->second) << stream;
+    }
+  }
+
+  // Append order does not matter once sealed.
+  std::vector<Posting> shuffled = raw;
+  for (std::size_t i = shuffled.size(); i > 1; --i) {
+    std::swap(shuffled[i - 1], shuffled[rng.NextUint64(i)]);
+  }
+  TermPostings reordered;
+  for (const Posting& p : shuffled) reordered.Append(p);
+  reordered.Seal();
+  ASSERT_EQ(reordered.size(), postings.size());
+  for (const SortKey key : {SortKey::kPopularity, SortKey::kFreshness,
+                            SortKey::kTermFrequency}) {
+    for (std::size_t i = 0; i < postings.size(); ++i) {
+      ASSERT_EQ(reordered.At(key, i), postings.At(key, i)) << i;
+    }
   }
 }
 
