@@ -7,7 +7,8 @@
 // The two passes must produce bit-identical per-query results — pruning
 // and skipping are pure traversal optimizations — so each query's result
 // checksum is audited against the full walk, the folded checksums are
-// emitted per row, and a divergence exits nonzero. A
+// emitted per row with every diverging query id and their count, and a
+// divergence exits nonzero. A
 // compaction-policy column rides along: the same workload against a
 // size-tiered index (several resident runs per level) shows what the
 // extra runs cost the read path with the headers doing the skipping.
@@ -179,19 +180,26 @@ int main() {
     const Pass tiered =
         MeasureRtsi(tiered_index, query_config, n, k, clock_c.Now());
 
-    // Bit-identity audit: pinpoint the first diverging query.
-    bool match = pruned.per_query.size() == walk.per_query.size();
-    for (std::size_t i = 0; match && i < pruned.per_query.size(); ++i) {
-      if (pruned.per_query[i] != walk.per_query[i]) {
-        std::fprintf(stderr,
-                     "DIVERGENCE mix=%s queries=%zu query=%zu "
-                     "(pruned=%016llx walk=%016llx)\n",
-                     mix.name, n, i,
-                     static_cast<unsigned long long>(pruned.per_query[i]),
-                     static_cast<unsigned long long>(walk.per_query[i]));
-        match = false;
-      }
+    // Bit-identity audit: every query whose pruned result differs from
+    // the full walk's, one line each, then the row's count.
+    std::size_t diverging = 0;
+    std::string diverging_ids;
+    for (std::size_t i = 0; i < pruned.per_query.size(); ++i) {
+      if (pruned.per_query[i] == walk.per_query[i]) continue;
+      std::fprintf(stderr,
+                   "DIVERGENCE mix=%s queries=%zu query=%zu "
+                   "(pruned=%016llx walk=%016llx)\n",
+                   mix.name, n, i,
+                   static_cast<unsigned long long>(pruned.per_query[i]),
+                   static_cast<unsigned long long>(walk.per_query[i]));
+      if (diverging++ > 0) diverging_ids += ",";
+      diverging_ids += std::to_string(i);
     }
+    if (diverging > 0) {
+      std::fprintf(stderr, "DIVERGENCE mix=%s queries=%zu count=%zu\n",
+                   mix.name, n, diverging);
+    }
+    const bool match = diverging == 0;
     all_match = all_match && match;
 
     workload::QueryGenerator lsii_gen(query_config);
@@ -250,7 +258,7 @@ int main() {
          std::to_string(pruned.stats.components_skipped) + "/" +
              std::to_string(pruned.stats.components_visited),
          std::to_string(pruned.stats.candidates_screened),
-         match ? "ok" : "MISMATCH"});
+         match ? "ok" : "MISMATCH " + std::to_string(diverging)});
 
     auto& row = report.AddRow();
     row.Field("mix", mix.name)
@@ -278,7 +286,9 @@ int main() {
         .Field("candidates_scored",
                static_cast<double>(pruned.stats.candidates_scored))
         .Field("checksum", checksum_hex)
-        .Field("results_match", match ? "yes" : "NO");
+        .Field("results_match", match ? "yes" : "NO")
+        .Field("diverging_queries", static_cast<double>(diverging))
+        .Field("diverging_query_ids", diverging_ids);
     if (base_row != nullptr) {
       row.Field("baseline_mean_us_skip", base_mean)
           .Field("baseline_drift", drift);

@@ -7,11 +7,14 @@
 // post-insert query stream so a change to what ingest stores shows up
 // as a checksum change. Emits BENCH_fig8_insert.json so the live ingest
 // path has a tracked perf trajectory (throughput, allocations-per-insert).
+// Each insert is timed together with the merge cascade it started
+// (workload::MeasureInsertions), so totals include every merge.
 
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -90,6 +93,8 @@ int main() {
   bench::JsonReport report("fig8_insert");
   report.Field("scale", bench::Scale());
   report.Field("init_streams", static_cast<double>(init_streams));
+  report.Field("nproc",
+               static_cast<double>(std::thread::hardware_concurrency()));
 
   for (const std::size_t base : {250, 500, 1000, 2000}) {
     const std::size_t n = bench::Scaled(base);

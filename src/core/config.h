@@ -40,7 +40,10 @@ struct RtsiConfig {
   /// amplification, more runs on the read path — which the skip headers
   /// keep cheap); kFullCompaction is the everything-into-one ablation
   /// baseline. Snapshots (v5+) persist the policy; RtsiIndex::
-  /// SetMergePolicy switches it at runtime.
+  /// SetMergePolicy switches it at runtime. Merging has one path: the
+  /// insert that takes L0 past lsm.delta freezes it on its own thread (a
+  /// seal and a publish), and the cascade runs on the index's merge
+  /// thread.
   lsm::LsmTree::Config lsm;
   ScoreWeights weights;
   double freshness_tau_seconds = 6.0 * 3600.0;  // Exponential decay scale.
@@ -56,13 +59,6 @@ struct RtsiConfig {
   /// consulted — the reference path every soundness oracle compares to.
   bool use_bound = true;
   BoundMode bound_mode = BoundMode::kSnapshot;
-
-  /// Run merge cascades on a background thread instead of the inserting
-  /// thread. Removes the merge spikes from insertion latency (Figure 6);
-  /// queries are unaffected either way — they run against the immutable
-  /// IndexView they pinned at entry. Off by default to match the paper's
-  /// measured setup.
-  bool async_merge = false;
 };
 
 }  // namespace rtsi::core

@@ -20,11 +20,8 @@ RtsiIndex::RtsiIndex(const RtsiConfig& config)
     : config_(config),
       scorer_(config.weights, config.freshness_tau_seconds),
       tree_(config_.lsm),
-      live_terms_(tree_.memory_tracker()) {
-  if (config.async_merge) {
-    merge_executor_ = std::make_unique<ThreadPool>(1);
-  }
-}
+      live_terms_(tree_.memory_tracker()),
+      merge_executor_(std::make_unique<ThreadPool>(1)) {}
 
 RtsiIndex::~RtsiIndex() { WaitForMerges(); }
 
@@ -41,9 +38,7 @@ void RtsiIndex::SetCascadeObserver(std::function<void()> observer) {
   cascade_observer_ = std::move(observer);
 }
 
-void RtsiIndex::WaitForMerges() {
-  if (merge_executor_ != nullptr) merge_executor_->Wait();
-}
+void RtsiIndex::WaitForMerges() { merge_executor_->Wait(); }
 
 lsm::MergeHooks RtsiIndex::MakeMergeHooks() {
   lsm::MergeHooks hooks;
@@ -102,15 +97,22 @@ lsm::MergeHooks RtsiIndex::MakeMergeHooks() {
 }
 
 void RtsiIndex::DrainPendingFinished() {
+  // These streams finished with postings in L0, and the freeze that just
+  // published moved those postings into one sealed run. A stream that
+  // resumed since is back in L0 and stays queued for the next freeze.
   std::vector<StreamId> pending;
   {
     std::lock_guard<std::mutex> lock(pending_mu_);
     if (pending_finished_.empty()) return;
-    pending.assign(pending_finished_.begin(), pending_finished_.end());
-    pending_finished_.clear();
+    for (auto it = pending_finished_.begin(); it != pending_finished_.end();) {
+      if (tree_.StreamInL0(*it)) {
+        ++it;
+      } else {
+        pending.push_back(*it);
+        it = pending_finished_.erase(it);
+      }
+    }
   }
-  // These streams finished with all postings in L0; the cascade that just
-  // ran consolidated them into a single sealed component.
   for (const StreamId stream : pending) EvictIfConsolidated(stream);
 }
 
@@ -160,19 +162,18 @@ void RtsiIndex::InsertWindow(StreamId stream, Timestamp now,
     }
   }
 
-  // Lines 4-7: merge cascade when I0 exceeds delta. With async_merge the
-  // cascade runs on the background executor and insertion latency stays
-  // flat; epoch-published views keep queries exact either way.
+  // Lines 4-7: when I0 exceeds delta, freeze it here, so I0 never grows
+  // past delta, and hand the merge cascade to the merge thread. At most
+  // one cascade is in flight: a freeze first waits for the one already
+  // submitted, so with one writer the sealed structure after
+  // WaitForMerges() is the one a cascade run inline would build.
+  // Epoch-published views keep queries exact while the cascade runs.
   if (tree_.NeedsMerge()) {
-    if (merge_executor_ == nullptr) {
-      tree_.MergeCascade(MakeMergeHooks());
+    merge_executor_->Wait();
+    const lsm::MergeHooks hooks = MakeMergeHooks();
+    if (tree_.FreezeL0(hooks)) {
       DrainPendingFinished();
-    } else if (!merge_scheduled_.exchange(true)) {
-      merge_executor_->Submit([this] {
-        merge_scheduled_.store(false);
-        tree_.MergeCascade(MakeMergeHooks());
-        DrainPendingFinished();
-      });
+      merge_executor_->Submit([this, hooks] { tree_.RunCascade(hooks); });
     }
   }
 }
@@ -198,14 +199,16 @@ void RtsiIndex::SeedLiveTotals(StreamId stream) {
 void RtsiIndex::FinishStream(StreamId stream) {
   streams_.MarkFinished(stream);
   if (streams_.GetComponentCount(stream) <= 1) {
-    if (!tree_.StreamInL0(stream)) {
-      EvictIfConsolidated(stream);
-    } else {
-      // Still has (possibly duplicate) postings in L0; evict from the
-      // live-term table after the next merge consolidates them.
+    bool in_l0 = false;
+    {
+      // Still has (possibly duplicate) postings in L0: queue the eviction
+      // for the next freeze. The check and the queueing share the drain's
+      // lock, so a freeze that empties L0 in between drains this stream.
       std::lock_guard<std::mutex> lock(pending_mu_);
-      pending_finished_.insert(stream);
+      in_l0 = tree_.StreamInL0(stream);
+      if (in_l0) pending_finished_.insert(stream);
     }
+    if (!in_l0) EvictIfConsolidated(stream);
   }
   // Streams spanning several components are evicted by the merge hook
   // once consolidation brings them down to one residency.

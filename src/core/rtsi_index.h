@@ -59,12 +59,13 @@ class RtsiIndex : public SearchIndex {
  public:
   explicit RtsiIndex(const RtsiConfig& config);
 
-  /// Drains the background merge executor (if async_merge is on).
+  /// Drains the merge thread.
   ~RtsiIndex() override;
 
-  /// Blocks until no merge is pending or running (async mode; no-op in
-  /// synchronous mode). Benches call this to sequence phases.
-  void WaitForMerges();
+  /// Blocks until the merge thread has no cascade queued or running.
+  /// Callers that read structure, stats or memory, save a snapshot, or
+  /// time an insert together with the cascade it started call this first.
+  void WaitForMerges() override;
 
   /// Toggles upper-bound pruning (RtsiConfig::use_bound). With pruning off
   /// every sealed component is walked to exhaustion without consulting
@@ -79,11 +80,13 @@ class RtsiIndex : public SearchIndex {
   /// (or a restored snapshot) left behind is valid input.
   void SetMergePolicy(lsm::MergePolicy policy);
 
-  /// Installs an observer invoked after every published cascade step (the
-  /// L0 freeze and each merge swap) with no tree locks held — the tree is
+  /// Installs an observer invoked after every published cascade step —
+  /// the L0 freeze, on the inserting thread, and each merge swap, on the
+  /// merge thread — with no structural or L0 lock held: the tree is
   /// consistent and snapshot-safe at each call. Tests use it to save
   /// snapshots mid-cascade. Pass nullptr to clear. NOT safe concurrently
-  /// with running merges (set it before inserting past delta).
+  /// with running merges (set it before inserting past delta, clear it
+  /// after WaitForMerges()).
   void SetCascadeObserver(std::function<void()> observer);
 
   // SearchIndex. Deletion is monotone: InsertWindow drops a window for a
@@ -195,8 +198,9 @@ class RtsiIndex : public SearchIndex {
     return stream_mu_[stream % stream_mu_.size()];
   }
 
-  /// Evicts finished, now-consolidated streams from the live-term table
-  /// (queued by FinishStream while their postings were still in L0).
+  /// After a freeze: evicts finished, now-consolidated streams from the
+  /// live-term table (queued by FinishStream while their postings were
+  /// still in L0), keeping those back in L0 queued.
   void DrainPendingFinished();
 
   /// Phase-3 planning over a pinned view: skip headers are consulted
@@ -226,7 +230,6 @@ class RtsiIndex : public SearchIndex {
   std::unordered_set<StreamId> pending_finished_;
   // Test seam: forwarded into MergeHooks::on_cascade_step at each merge.
   std::function<void()> cascade_observer_;
-  std::atomic<bool> merge_scheduled_{false};
   // Striped by stream: serializes a window's table/L0/count updates with
   // the eviction of the same stream from the live-term table.
   std::array<std::mutex, 64> stream_mu_;
@@ -239,8 +242,9 @@ class RtsiIndex : public SearchIndex {
   // Recycled query buffers; each query leases one scratch so the scoring
   // hot path never allocates in steady state.
   mutable ScratchPool scratch_pool_;
-  // Declared last: destroyed first, draining queued merges while the
-  // members above are still alive.
+  // The index's one merge thread; every cascade runs on it. Declared
+  // last: destroyed first, draining queued merges while the members above
+  // are still alive.
   std::unique_ptr<ThreadPool> merge_executor_;
 };
 

@@ -74,6 +74,10 @@ class SearchIndex {
     return Query(terms, k, now, nullptr);
   }
 
+  /// Blocks until merges the index runs off the calling thread are done.
+  /// A no-op for indices that merge inline.
+  virtual void WaitForMerges() {}
+
   /// Logical bytes held by the index (postings + hash tables).
   virtual std::size_t MemoryBytes() const = 0;
 

@@ -141,7 +141,16 @@ void LsmTree::ErasePendingLocked(const InvertedIndex* component) {
                  pending_.end());
 }
 
-std::shared_ptr<InvertedIndex> LsmTree::FreezeL0(const MergeHooks& hooks) {
+bool LsmTree::FreezeL0(const MergeHooks& hooks) {
+  {
+    std::lock_guard<std::mutex> merge_lock(merge_mu_);
+    if (!NeedsMerge() || !FreezeL0Locked(hooks)) return false;
+  }
+  if (hooks.on_cascade_step) hooks.on_cascade_step();
+  return true;
+}
+
+bool LsmTree::FreezeL0Locked(const MergeHooks& hooks) {
   // Take every shard lock in a fixed order, then drain.
   std::vector<std::unique_lock<std::shared_mutex>> locks;
   locks.reserve(l0_shards_.size());
@@ -166,7 +175,7 @@ std::shared_ptr<InvertedIndex> LsmTree::FreezeL0(const MergeHooks& hooks) {
       seen_shard->seen.clear();
     }
     l0_postings_.store(0, std::memory_order_relaxed);
-    return nullptr;
+    return false;
   }
   // Seal: a stream that emitted several windows of one term inside this
   // epoch folds to one aggregated posting, so the frozen component
@@ -219,16 +228,18 @@ std::shared_ptr<InvertedIndex> LsmTree::FreezeL0(const MergeHooks& hooks) {
     // run list: an unmerged frozen run is a first-class level resident,
     // so a snapshot cut here restores cleanly.
     std::lock_guard<std::mutex> lock(components_mu_);
-    InstallRunLocked(frozen, 0);
+    InstallRunLocked(std::move(frozen), 0);
     PublishLocked();
   }
-  return frozen;
+  return true;
 }
 
 void LsmTree::MergeCascade(const MergeHooks& hooks) {
-  std::lock_guard<std::mutex> merge_lock(merge_mu_);
-  if (!NeedsMerge()) return;
+  if (FreezeL0(hooks)) RunCascade(hooks);
+}
 
+void LsmTree::RunCascade(const MergeHooks& hooks) {
+  std::lock_guard<std::mutex> merge_lock(merge_mu_);
   MergeStats stats;
   // Scratch arena for the cascade's transient allocation churn
   // (consolidation maps, ordering buffers, unsealed outputs); free lists
@@ -236,10 +247,6 @@ void LsmTree::MergeCascade(const MergeHooks& hooks) {
   // it (Seal() migrates to exact-size heap buffers), so it dies here. No
   // tracker: the kLiveArena gauge reports live-data arenas only.
   WindowArena scratch;
-  const std::shared_ptr<const InvertedIndex> frozen = FreezeL0(hooks);
-  if (frozen == nullptr) return;  // Drifted counter, nothing frozen.
-  if (hooks.on_cascade_step) hooks.on_cascade_step();
-
   const CompactionConfig policy_config{config_.delta, config_.rho,
                                        config_.tier_runs};
   const auto plan = MakeCompactionPolicy(policy(), policy_config);

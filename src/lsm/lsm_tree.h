@@ -22,10 +22,12 @@
 // merge's detached inputs) is serialized by components_mu_, which no
 // reader ever takes.
 //
-// Merging is delegated to a pluggable CompactionPolicy (Algorithm 1's
-// geometric cascade by default; see compaction_policy.h): after an L0
-// freeze the tree executes policy-planned N-way merge steps until the
-// policy reports a settled shape.
+// Merging is two calls. FreezeL0 seals an over-capacity L0 into a
+// level-0 run; RunCascade then executes policy-planned N-way merge steps
+// (Algorithm 1's geometric cascade by default; see compaction_policy.h)
+// until the policy reports a settled shape. The owner decides which
+// thread runs each: RtsiIndex freezes on the inserting thread and
+// cascades on its merge thread.
 
 #ifndef RTSI_LSM_LSM_TREE_H_
 #define RTSI_LSM_LSM_TREE_H_
@@ -88,12 +90,24 @@ class LsmTree {
     return l0_postings_.load(std::memory_order_relaxed) > config_.delta;
   }
 
-  /// Runs the merge cascade if I0 is over capacity: freezes L0, then
-  /// executes merge steps planned by the configured CompactionPolicy
-  /// until the structure settles. Safe to call from any thread; merges
-  /// are serialized. Queries proceed concurrently against whatever view
-  /// they pinned. `hooks.on_cascade_step` (if set) fires after every
-  /// published step with no tree locks held.
+  /// If I0 is over capacity, freezes L0 into a sealed run appended to
+  /// level 0 and publishes it; returns whether it froze. The run gets a
+  /// fresh id and ceiling cell, `hooks.on_frozen` runs before it becomes
+  /// query-visible and `hooks.on_cascade_step` (if set) after. Nothing is
+  /// published when L0 holds no postings (a drifted l0_postings_ counter,
+  /// which is reset so NeedsMerge() stops firing). Serialized with other
+  /// freezes and with RunCascade.
+  bool FreezeL0(const MergeHooks& hooks);
+
+  /// Executes merge steps planned by the configured CompactionPolicy
+  /// until the structure settles. Queries proceed concurrently against
+  /// whatever view they pinned, and inserts against L0.
+  /// `hooks.on_cascade_step` (if set) fires after every published step
+  /// with no structural or L0 lock held.
+  void RunCascade(const MergeHooks& hooks);
+
+  /// FreezeL0, then RunCascade if it froze: the whole of Algorithm 1's
+  /// lines 4-7 on the calling thread (the LSII baseline and tests).
   void MergeCascade(const MergeHooks& hooks);
 
   /// Runs `fn(const index::TermPostings*)` for the term's L0 postings
@@ -224,13 +238,8 @@ class LsmTree {
     std::unordered_set<StreamId> seen;
   };
 
-  /// Freezes L0 into a sealed component appended to levels_[0] and
-  /// published. The component receives a fresh id and ceiling cell, and
-  /// `hooks.on_frozen` runs before it becomes query-visible. Returns
-  /// nullptr — publishing nothing and bumping no epoch — when L0 holds no
-  /// postings (a drifted l0_postings_ counter; the counter is reset so
-  /// NeedsMerge() stops firing).
-  std::shared_ptr<index::InvertedIndex> FreezeL0(const MergeHooks& hooks);
+  /// FreezeL0's body. Requires merge_mu_.
+  bool FreezeL0Locked(const MergeHooks& hooks);
 
   /// Builds the view implied by levels_ + pending_, bumps the epoch, and
   /// publishes it; components that just left the view are recorded in the
@@ -283,7 +292,7 @@ class LsmTree {
   std::shared_ptr<MemoryTracker> mem_tracker_ =
       std::make_shared<MemoryTracker>();
 
-  std::mutex merge_mu_;  // At most one merge cascade at a time.
+  std::mutex merge_mu_;  // Serializes freezes and cascades.
   mutable std::mutex stats_mu_;
   MergeStats merge_stats_;
   // Counters of ingest arenas retired by rotation (gauge fields zeroed),

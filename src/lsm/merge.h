@@ -62,8 +62,9 @@ struct MergeHooks {
   /// registers component residency for every stream in the frozen data.
   std::function<void(const index::InvertedIndex& frozen)> on_frozen;
 
-  /// Called by MergeCascade after every published structural step — the
-  /// L0 freeze and each merge swap — with no tree locks held. The tree
+  /// Called after every published structural step — the L0 freeze (by
+  /// FreezeL0, on the freezing thread) and each merge swap (by
+  /// RunCascade) — with no structural or L0 lock held. The tree
   /// is fully consistent and snapshot-safe at each invocation: this is
   /// the seam checkpoint-during-compaction and the mid-cascade snapshot
   /// tests hang off. Leave unset in production ingest paths.

@@ -71,6 +71,11 @@ Status SaveServiceSnapshot(SearchService& service,
   // and index files are only ever newer than the dicts they accompany —
   // term ids are append-only, so ids referenced by the older dicts
   // resolve identically against a newer index file's vocabulary.
+  //
+  // The save starts from a settled layout: a cascade a recent ingest
+  // started finishes first.
+  service.text_index().WaitForMerges();
+  service.sound_index().WaitForMerges();
   Status status =
       storage::SaveIndexSnapshot(service.text_index(), path_prefix + ".text");
   if (!status.ok()) return status;

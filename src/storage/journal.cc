@@ -398,6 +398,9 @@ Result<std::unique_ptr<DurableIndex>> DurableIndex::Open(
       active_epoch = std::max(active_epoch, epoch);
     }
   }
+  // The replay's last cascade may still be running: recovery ends at a
+  // settled layout, the one the live index had after its own merges.
+  index->WaitForMerges();
   rs.replay_seconds = watch.ElapsedMicros() / 1e6;
 
   auto durable = std::unique_ptr<DurableIndex>(new DurableIndex(

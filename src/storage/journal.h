@@ -169,6 +169,7 @@ class DurableIndex : public core::SearchIndex {
                                         int k, Timestamp now,
                                         core::QueryStats* stats) override;
   using core::SearchIndex::Query;
+  void WaitForMerges() override { index_->WaitForMerges(); }
   std::size_t MemoryBytes() const override;
   std::string name() const override { return "RTSI+journal"; }
 

@@ -56,7 +56,9 @@ inline constexpr std::uint32_t kMinSnapshotVersion = 1;
 /// to `<path>.tmp` and is fsync'd and renamed over `path` (see
 /// SnapshotWriter), so a crash never leaves a torn snapshot.
 /// `journal_epoch` records the checkpoint generation (0 for snapshots
-/// outside the journal protocol, e.g. rtsi_cli build).
+/// outside the journal protocol, e.g. rtsi_cli build). It does not wait
+/// for the merge thread (the mid-cascade tests save from it): callers
+/// that want a settled layout call WaitForMerges() first.
 Status SaveIndexSnapshot(const core::RtsiIndex& index,
                          const std::string& path,
                          std::uint64_t journal_epoch = 0);

@@ -47,6 +47,7 @@ InitResult InitializeIndex(core::SearchIndex& index,
     }
   }
 
+  index.WaitForMerges();
   result.elapsed_micros = watch.ElapsedMicros();
   result.index_bytes = index.MemoryBytes();
   return result;
@@ -65,6 +66,7 @@ LatencyStats MeasureInsertions(core::SearchIndex& index,
       clock.Advance(kMicrosPerSecond);
       watch.Restart();
       index.InsertWindow(stream, clock.Now(), terms, w + 1 < windows);
+      index.WaitForMerges();  // Charge the insert with its cascade.
       stats.Record(watch.ElapsedMicros());
     }
     index.FinishStream(stream);
@@ -132,6 +134,7 @@ MixedResult RunMixedWorkload(core::SearchIndex& index,
       const bool last = (window + 1 >= windows_in_stream);
       watch.Restart();
       index.InsertWindow(stream, clock.Now(), terms, !last);
+      index.WaitForMerges();  // Charge the insert with its cascade.
       result.insertions.Record(watch.ElapsedMicros());
       if (last) {
         index.FinishStream(stream);

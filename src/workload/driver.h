@@ -24,9 +24,11 @@ struct InitResult {
 
 /// Builds the index from streams [first, first+count): inserts every
 /// window (advancing the simulated clock by 60 s per round) and finishes
-/// each stream. Windows are interleaved round-robin within a cohort of
-/// `live_cohort` concurrently-live streams — platforms host many archived
-/// streams but only a bounded number of live broadcasts at any instant.
+/// each stream, then waits for merges, so the elapsed time and memory
+/// are those of a settled index. Windows are interleaved round-robin
+/// within a cohort of `live_cohort` concurrently-live streams — platforms
+/// host many archived streams but only a bounded number of live
+/// broadcasts at any instant.
 InitResult InitializeIndex(core::SearchIndex& index,
                            const SyntheticCorpus& corpus, StreamId first,
                            std::size_t count, SimulatedClock& clock,
@@ -34,7 +36,9 @@ InitResult InitializeIndex(core::SearchIndex& index,
                            std::size_t live_cohort = 64);
 
 /// Inserts the windows of streams [first, first+count) one window per op,
-/// recording per-insertion latency.
+/// recording per-insertion latency. An insert is timed together with the
+/// merge cascade it started (SearchIndex::WaitForMerges), so merge
+/// spikes show as in the paper's insertion figures.
 LatencyStats MeasureInsertions(core::SearchIndex& index,
                                const SyntheticCorpus& corpus, StreamId first,
                                std::size_t count, SimulatedClock& clock);
@@ -58,7 +62,8 @@ struct MixedResult {
 
 /// Interleaves queries and window insertions: `query_percent` of
 /// `total_ops` are queries, the rest are insertions of fresh streams
-/// starting at `first_new_stream` (Figure 6).
+/// starting at `first_new_stream` (Figure 6). Insertions are timed with
+/// the cascade they started, as in MeasureInsertions.
 MixedResult RunMixedWorkload(core::SearchIndex& index,
                              const SyntheticCorpus& corpus,
                              QueryGenerator& gen, std::size_t total_ops,

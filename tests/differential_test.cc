@@ -86,6 +86,7 @@ TEST_P(DifferentialSoak, RtsiAndLsiiAgreeOnSingleWindowWorkloads) {
   }
   // Both must have merged at some point for the comparison to be
   // interesting.
+  rtsi.WaitForMerges();
   EXPECT_GT(rtsi.GetMergeStats().merges, 0u);
   EXPECT_GT(lsii.GetMergeStats().merges, 0u);
 }

@@ -126,6 +126,7 @@ TEST(IntegrationTest, ConcurrentInsertQueryUpdateIsSane) {
   stop.store(true);
   query_thread.join();
   update_thread.join();
+  index.WaitForMerges();
 
   EXPECT_GT(queries_done.load(), 0u);
   EXPECT_GT(updates_done.load(), 0u);
@@ -168,6 +169,7 @@ TEST(IntegrationTest, QueriesDuringMergeSeeAllStreams) {
   }
   stop.store(true);
   reader.join();
+  index.WaitForMerges();
   EXPECT_FALSE(violation.load());
   EXPECT_GT(index.GetMergeStats().merges, 1u);
 }
@@ -231,6 +233,8 @@ TEST(IntegrationTest, HuffmanIndexAnswersIdenticallyToPlain) {
       ASSERT_NEAR(r1[i].score, r2[i].score, 1e-9) << a << " " << i;
     }
   }
+  plain.WaitForMerges();
+  compressed.WaitForMerges();
   EXPECT_LT(compressed.MemoryBytes(), plain.MemoryBytes());
 }
 

@@ -143,6 +143,7 @@ TEST(LsiiIndexTest, UsesMoreMemoryThanRtsi) {
     rtsi.FinishStream(s);
     lsii.FinishStream(s);
   }
+  rtsi.WaitForMerges();
   EXPECT_GT(lsii.MemoryBytes(), rtsi.MemoryBytes());
 }
 

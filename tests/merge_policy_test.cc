@@ -63,6 +63,7 @@ TEST(MergePolicyTest, FullCompactionKeepsOneComponent) {
                        {{static_cast<TermId>(s % 30), 2}}, false);
     index.FinishStream(s);
   }
+  index.WaitForMerges();
   EXPECT_LE(index.tree().num_levels(), 1u);
   EXPECT_LE(index.tree().num_runs(), 1u);
   EXPECT_EQ(index.tree().total_postings(), 400u);
@@ -160,6 +161,7 @@ TEST(MergePolicyTest, FullCompactionDoesMoreMergeWork) {
                          {{static_cast<TermId>(s % 10), 1}}, false);
       index.FinishStream(s);
     }
+    index.WaitForMerges();
     if (policy == lsm::MergePolicy::kGeometric) {
       stats_geometric = index.GetMergeStats();
     } else {
@@ -184,6 +186,7 @@ TEST(MergePolicyTest, TieredDoesLessMergeWorkThanGeometric) {
                          {{static_cast<TermId>(s % 10), 1}}, false);
       index.FinishStream(s);
     }
+    index.WaitForMerges();
     if (policy == lsm::MergePolicy::kGeometric) {
       stats_geometric = index.GetMergeStats();
     } else {
@@ -211,6 +214,7 @@ TEST(MergePolicyTest, LazyDeletionStillWorks) {
       index.InsertWindow(s, t += kMicrosPerSecond, {{6, 1}}, false);
       index.FinishStream(s);
     }
+    index.WaitForMerges();
     EXPECT_GT(index.GetMergeStats().purged_postings, 0u)
         << lsm::MergePolicyName(policy);
     EXPECT_EQ(index.Query({5}, 500, t).size(), 100u)

@@ -7,7 +7,7 @@
 // across the configuration matrix (filter × bound mode × merge policy),
 // each row checked against the full-walk oracle (use_bound off), which
 // consults no pruning or skipping structure. It also races queries
-// against inserts, updates and async merges on one index — the
+// against inserts, updates and background merges on one index — the
 // inter-query concurrency the pinned views exist for.
 
 #include <gtest/gtest.h>
@@ -42,7 +42,7 @@ RtsiConfig PipelineConfig(bool use_bound,
 }
 
 // Drives one randomized insert/finish/delete/update workload into every
-// index, so they end up with identical content.
+// index, so they end up with identical content, and waits for merges.
 void BuildWorkload(const std::vector<SearchIndex*>& indices, int seed,
                    Timestamp* end_time) {
   Rng rng(seed);
@@ -73,9 +73,16 @@ void BuildWorkload(const std::vector<SearchIndex*>& indices, int seed,
         index->UpdatePopularity(stream, delta);
       }
     } else {
-      for (SearchIndex* index : indices) index->DeleteStream(stream);
+      // A deletion that overlaps a running cascade is purged by it, one
+      // that does not by a later merge: settle first, so every index
+      // purges the same postings at the same merge.
+      for (SearchIndex* index : indices) {
+        index->WaitForMerges();
+        index->DeleteStream(stream);
+      }
     }
   }
+  for (SearchIndex* index : indices) index->WaitForMerges();
   *end_time = t;
 }
 
@@ -83,7 +90,7 @@ void BuildWorkload(const std::vector<SearchIndex*>& indices, int seed,
 // never updated, finished into a later insert, or deleted — so each
 // stream's live popularity and freshness equal what its sealed postings
 // snapshotted. This is the regime where kSnapshot bounds are exact (see
-// core/config.h).
+// core/config.h). Waits for merges.
 void BuildWriteOnceWorkload(const std::vector<SearchIndex*>& indices,
                             int seed, Timestamp* end_time) {
   Rng rng(seed);
@@ -106,6 +113,7 @@ void BuildWriteOnceWorkload(const std::vector<SearchIndex*>& indices,
       if (!live) index->FinishStream(stream);
     }
   }
+  for (SearchIndex* index : indices) index->WaitForMerges();
   *end_time = t;
 }
 
@@ -251,14 +259,13 @@ TEST(PipelineSoundnessTest, GlobalCeilingPruningMatchesFullWalk) {
   }
 }
 
-// Inserts, async merge cascades, popularity updates and deletions racing
+// Inserts, background merge cascades, popularity updates and deletions racing
 // three concurrent queriers on one index. Asserts structural sanity of
 // every answer; the real assertion is a clean TSan run
 // (tools/run_sanitizers.sh tsan).
 TEST(PipelineConcurrencyTest, ConcurrentStress) {
   auto config = PipelineConfig(/*use_bound=*/true);
   config.lsm.delta = 500;
-  config.async_merge = true;
   RtsiIndex index(config);
 
   std::atomic<bool> stop{false};

@@ -162,7 +162,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RankingInvariants, ::testing::Range(1, 6));
 // Pruned vs full-walk equivalence while merges run underneath: the
 // per-component live-freshness ceilings must keep upper-bound pruning
 // lossless in exactly the regime that created them — streams re-inserting
-// long after their early postings sealed, queries racing async merge
+// long after their early postings sealed, queries racing background merge
 // cascades and served through pinned views. SetUseBound toggles pruning
 // on the one index so both walks see identical content; a pair is retried
 // when a merge published a new view between its two queries (the
@@ -172,9 +172,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RankingInvariants, ::testing::Range(1, 6));
 // set).
 TEST(PrunedVsFullWalk, CeilingPruningLosslessAcrossMergeInterleavings) {
   for (int seed = 1; seed <= 3; ++seed) {
-    auto config = SmallConfig();
-    config.async_merge = true;
-    RtsiIndex index(config);
+    RtsiIndex index(SmallConfig());
     Rng rng(9000 + seed);
     Timestamp t = 0;
     constexpr int kStreams = 90;

@@ -232,6 +232,7 @@ TEST(RtsiIndexTest, LazyDeletionPurgesAtMerge) {
   for (StreamId s = 100; s < 140; ++s) {
     index.InsertWindow(s, t += 1000, Terms({{10, 1}, {11, 1}}), false);
   }
+  index.WaitForMerges();
   const auto stats = index.GetMergeStats();
   EXPECT_GT(stats.purged_postings, 0u);
   // Deleted streams never come back.
@@ -258,6 +259,7 @@ TEST(RtsiIndexTest, LiveTableShrinksAfterFinishAndMerge) {
     index.FinishStream(s);
   }
   // After merges, finished consolidated streams leave the live table.
+  index.WaitForMerges();
   EXPECT_LT(index.live_table().num_streams(), 30u + 60u);
 }
 
@@ -278,6 +280,7 @@ TEST(RtsiIndexTest, ResumedStreamScoresItsWholeHistory) {
       index->InsertWindow(s, 2000, Terms({{9, 1}}), false);
       index->FinishStream(s);
     }
+    index->WaitForMerges();
     EXPECT_EQ(index->live_table().ContainsStream(1), !pause);
     index->InsertWindow(1, 3000, Terms({{7, 2}}), true);
     return index;

@@ -36,6 +36,8 @@ void IngestCorpus(SearchService& service, SimulatedClock& clock) {
     service.FinishStream(s);
     clock.Advance(kMicrosPerSecond);
   }
+  service.text_index().WaitForMerges();
+  service.sound_index().WaitForMerges();
 }
 
 TEST(ServiceDeterminismTest, SameSeedSameResults) {

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "common/clock.h"
 
@@ -56,6 +59,65 @@ TEST(ServiceSnapshotTest, RoundTripPreservesSearchResults) {
     for (std::size_t i = 0; i < r1.size(); ++i) {
       EXPECT_EQ(r1[i].stream, r2[i].stream) << query;
       EXPECT_NEAR(r1[i].score, r2[i].score, 1e-9) << query;
+    }
+  }
+  RemoveSnapshotFiles(prefix);
+}
+
+// A save right after an ingest that froze L0 starts from the layout the
+// cascade settles on: the restored service has every stream in as many
+// components as the original and answers alike.
+TEST(ServiceSnapshotTest, SaveRightAfterAFreezeCapturesTheSettledLayout) {
+  const std::string prefix = "/tmp/rtsi_service_snap_freeze";
+  SearchServiceConfig config = SmallServiceConfig();
+  config.index.lsm.delta = 40;
+  config.index.lsm.rho = 2.0;
+  SimulatedClock clock;
+  SearchService original(config, &clock);
+  const std::vector<std::string> vocab = {
+      "quantum", "physics", "lecture", "football", "league", "pasta",
+      "recipes", "history", "episode", "tonight", "weather", "market"};
+  StreamId streams = 0;
+  int freezes = 0;
+  for (int i = 0; freezes < 6; ++i) {
+    ASSERT_LT(i, 2000) << "no freeze";
+    const StreamId stream = static_cast<StreamId>(i % 25);
+    streams = std::max<StreamId>(streams, stream + 1);
+    std::vector<std::string> words;
+    for (int w = 0; w < 4; ++w) {
+      words.push_back(vocab[(i * 7 + w * 5) % vocab.size()]);
+    }
+    const std::size_t l0_before = original.text_index().tree().l0_postings();
+    ASSERT_TRUE(original.IngestWindow(stream, words, i % 3 != 0).ok());
+    if (i % 3 == 0) original.FinishStream(stream);
+    clock.Advance(kMicrosPerSecond);
+    // L0 shrank: this ingest froze it and started a cascade.
+    if (original.text_index().tree().l0_postings() < l0_before) ++freezes;
+  }
+  ASSERT_TRUE(SaveServiceSnapshot(original, prefix).ok());
+
+  SimulatedClock clock2;
+  clock2.SetTime(clock.Now());
+  SearchService restored(config, &clock2);
+  const Status status = LoadServiceSnapshot(restored, prefix);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  for (StreamId s = 0; s < streams; ++s) {
+    EXPECT_EQ(restored.text_index().stream_table().GetComponentCount(s),
+              original.text_index().stream_table().GetComponentCount(s))
+        << "text stream " << s;
+    EXPECT_EQ(restored.sound_index().stream_table().GetComponentCount(s),
+              original.sound_index().stream_table().GetComponentCount(s))
+        << "sound stream " << s;
+  }
+  EXPECT_EQ(restored.text_index().tree().RunsPerLevel(),
+            original.text_index().tree().RunsPerLevel());
+  for (const std::string& word : vocab) {
+    const auto r1 = original.SearchKeywords(word + " " + vocab[0], 10);
+    const auto r2 = restored.SearchKeywords(word + " " + vocab[0], 10);
+    ASSERT_EQ(r1.size(), r2.size()) << word;
+    for (std::size_t i = 0; i < r1.size(); ++i) {
+      EXPECT_EQ(r1[i].stream, r2[i].stream) << word;
+      EXPECT_EQ(r1[i].score, r2[i].score) << word;
     }
   }
   RemoveSnapshotFiles(prefix);

@@ -234,7 +234,7 @@ TEST(ShardDeterminismTest, AdoptedShardAnswersLikeItsIndex) {
 }
 
 // The TSan target: concurrent per-thread ingest (disjoint stream sets, so
-// cross-thread op interleavings commute), seals and async merge cascades
+// cross-thread op interleavings commute), seals and background merge cascades
 // on every shard, scatter-gather queries racing all of it. After
 // quiescing, the sharded state must be bit-identical to a single-shard
 // oracle built sequentially.
@@ -244,7 +244,6 @@ TEST(ShardDeterminismTest, ConcurrentIngestSealsCascadesStayIdentical) {
 
   core::RtsiConfig concurrent_config = SmallConfig();
   concurrent_config.lsm.delta = 120;  // Seal + cascade under the race.
-  concurrent_config.async_merge = true;
 
   // Per-writer deterministic op streams over disjoint stream ids
   // (stream ≡ w mod kWriters, so no two writers ever share a stream and

@@ -48,6 +48,7 @@ TEST_P(SnapshotFuzz, RandomCorruptionNeverCrashes) {
                        {{static_cast<TermId>(s % 9), 2}}, false);
     index.FinishStream(s);
   }
+  index.WaitForMerges();
   ASSERT_TRUE(SaveIndexSnapshot(index, base).ok());
   const std::vector<std::uint8_t> pristine = ReadFile(base);
 

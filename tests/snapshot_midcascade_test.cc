@@ -84,9 +84,13 @@ std::vector<Op> MakeWorkload(std::uint64_t seed, int n, StreamId base) {
   return ops;
 }
 
+// Applies one op and lets the cascade it started finish: the observers
+// below run on the merge thread and read the op counters the writer
+// advances, so the writer holds still while they run.
 void Apply(RtsiIndex& index, const Op& op) {
   index.InsertWindow(op.stream, op.now, op.terms, !op.finish);
   if (op.finish) index.FinishStream(op.stream);
+  index.WaitForMerges();
 }
 
 std::vector<ScoredStream> Probe(RtsiIndex& index, Timestamp now) {
@@ -141,9 +145,10 @@ void RunSnapshotEveryStep(lsm::MergePolicy policy) {
   std::vector<StepRecord> records;
   int ops_applied = 0;
   Timestamp now = 0;
-  // The observer runs after every published cascade step, with no tree
-  // locks held — snapshotting and querying from it is the supported way
-  // to capture a mid-cascade state.
+  // The observer runs after every published cascade step — the freeze on
+  // this thread, merge swaps on the merge thread — with no tree locks
+  // held: snapshotting and querying from it is the supported way to
+  // capture a mid-cascade state.
   index.SetCascadeObserver([&] {
     StepRecord rec;
     rec.step = records.size();

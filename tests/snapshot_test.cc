@@ -59,6 +59,7 @@ std::unique_ptr<RtsiIndex> BuildPopulatedIndex(const RtsiConfig& config) {
     if (s % 17 == 0) index->DeleteStream(s);
     index->UpdatePopularity(s, rng.NextUint64(500));
   }
+  index->WaitForMerges();
   return index;
 }
 

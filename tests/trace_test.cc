@@ -116,6 +116,8 @@ TEST(TraceTest, ReplayMatchesLiveExecution) {
   core::RtsiIndex b(SmallConfig());
   const ReplayResult ra = ReplayTrace(trace, a);
   const ReplayResult rb = ReplayTrace(trace, b);
+  a.WaitForMerges();
+  b.WaitForMerges();
   EXPECT_EQ(ra.insertions.count(), rb.insertions.count());
   EXPECT_GT(ra.insertions.count(), 0u);
   EXPECT_GT(ra.queries.count(), 0u);

@@ -40,7 +40,6 @@ RtsiConfig ChurnConfig() {
   config.lsm.delta = 200;        // Trip cascades constantly.
   config.lsm.rho = 2.0;
   config.lsm.num_l0_shards = 4;
-  config.async_merge = true;     // Cascades race queries for real.
   // Streams keep re-inserting after their components seal; only the
   // global-pop mode's live ceilings keep pruning lossless there (§6c),
   // which the pruned-vs-full comparison requires.
@@ -165,15 +164,14 @@ TEST(ViewPublicationTest, PrunedTopKEqualsFullTopKOnEverySnapshot) {
 // (c) Reclamation: components leaving the view stay alive exactly as
 // long as a pin references them, then are freed — no mirror-style leak.
 TEST(ViewPublicationTest, RetiredComponentsFreedWhenLastPinDrops) {
-  auto config = ChurnConfig();
-  config.async_merge = false;  // Deterministic cascade points.
-  RtsiIndex index(config);
+  RtsiIndex index(ChurnConfig());
   Rng rng(41);
   Timestamp t = 0;
   for (int i = 0; i < 600; ++i) {
     index.InsertWindow(static_cast<StreamId>(rng.NextUint64(40)),
                        t += kMicrosPerSecond, RandomTerms(rng, 16), true);
   }
+  index.WaitForMerges();
   ASSERT_GT(index.tree().PinView()->components.size(), 0u);
 
   lsm::IndexViewPtr pinned = index.tree().PinView();
@@ -183,6 +181,9 @@ TEST(ViewPublicationTest, RetiredComponentsFreedWhenLastPinDrops) {
     index.InsertWindow(static_cast<StreamId>(rng.NextUint64(40)),
                        t += kMicrosPerSecond, RandomTerms(rng, 16), true);
   }
+  // A running cascade holds its inputs until it ends; quiesce so only
+  // the pin keeps retired components alive.
+  index.WaitForMerges();
   ASSERT_GT(index.tree().epoch(), pinned_epoch);
   EXPECT_GT(index.tree().retired_components(), 0u);
   EXPECT_GT(index.tree().RetiredBytes(), 0u);
@@ -200,7 +201,6 @@ TEST(ViewPublicationTest, RetiredComponentsFreedWhenLastPinDrops) {
 TEST(ViewPublicationTest, ReplaceIndicesSwapsUnderConcurrentQueries) {
   service::SearchServiceConfig config;
   config.index.lsm.delta = 500;
-  config.index.async_merge = true;
   SimulatedClock clock;
   clock.Advance(kMicrosPerSecond);
   service::SearchService service(config, &clock);

@@ -103,10 +103,9 @@ TEST(VoiceServiceRobustness, VoiceSearchOnShortAudio) {
   EXPECT_TRUE(results.empty());  // Nothing decodable; no crash.
 }
 
-TEST(SnapshotWithAsyncMerge, SaveAfterWaitIsConsistent) {
+TEST(SnapshotWithBackgroundMerge, SaveAfterWaitIsConsistent) {
   core::RtsiConfig config;
   config.lsm.delta = 150;
-  config.async_merge = true;
   core::RtsiIndex index(config);
   Timestamp t = 0;
   for (StreamId s = 0; s < 300; ++s) {
@@ -115,7 +114,7 @@ TEST(SnapshotWithAsyncMerge, SaveAfterWaitIsConsistent) {
   }
   index.WaitForMerges();
 
-  const std::string path = "/tmp/rtsi_async_snap_test.snap";
+  const std::string path = "/tmp/rtsi_background_snap_test.snap";
   ASSERT_TRUE(storage::SaveIndexSnapshot(index, path).ok());
   auto loaded = storage::LoadIndexSnapshot(path);
   ASSERT_TRUE(loaded.ok());

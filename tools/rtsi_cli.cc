@@ -111,6 +111,7 @@ int CmdReplay(int argc, char** argv) {
   }
   const workload::ReplayResult result =
       workload::ReplayTrace(trace_result.value(), *index);
+  index->WaitForMerges();
   std::printf("%s replay of %s:\n", index->name().c_str(), argv[0]);
   std::printf("  insertions: %s\n", result.insertions.Summary().c_str());
   std::printf("  queries:    %s\n", result.queries.Summary().c_str());
@@ -132,6 +133,7 @@ int CmdBuild(int argc, char** argv) {
   }
   core::RtsiIndex index(DefaultConfig());
   workload::ReplayTrace(trace_result.value(), index);
+  index.WaitForMerges();
   const Status status = storage::SaveIndexSnapshot(index, argv[1]);
   if (!status.ok()) {
     std::fprintf(stderr, "error: %s\n", status.ToString().c_str());

@@ -22,7 +22,7 @@ PREFIX="${2:-$REPO_ROOT/build}"
 # Keep in sync with the `sanitizer` ctest label in tests/CMakeLists.txt.
 TSAN_TARGETS=(
   thread_pool_test
-  async_merge_test
+  background_merge_test
   lsm_tree_test
   crash_recovery_test
   checkpoint_atomicity_test
@@ -35,6 +35,8 @@ TSAN_TARGETS=(
   shard_crash_recovery_test
   async_server_test
   query_pipeline_test
+  ranking_invariants_test
+  snapshot_midcascade_test
 )
 
 run_asan() {
