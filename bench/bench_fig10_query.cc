@@ -8,16 +8,11 @@
 // and skipping are pure traversal optimizations — so each query's result
 // checksum is audited against the full walk, the folded checksums are
 // emitted per row with every diverging query id and their count, and a
-// divergence exits nonzero. A
-// compaction-policy column rides along: the same workload against a
-// size-tiered index (several resident runs per level) shows what the
-// extra runs cost the read path with the headers doing the skipping.
-// Emits BENCH_fig10_query.json so the sealed-phase read path has a
+// divergence exits nonzero. Emits BENCH_fig10_query.json so the sealed-phase read path has a
 // tracked perf trajectory.
 
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
@@ -31,23 +26,8 @@
 
 namespace {
 
-std::uint64_t Mix(std::uint64_t h, std::uint64_t v) {
-  h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-  return h;
-}
-
-std::uint64_t ResultChecksum(
-    const std::vector<rtsi::core::ScoredStream>& results) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const auto& r : results) {
-    std::uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(r.score));
-    std::memcpy(&bits, &r.score, sizeof(bits));
-    h = Mix(h, r.stream);
-    h = Mix(h, bits);
-  }
-  return h;
-}
+using rtsi::bench::HashMix;
+using rtsi::bench::ResultChecksum;
 
 struct Pass {
   double mean_us = 0.0;
@@ -67,7 +47,7 @@ Pass MeasureRtsi(rtsi::core::RtsiIndex& index,
 
   workload::QueryGenerator gen(query_config);
   Pass pass;
-  pass.checksum = 1469598103934665603ull;
+  pass.checksum = bench::kChecksumSeed;
   pass.per_query.reserve(num_queries);
   LatencyStats lat;
   Stopwatch watch;
@@ -79,7 +59,7 @@ Pass MeasureRtsi(rtsi::core::RtsiIndex& index,
     lat.Record(watch.ElapsedMicros());
     const std::uint64_t qsum = ResultChecksum(results);
     pass.per_query.push_back(qsum);
-    pass.checksum = Mix(pass.checksum, qsum);
+    pass.checksum = HashMix(pass.checksum, qsum);
     pass.stats.components_visited += qs.components_visited;
     pass.stats.components_pruned += qs.components_pruned;
     pass.stats.components_skipped += qs.components_skipped;
@@ -109,7 +89,7 @@ int main() {
           " streams, k=10; RTSI = bound walk + skip headers; pre = "
           "committed pre-pipeline baseline)",
       {"mix/#queries", "RTSI", "pre", "drift", "full walk", "gain",
-       "tiered", "LSII mean", "skipped/visited", "screened", "match"});
+       "LSII mean", "skipped/visited", "screened", "match"});
 
   // Before/after the exec:: pipeline refactor: the committed baseline
   // (bench/baselines/) was recorded just before the unified pipeline
@@ -125,17 +105,11 @@ int main() {
 
   // Build the indices once; sweep the query count. The same RTSI index
   // serves the pruned pass and the full-walk audit (queries are
-  // read-only; SetUseBound flips the walk only). The tiered column reads
-  // an index built with the size-tiered compaction policy — more
-  // resident runs on the read path, the skip headers' worst case.
+  // read-only; SetUseBound flips the walk only).
   core::RtsiIndex rtsi_index(bench::DefaultIndexConfig());
-  auto tiered_config = bench::DefaultIndexConfig();
-  tiered_config.lsm.policy = lsm::MergePolicy::kTiered;
-  core::RtsiIndex tiered_index(tiered_config);
   auto lsii_index = bench::MakeIndex("LSII", bench::DefaultIndexConfig());
-  SimulatedClock clock_a, clock_b, clock_c;
+  SimulatedClock clock_a, clock_b;
   workload::InitializeIndex(rtsi_index, corpus, 0, init_streams, clock_a);
-  workload::InitializeIndex(tiered_index, corpus, 0, init_streams, clock_c);
   workload::InitializeIndex(*lsii_index, corpus, 0, init_streams, clock_b);
   const std::size_t components = rtsi_index.tree().SealedSnapshot().size();
 
@@ -143,8 +117,6 @@ int main() {
   report.Field("scale", bench::Scale());
   report.Field("streams", static_cast<double>(init_streams));
   report.Field("sealed_components", static_cast<double>(components));
-  report.Field("tiered_runs",
-               static_cast<double>(tiered_index.tree().num_runs()));
   report.Field("k", static_cast<double>(k));
 
   // Two query mixes. "in_vocab" is the paper's fig-10 workload: every
@@ -177,8 +149,6 @@ int main() {
     const Pass walk =
         MeasureRtsi(rtsi_index, query_config, n, k, clock_a.Now());
     rtsi_index.SetUseBound(true);
-    const Pass tiered =
-        MeasureRtsi(tiered_index, query_config, n, k, clock_c.Now());
 
     // Bit-identity audit: every query whose pruned result differs from
     // the full walk's, one line each, then the row's count.
@@ -253,7 +223,6 @@ int main() {
              : "-",
          workload::FormatMicros(walk.mean_us),
          workload::FormatDouble(gain * 100.0, 1) + "%",
-         workload::FormatMicros(tiered.mean_us),
          workload::FormatMicros(lsii_stats.mean_micros()),
          std::to_string(pruned.stats.components_skipped) + "/" +
              std::to_string(pruned.stats.components_visited),
@@ -268,10 +237,6 @@ int main() {
         .Field("total_us_skip", pruned.total_us)
         .Field("total_us_walk", walk.total_us)
         .Field("improvement", gain)
-        .Field("mean_us_tiered", tiered.mean_us)
-        .Field("total_us_tiered", tiered.total_us)
-        .Field("tiered_components_skipped",
-               static_cast<double>(tiered.stats.components_skipped))
         .Field("lsii_mean_us", lsii_stats.mean_micros())
         .Field("components_visited",
                static_cast<double>(pruned.stats.components_visited))

@@ -3,10 +3,7 @@
 // per-stream table; LSII touches the big hash table.
 //
 // Emits BENCH_fig13_update.json so the update path has a tracked perf
-// trajectory. The 13a sweep also carries a compaction-policy column:
-// popularity updates touch the stream table, never the sealed runs, so
-// tiered must cost the same as geometric — drift means updates grew a
-// dependency on component layout.
+// trajectory.
 
 #include <string>
 
@@ -25,33 +22,24 @@ int main() {
     const std::size_t init_streams = bench::Scaled(4000);
     const workload::SyntheticCorpus corpus(
         bench::DefaultCorpusConfig(init_streams));
-    core::RtsiConfig tiered_config = bench::DefaultIndexConfig();
-    tiered_config.lsm.policy = lsm::MergePolicy::kTiered;
     core::RtsiIndex rtsi_index(bench::DefaultIndexConfig());
-    core::RtsiIndex tiered_index(tiered_config);
     auto lsii_index = bench::MakeIndex("LSII", bench::DefaultIndexConfig());
-    SimulatedClock clock_r, clock_t, clock_b;
+    SimulatedClock clock_r, clock_b;
     workload::InitializeIndex(rtsi_index, corpus, 0, init_streams, clock_r);
-    workload::InitializeIndex(tiered_index, corpus, 0, init_streams,
-                              clock_t);
     workload::InitializeIndex(*lsii_index, corpus, 0, init_streams, clock_b);
 
     workload::ReportTable table(
         "Figure 13a: update cost vs #updates (" +
-            std::to_string(init_streams) +
-            " streams; policy A/B)",
-        {"#updates", "RTSI total", "RTSI tiered", "LSII total"});
+            std::to_string(init_streams) + " streams)",
+        {"#updates", "RTSI total", "LSII total"});
     for (const std::size_t base : {20000, 50000, 100000, 200000}) {
       const std::size_t n = bench::Scaled(base);
       const auto rtsi_stats = workload::MeasureUpdates(
           rtsi_index, n, init_streams, clock_r, /*seed=*/n);
-      const auto tiered_stats = workload::MeasureUpdates(
-          tiered_index, n, init_streams, clock_t, /*seed=*/n);
       const auto lsii_stats = workload::MeasureUpdates(
           *lsii_index, n, init_streams, clock_b, /*seed=*/n);
       table.AddRow({std::to_string(n),
                     workload::FormatMicros(rtsi_stats.sum_micros()),
-                    workload::FormatMicros(tiered_stats.sum_micros()),
                     workload::FormatMicros(lsii_stats.sum_micros())});
       report.AddRow()
           .Field("sweep", "updates")
@@ -59,8 +47,6 @@ int main() {
           .Field("streams", static_cast<double>(init_streams))
           .Field("total_us_rtsi", rtsi_stats.sum_micros())
           .Field("mean_us_rtsi", rtsi_stats.mean_micros())
-          .Field("total_us_tiered", tiered_stats.sum_micros())
-          .Field("mean_us_tiered", tiered_stats.mean_micros())
           .Field("lsii_total_us", lsii_stats.sum_micros());
     }
     table.Print();

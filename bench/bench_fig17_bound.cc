@@ -14,8 +14,17 @@
 // every bound mode and off in the nobound mode only as a side effect of
 // the screen being gated on use_bound; the per-mode skipped/visited/
 // screened counters land in BENCH_fig17_bound.json alongside latency.
+//
+// Soundness audit: kGlobalPop's pruning must never change an answer, so
+// its pass is replayed on the same index as the full walk (use_bound
+// off, no pruning structure consulted) and every query's result
+// checksum is compared. Each diverging query prints a DIVERGENCE line
+// and the bench exits 1: a divergence is a pruning or merge bug.
 
+#include <cstdint>
+#include <cstdio>
 #include <string>
+#include <vector>
 
 #include "bench_util.h"
 #include "common/clock.h"
@@ -43,6 +52,7 @@ constexpr std::size_t kNumModes = sizeof(kModes) / sizeof(kModes[0]);
 struct Row {
   double mean_micros[kNumModes] = {};
   core::QueryStats stats[kNumModes] = {};  // summed over the pass
+  std::size_t audit_diverging = 0;  // kGlobalPop queries != full walk
 };
 
 Row Run(std::size_t num_streams, std::size_t num_queries) {
@@ -56,18 +66,23 @@ Row Run(std::size_t num_streams, std::size_t num_queries) {
     core::RtsiIndex index(config);
     SimulatedClock clock;
     workload::InitializeIndex(index, corpus, 0, num_streams, clock);
+    const Timestamp now = clock.Now();
+    const auto query_config = bench::DefaultQueryConfig(corpus.vocab_size());
+    const bool audit = kModes[m].use_bound &&
+                       kModes[m].bound_mode == core::BoundMode::kGlobalPop;
 
-    workload::QueryGenerator gen(
-        bench::DefaultQueryConfig(corpus.vocab_size()));
+    workload::QueryGenerator gen(query_config);
     LatencyStats stats;
     Stopwatch watch;
     core::QueryStats& sum = row.stats[m];
+    std::vector<std::uint64_t> checksums;
     for (std::size_t i = 0; i < num_queries; ++i) {
       const auto q = gen.Next();
       core::QueryStats qs;
       watch.Restart();
-      index.Query(q, 10, clock.Now(), &qs);
+      const auto results = index.Query(q, 10, now, &qs);
       stats.Record(watch.ElapsedMicros());
+      if (audit) checksums.push_back(bench::ResultChecksum(results));
       sum.components_visited += qs.components_visited;
       sum.components_pruned += qs.components_pruned;
       sum.components_skipped += qs.components_skipped;
@@ -76,6 +91,22 @@ Row Run(std::size_t num_streams, std::size_t num_queries) {
       sum.candidates_scored += qs.candidates_scored;
     }
     row.mean_micros[m] = stats.mean_micros();
+    if (!audit) continue;
+
+    index.SetUseBound(false);
+    workload::QueryGenerator replay(query_config);
+    for (std::size_t i = 0; i < num_queries; ++i) {
+      const std::uint64_t walk =
+          bench::ResultChecksum(index.Query(replay.Next(), 10, now));
+      if (walk == checksums[i]) continue;
+      ++row.audit_diverging;
+      std::fprintf(stderr,
+                   "DIVERGENCE streams=%zu mode=%s query=%zu "
+                   "(pruned=%016llx walk=%016llx)\n",
+                   num_streams, kModes[m].name, i,
+                   static_cast<unsigned long long>(checksums[i]),
+                   static_cast<unsigned long long>(walk));
+    }
   }
   return row;
 }
@@ -88,13 +119,15 @@ int main() {
       "Figure 17: query latency by bound mode (snapshot = stale "
       "component-local, globalpop = sound live ceilings)",
       {"#streams", "snapshot", "globalpop", "nobound", "global/snap",
-       "speedup vs nobound", "pruned (snap/global)", "skipped/visited"});
+       "speedup vs nobound", "pruned (snap/global)", "skipped/visited",
+       "globalpop audit"});
 
   bench::JsonReport report("fig17_bound");
   report.Field("scale", bench::Scale());
   report.Field("queries_per_point", static_cast<double>(num_queries));
   report.Field("k", 10.0);
 
+  std::size_t diverging = 0;
   for (const std::size_t base : {1000, 2000, 4000, 8000}) {
     const std::size_t n = bench::Scaled(base);
     const Row row = Run(n, num_queries);
@@ -109,7 +142,11 @@ int main() {
          std::to_string(row.stats[0].components_pruned) + "/" +
              std::to_string(row.stats[1].components_pruned),
          std::to_string(row.stats[1].components_skipped) + "/" +
-             std::to_string(row.stats[1].components_visited)});
+             std::to_string(row.stats[1].components_visited),
+         row.audit_diverging == 0
+             ? "ok"
+             : "MISMATCH " + std::to_string(row.audit_diverging)});
+    diverging += row.audit_diverging;
 
     for (std::size_t m = 0; m < kNumModes; ++m) {
       auto& json_row = report.AddRow();
@@ -128,9 +165,20 @@ int main() {
                  static_cast<double>(row.stats[m].candidates_screened))
           .Field("candidates_scored",
                  static_cast<double>(row.stats[m].candidates_scored));
+      if (kModes[m].bound_mode == core::BoundMode::kGlobalPop) {
+        json_row.Field("audit_diverging_queries",
+                       static_cast<double>(row.audit_diverging));
+      }
     }
   }
   table.Print();
   report.Write("BENCH_fig17_bound.json");
+  if (diverging > 0) {
+    std::fprintf(stderr,
+                 "error: %zu kGlobalPop queries diverged from the full "
+                 "walk\n",
+                 diverging);
+    return 1;
+  }
   return 0;
 }

@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,23 +26,8 @@
 
 namespace {
 
-std::uint64_t Mix(std::uint64_t h, std::uint64_t v) {
-  h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-  return h;
-}
-
-std::uint64_t ResultChecksum(
-    const std::vector<rtsi::core::ScoredStream>& results) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const auto& r : results) {
-    std::uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(r.score));
-    std::memcpy(&bits, &r.score, sizeof(bits));
-    h = Mix(h, r.stream);
-    h = Mix(h, bits);
-  }
-  return h;
-}
+using rtsi::bench::HashMix;
+using rtsi::bench::ResultChecksum;
 
 struct InsertPass {
   double total_us = 0.0;
@@ -112,9 +96,9 @@ int main() {
     workload::QueryGenerator gen(
         bench::DefaultQueryConfig(corpus.vocab_size()));
     const Timestamp now = clock_rtsi.Now();
-    std::uint64_t checksum = 1469598103934665603ull;
+    std::uint64_t checksum = bench::kChecksumSeed;
     for (int q = 0; q < 200; ++q) {
-      checksum = Mix(checksum, ResultChecksum(rtsi_index.Query(
+      checksum = HashMix(checksum, ResultChecksum(rtsi_index.Query(
                                    gen.Next(), 10, now, nullptr)));
     }
 

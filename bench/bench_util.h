@@ -10,7 +10,9 @@
 #define RTSI_BENCH_BENCH_UTIL_H_
 
 #include <cctype>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -64,7 +66,6 @@ inline core::RtsiConfig DefaultIndexConfig() {
   config.lsm.delta = 64 * 1024;
   config.lsm.rho = 4.0;
   config.lsm.compress = false;
-  config.lsm.num_l0_shards = 16;
   config.weights.pop = 0.3;
   config.weights.rel = 0.5;
   config.weights.frsh = 0.2;
@@ -75,6 +76,31 @@ inline core::RtsiConfig DefaultIndexConfig() {
 
 /// The top-k the benches query with unless they sweep it (Table III).
 inline constexpr int kDefaultK = 10;
+
+/// Initial value of every result checksum (the FNV-1a offset basis).
+inline constexpr std::uint64_t kChecksumSeed = 1469598103934665603ull;
+
+/// Folds `v` into the running checksum `h`.
+inline std::uint64_t HashMix(std::uint64_t h, std::uint64_t v) {
+  h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
+  return h;
+}
+
+/// Checksum of one ranked result list: each stream id and the exact bits
+/// of its score, in rank order. Benches compare it across walks and
+/// against committed baselines, so it must never change.
+inline std::uint64_t ResultChecksum(
+    const std::vector<core::ScoredStream>& results) {
+  std::uint64_t h = kChecksumSeed;
+  for (const auto& r : results) {
+    std::uint64_t bits = 0;
+    static_assert(sizeof(bits) == sizeof(r.score));
+    std::memcpy(&bits, &r.score, sizeof(bits));
+    h = HashMix(h, r.stream);
+    h = HashMix(h, bits);
+  }
+  return h;
+}
 
 inline std::unique_ptr<core::SearchIndex> MakeIndex(
     const std::string& name, const core::RtsiConfig& config) {

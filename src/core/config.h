@@ -33,17 +33,11 @@ enum class BoundMode {
 };
 
 struct RtsiConfig {
-  /// LSM knobs: delta, rho, Huffman compression, and the compaction
-  /// policy (lsm.policy / lsm.tier_runs). kGeometric is the paper's
-  /// Algorithm 1 cascade; kTiered accumulates lsm.tier_runs runs per
-  /// level before folding the tier one level down (lower write
-  /// amplification, more runs on the read path — which the skip headers
-  /// keep cheap); kFullCompaction is the everything-into-one ablation
-  /// baseline. Snapshots (v5+) persist the policy; RtsiIndex::
-  /// SetMergePolicy switches it at runtime. Merging has one path: the
-  /// insert that takes L0 past lsm.delta freezes it on its own thread (a
-  /// seal and a publish), and the cascade runs on the index's merge
-  /// thread.
+  /// LSM knobs: I0's capacity lsm.delta (postings, >= 1), the level size
+  /// ratio lsm.rho (> 1) of Algorithm 1's cascade, and Huffman
+  /// compression of merged components. Merging has one path: the insert
+  /// that takes L0 past lsm.delta freezes it on its own thread (a seal
+  /// and a publish), and the cascade runs on the index's merge thread.
   lsm::LsmTree::Config lsm;
   ScoreWeights weights;
   double freshness_tau_seconds = 6.0 * 3600.0;  // Exponential decay scale.

@@ -29,11 +29,6 @@ void RtsiIndex::SetUseBound(bool use_bound) {
   config_.use_bound = use_bound;
 }
 
-void RtsiIndex::SetMergePolicy(lsm::MergePolicy policy) {
-  config_.lsm.policy = policy;
-  tree_.SetPolicy(policy);
-}
-
 void RtsiIndex::SetCascadeObserver(std::function<void()> observer) {
   cascade_observer_ = std::move(observer);
 }

@@ -74,12 +74,6 @@ class RtsiIndex : public SearchIndex {
   /// certify bound soundness. NOT safe concurrently with queries.
   void SetUseBound(bool use_bound);
 
-  /// Switches the LSM compaction policy; takes effect at the next merge
-  /// cascade. Always safe: policies are stateless and re-plan from the
-  /// current per-level run lists, so any structure the previous policy
-  /// (or a restored snapshot) left behind is valid input.
-  void SetMergePolicy(lsm::MergePolicy policy);
-
   /// Installs an observer invoked after every published cascade step —
   /// the L0 freeze, on the inserting thread, and each merge swap, on the
   /// merge thread — with no structural or L0 lock held: the tree is

@@ -8,21 +8,63 @@ using index::InvertedIndex;
 using index::Posting;
 using index::TermBounds;
 
+namespace {
+
+using Runs = std::vector<std::shared_ptr<const InvertedIndex>>;
+
+std::size_t LevelPostings(const Runs& runs) {
+  std::size_t total = 0;
+  for (const auto& run : runs) total += run->num_postings();
+  return total;
+}
+
+// Algorithm 1 over per-level run lists: picks the next cascade step's
+// inputs and output level, or returns false once every level fits. A
+// frozen run waiting at level 0 folds into level 1; otherwise the
+// shallowest level over its delta * rho^l capacity overflows into the
+// next one. Every run of both levels is an input, so in steady state (one
+// run per level) a step is the classic two-way merge, and a shape
+// restored mid-cascade (several runs on one level) heals into it.
+// Stateless: the plan is a pure function of the run lists.
+bool PlanCascadeStep(const std::vector<Runs>& levels, double delta,
+                     double rho, Runs* inputs, int* out_level) {
+  std::size_t from = levels.size();
+  if (!levels.empty() && !levels[0].empty()) {
+    from = 0;
+  } else {
+    double capacity = delta;
+    for (std::size_t l = 1; l < levels.size(); ++l) {
+      capacity *= rho;
+      if (!levels[l].empty() &&
+          static_cast<double>(LevelPostings(levels[l])) > capacity) {
+        from = l;
+        break;
+      }
+    }
+  }
+  if (from == levels.size()) return false;
+  for (std::size_t l = from; l <= from + 1 && l < levels.size(); ++l) {
+    inputs->insert(inputs->end(), levels[l].begin(), levels[l].end());
+  }
+  *out_level = static_cast<int>(from) + 1;
+  return true;
+}
+
+}  // namespace
+
 LsmTree::LsmTree(const Config& config)
     : config_(config),
-      policy_(config.policy),
       view_gauge_(std::make_shared<std::atomic<std::int64_t>>(0)) {
-  const std::size_t num_shards = std::max<std::size_t>(config.num_l0_shards, 1);
-  l0_shards_.reserve(num_shards);
-  for (std::size_t i = 0; i < num_shards; ++i) {
+  l0_shards_.reserve(kL0Shards);
+  for (std::size_t i = 0; i < kL0Shards; ++i) {
     auto shard = std::make_unique<L0Shard>();
     shard->arena = std::make_unique<WindowArena>(
         WindowArena::kDefaultSlabBytes, mem_tracker_);
     shard->index.set_arena(shard->arena.get());
     l0_shards_.push_back(std::move(shard));
   }
-  stream_seen_.reserve(num_shards);
-  for (std::size_t i = 0; i < num_shards; ++i) {
+  stream_seen_.reserve(kL0Shards);
+  for (std::size_t i = 0; i < kL0Shards; ++i) {
     stream_seen_.push_back(std::make_unique<StreamSeenShard>());
   }
   // Publish the empty epoch-0 view so PinView() never returns null.
@@ -181,8 +223,6 @@ bool LsmTree::FreezeL0Locked(const MergeHooks& hooks) {
   // epoch folds to one aggregated posting, so the frozen component
   // satisfies the same one-posting-per-stream invariant as merge outputs
   // — the pruning bounds (Bounds(), Threshold()) are only sound under it.
-  // Matters doubly under tiered compaction, where frozen runs stay
-  // query-visible for many epochs.
   frozen->SealAll();
   // Rotate the ingest arenas while the shard locks are still held: the
   // seal migrated every frozen posting vector to the heap, but the
@@ -247,27 +287,28 @@ void LsmTree::RunCascade(const MergeHooks& hooks) {
   // it (Seal() migrates to exact-size heap buffers), so it dies here. No
   // tracker: the kLiveArena gauge reports live-data arenas only.
   WindowArena scratch;
-  const CompactionConfig policy_config{config_.delta, config_.rho,
-                                       config_.tier_runs};
-  const auto plan = MakeCompactionPolicy(policy(), policy_config);
   while (true) {
-    CompactionStep step;
+    Runs inputs;
+    int out_level = 1;
     {
       // Plan against the current run lists, then detach the chosen
       // inputs into pending_. The visible set is unchanged (run-list
       // entry -> pending), so no publish: the current view keeps serving
       // the inputs until the swap below.
       std::lock_guard<std::mutex> lock(components_mu_);
-      if (!plan->PlanStep(levels_, &step) || step.inputs.empty()) break;
-      for (const auto& input : step.inputs) DetachRunLocked(input);
+      if (!PlanCascadeStep(levels_, static_cast<double>(config_.delta),
+                           config_.rho, &inputs, &out_level)) {
+        break;
+      }
+      for (const auto& input : inputs) DetachRunLocked(input);
     }
 
     std::vector<const InvertedIndex*> raw_inputs;
-    raw_inputs.reserve(step.inputs.size());
-    for (const auto& input : step.inputs) raw_inputs.push_back(input.get());
+    raw_inputs.reserve(inputs.size());
+    for (const auto& input : inputs) raw_inputs.push_back(input.get());
     std::vector<StreamId> surviving;
     const std::shared_ptr<InvertedIndex> merged = CombineComponents(
-        raw_inputs, step.out_level, config_.compress, hooks, &stats,
+        raw_inputs, out_level, config_.compress, hooks, &stats,
         AllocateComponentId(), std::make_shared<index::FreshnessCeiling>(),
         hooks.on_retired ? &surviving : nullptr, &scratch);
     merged->AttachSkipHeaderGauge(mem_tracker_);
@@ -278,8 +319,8 @@ void LsmTree::RunCascade(const MergeHooks& hooks) {
       // A fully-purged (empty) output is simply dropped rather than
       // installed, so no view ever carries a permanently empty component.
       std::lock_guard<std::mutex> lock(components_mu_);
-      for (const auto& input : step.inputs) ErasePendingLocked(input.get());
-      if (!merged->empty()) InstallRunLocked(merged, step.out_level);
+      for (const auto& input : inputs) ErasePendingLocked(input.get());
+      if (!merged->empty()) InstallRunLocked(merged, out_level);
       PublishLocked();
     }
     // The inputs just left the published view: retire their residencies
@@ -287,8 +328,8 @@ void LsmTree::RunCascade(const MergeHooks& hooks) {
     // the swap) is what keeps queries pinned to the old view sound.
     if (hooks.on_retired) {
       std::vector<ComponentId> from;
-      from.reserve(step.inputs.size());
-      for (const auto& input : step.inputs) {
+      from.reserve(inputs.size());
+      for (const auto& input : inputs) {
         from.push_back(input->component_id());
       }
       for (const StreamId stream : surviving) {

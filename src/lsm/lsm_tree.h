@@ -1,15 +1,14 @@
 // The LSM-tree of inverted indices (Figure 2).
 //
-// Level 0 is mutable and sharded by term: insertions lock only the term's
-// shard (the paper's "partially locking the inverted index"), queries take
-// the shard's shared lock for the duration of one term scan. Levels >= 1
-// are immutable components produced by merges.
+// Level 0 is mutable and sharded by term into kL0Shards shards: insertions
+// lock only the term's shard (the paper's "partially locking the inverted
+// index"), queries take the shard's shared lock for the duration of one
+// term scan. Levels >= 1 are immutable components produced by merges.
 //
 // Every sealed level holds a *list* of runs, not a single resident: a
-// just-frozen L0 lives at levels_[0], a tiered policy accumulates several
-// runs per level by design, and a snapshot restored mid-cascade may land
-// a detached input next to an over-capacity intermediate on the same
-// level. Any such state is valid — the compaction policy re-plans from
+// just-frozen L0 lives at levels_[0], and a snapshot restored mid-cascade
+// may land a detached input next to an over-capacity intermediate on the
+// same level. Any such state is valid — each cascade step is planned from
 // whatever run lists it finds, so every pinned view is a restorable
 // snapshot (the snapshot-anywhere invariant, DESIGN.md §6h).
 //
@@ -23,11 +22,11 @@
 // reader ever takes.
 //
 // Merging is two calls. FreezeL0 seals an over-capacity L0 into a
-// level-0 run; RunCascade then executes policy-planned N-way merge steps
-// (Algorithm 1's geometric cascade by default; see compaction_policy.h)
-// until the policy reports a settled shape. The owner decides which
-// thread runs each: RtsiIndex freezes on the inserting thread and
-// cascades on its merge thread.
+// level-0 run; RunCascade then runs Algorithm 1's geometric cascade —
+// level l overflows into level l+1 while it holds more than
+// delta * rho^l postings — as N-way merge steps until every level fits.
+// The owner decides which thread runs each: RtsiIndex freezes on the
+// inserting thread and cascades on its merge thread.
 
 #ifndef RTSI_LSM_LSM_TREE_H_
 #define RTSI_LSM_LSM_TREE_H_
@@ -44,7 +43,6 @@
 #include "common/status.h"
 #include "common/window_arena.h"
 #include "index/inverted_index.h"
-#include "lsm/compaction_policy.h"
 #include "lsm/index_view.h"
 #include "lsm/merge.h"
 
@@ -52,15 +50,17 @@ namespace rtsi::lsm {
 
 class LsmTree {
  public:
+  /// The paper's knobs. The cascade settles only when delta >= 1 and
+  /// rho > 1: otherwise every non-empty level is over capacity and each
+  /// step opens a deeper one, forever.
   struct Config {
     std::size_t delta = 64 * 1024;  // I0 capacity, in postings.
     double rho = 4.0;               // Size ratio between adjacent levels.
     bool compress = false;          // Huffman-compress merged components.
-    std::size_t num_l0_shards = 16;
-    MergePolicy policy = MergePolicy::kGeometric;
-    std::size_t tier_runs = 4;      // kTiered: runs accumulated per level
-                                    // before the tier merges one level down.
   };
+
+  /// Term shards of L0 (and stream shards of its epoch marks).
+  static constexpr std::size_t kL0Shards = 16;
 
   explicit LsmTree(const Config& config);
 
@@ -80,7 +80,7 @@ class LsmTree {
   /// adding a posting; returns true on the first call for this stream
   /// since the last freeze. Prefer the AddPosting return value — a freeze
   /// between this call and a later AddPosting splits mark and posting
-  /// across epochs. Kept for tests.
+  /// across epochs. The LSII baseline calls it.
   bool MarkStreamInL0(StreamId stream);
 
   /// True when `stream` has postings in the current L0 epoch.
@@ -99,9 +99,9 @@ class LsmTree {
   /// freezes and with RunCascade.
   bool FreezeL0(const MergeHooks& hooks);
 
-  /// Executes merge steps planned by the configured CompactionPolicy
-  /// until the structure settles. Queries proceed concurrently against
-  /// whatever view they pinned, and inserts against L0.
+  /// Executes Algorithm 1's cascade steps until every level fits its
+  /// capacity. Queries proceed concurrently against whatever view they
+  /// pinned, and inserts against L0.
   /// `hooks.on_cascade_step` (if set) fires after every published step
   /// with no structural or L0 lock held.
   void RunCascade(const MergeHooks& hooks);
@@ -178,18 +178,6 @@ class LsmTree {
   MergeStats GetMergeStats() const;
   const Config& config() const { return config_; }
 
-  /// The active compaction policy. Defaults to Config::policy.
-  MergePolicy policy() const {
-    return policy_.load(std::memory_order_relaxed);
-  }
-
-  /// Switches the compaction policy. Takes effect at the next cascade
-  /// (policies are stateless — each cascade re-plans from the current
-  /// run lists, so switching never invalidates existing structure).
-  void SetPolicy(MergePolicy policy) {
-    policy_.store(policy, std::memory_order_relaxed);
-  }
-
   // Lifecycle observability (rtsi_cli stats, leak assertions in tests).
 
   /// Number of IndexView objects alive: the published view plus every
@@ -238,6 +226,10 @@ class LsmTree {
     std::unordered_set<StreamId> seen;
   };
 
+  /// runs[l] holds every sealed run whose level() == l, oldest first.
+  using LevelRuns =
+      std::vector<std::vector<std::shared_ptr<const index::InvertedIndex>>>;
+
   /// FreezeL0's body. Requires merge_mu_.
   bool FreezeL0Locked(const MergeHooks& hooks);
 
@@ -265,7 +257,10 @@ class LsmTree {
   }
 
   Config config_;
-  std::atomic<MergePolicy> policy_;
+  // kL0Shards entries each. Every shard is its own heap allocation:
+  // ThreadSanitizer knows a std::mutex by its address only, so mutexes
+  // inside a stack-allocated tree would be confused with whatever later
+  // reuses that stack (false lock-order reports).
   std::vector<std::unique_ptr<L0Shard>> l0_shards_;
   std::vector<std::unique_ptr<StreamSeenShard>> stream_seen_;
   std::atomic<std::size_t> l0_postings_{0};

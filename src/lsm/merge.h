@@ -5,8 +5,9 @@
 // many times across (and within) components; the merged component keeps a
 // single posting with the summed term frequency, the newest freshness and
 // the largest popularity snapshot. Postings of deleted streams are purged
-// here (lazy deletion). Merges are N-way: a compaction policy may fold
-// any number of runs — a whole tier, or the classic two — in one pass.
+// here (lazy deletion). Merges are N-way: a cascade step folds every run
+// of the overflowing level and the next — the classic two in steady
+// state, more after a snapshot restored mid-cascade — in one pass.
 // Hooks let the owning index maintain per-stream component counts and the
 // live-term table.
 

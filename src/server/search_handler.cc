@@ -256,9 +256,8 @@ void RegisterSearchRoutes(HttpServerBase& http,
     out << "{\"text_postings\":" << text_postings
         << ",\"sound_postings\":" << sound_postings
         << ",\"text_levels\":" << text.shard_index(0).tree().num_levels()
-        << ",\"text_runs\":" << text_runs << ",\"policy\":\""
-        << lsm::MergePolicyName(text.shard_index(0).tree().policy())
-        << "\",\"merges\":" << merges << ",\"streams\":" << streams
+        << ",\"text_runs\":" << text_runs << ",\"merges\":" << merges
+        << ",\"streams\":" << streams
         << ",\"live_streams\":" << live_streams
         << ",\"words\":" << service.text_dictionary().size()
         << ",\"lattice_units\":" << service.sound_dictionary().size()

@@ -20,24 +20,31 @@ using index::Posting;
 using index::StreamInfo;
 using index::TermPostings;
 
+// Retired config slots, kept so the layout does not change: each is
+// written with the one value the code runs with and ignored on load.
+constexpr std::uint64_t kRetiredL0Shards = 16;  // lsm::LsmTree::kL0Shards
+constexpr std::uint32_t kRetiredDefaultK = 10;
+// Policy slot: 0 = the geometric cascade; older writers also stored
+// 1 (full compaction) or 2 (tiered), which load as geometric.
+constexpr std::uint32_t kRetiredPolicy = 0;
+constexpr std::uint32_t kRetiredPolicyMax = 2;
+constexpr std::uint64_t kRetiredTierRuns = 4;
+
 void WriteConfig(SnapshotWriter& writer, const RtsiConfig& config) {
   writer.WriteU64(config.lsm.delta);
   writer.WriteDouble(config.lsm.rho);
   writer.WriteU32(config.lsm.compress ? 1 : 0);
-  writer.WriteU64(config.lsm.num_l0_shards);
+  writer.WriteU64(kRetiredL0Shards);
   writer.WriteDouble(config.weights.pop);
   writer.WriteDouble(config.weights.rel);
   writer.WriteDouble(config.weights.frsh);
   writer.WriteDouble(config.freshness_tau_seconds);
   writer.WriteU32(config.use_bound ? 1 : 0);
   writer.WriteU32(static_cast<std::uint32_t>(config.bound_mode));
-  // A retired default-k slot, kept so the layout does not change: always
-  // 10 (what every writer stored), ignored on load.
-  writer.WriteU32(10);
-  // v5: the compaction policy and its tiering knob, so the restored tree
-  // keeps folding runs the way the saved one did.
-  writer.WriteU32(static_cast<std::uint32_t>(config.lsm.policy));
-  writer.WriteU64(config.lsm.tier_runs);
+  writer.WriteU32(kRetiredDefaultK);
+  // v5 added the compaction-policy and tier-runs slots.
+  writer.WriteU32(kRetiredPolicy);
+  writer.WriteU64(kRetiredTierRuns);
 }
 
 // Orders (key, value) entries by their unique key.
@@ -48,10 +55,10 @@ void SortByKey(Entries& entries) {
 }
 
 bool ReadConfig(SnapshotReader& reader, RtsiConfig& config) {
-  std::uint64_t delta = 0, shards = 0;
+  std::uint64_t delta = 0, retired_shards = 0;
   std::uint32_t compress = 0, use_bound = 0, bound_mode = 0, retired_k = 0;
   if (!reader.ReadU64(delta) || !reader.ReadDouble(config.lsm.rho) ||
-      !reader.ReadU32(compress) || !reader.ReadU64(shards) ||
+      !reader.ReadU32(compress) || !reader.ReadU64(retired_shards) ||
       !reader.ReadDouble(config.weights.pop) ||
       !reader.ReadDouble(config.weights.rel) ||
       !reader.ReadDouble(config.weights.frsh) ||
@@ -60,23 +67,25 @@ bool ReadConfig(SnapshotReader& reader, RtsiConfig& config) {
       !reader.ReadU32(retired_k)) {
     return false;
   }
+  // Algorithm 1's cascade settles only under delta >= 1 and rho > 1 (the
+  // negated test also rejects a NaN rho); a file outside that range
+  // would hang the merge thread, and with it every later freeze.
+  if (delta == 0 || !(config.lsm.rho > 1.0)) return false;
+  if (bound_mode > static_cast<std::uint32_t>(core::BoundMode::kGlobalPop)) {
+    return false;
+  }
   config.lsm.delta = delta;
   config.lsm.compress = compress != 0;
-  config.lsm.num_l0_shards = shards;
   config.use_bound = use_bound != 0;
   config.bound_mode = static_cast<core::BoundMode>(bound_mode);
   if (reader.version() >= 5) {
     std::uint32_t policy = 0;
-    std::uint64_t tier_runs = 0;
-    if (!reader.ReadU32(policy) || !reader.ReadU64(tier_runs)) return false;
-    if (policy > static_cast<std::uint32_t>(lsm::MergePolicy::kTiered)) {
+    std::uint64_t runs_per_tier = 0;
+    if (!reader.ReadU32(policy) || !reader.ReadU64(runs_per_tier)) {
       return false;
     }
-    config.lsm.policy = static_cast<lsm::MergePolicy>(policy);
-    config.lsm.tier_runs = tier_runs;
+    if (policy > kRetiredPolicyMax) return false;
   }
-  // <= v4 files predate the policy field; their writers ran the geometric
-  // cascade, which config defaults already select.
   return true;
 }
 

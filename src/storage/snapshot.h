@@ -41,14 +41,17 @@ namespace rtsi::storage {
 /// with headers rebuilt from the decoded postings — SkipHeader::Build is
 /// deterministic, so the rebuilt header is byte-identical to what a v4
 /// save of the same component would have carried.
-/// v5 added the compaction policy (u32) and tier_runs (u64) to the
-/// config section, so a restored tree keeps compacting the way it was
-/// configured to. Component entries are unchanged, but v5 snapshots may
-/// legitimately carry several components per level and components at
-/// level 0 (a frozen, not-yet-merged L0): any pinned view — including
-/// one cut mid-cascade — is a valid snapshot, and the next cascade
-/// re-plans from whatever run lists were restored. Files <= v4 load with
-/// the default policy (geometric, matching their writer's behavior).
+/// v5 added a compaction-policy slot (u32) and a tier-runs slot (u64) to
+/// the config section. Both are retired, like the L0-shard and default-k
+/// slots before them: writers store fixed values (0, 4; 16 shards, k 10)
+/// and loaders ignore them, since the tree has one compaction shape,
+/// Algorithm 1's geometric cascade. Component entries are unchanged, but
+/// v5 snapshots may legitimately carry several components per level and
+/// components at level 0 (a frozen, not-yet-merged L0): any pinned view
+/// — including one cut mid-cascade — is a valid snapshot, and the next
+/// cascade re-plans from whatever run lists were restored. A config
+/// whose delta is 0, whose rho is not above 1, or whose bound mode or
+/// policy slot is out of range fails to load.
 inline constexpr std::uint32_t kSnapshotVersion = 5;
 inline constexpr std::uint32_t kMinSnapshotVersion = 1;
 

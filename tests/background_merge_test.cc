@@ -20,7 +20,6 @@ namespace {
 RtsiConfig SmallConfig() {
   RtsiConfig config;
   config.lsm.delta = 150;
-  config.lsm.num_l0_shards = 4;
   return config;
 }
 
@@ -86,75 +85,67 @@ TEST(BackgroundMergeTest, CascadesRunOnTheMergeThread) {
 // postings leave, not what queries return — so deletions settle first.
 TEST(BackgroundMergeTest, PlacementChangesNeitherStructureNorResults) {
   constexpr TermId kVocab = 40;
-  for (const lsm::MergePolicy policy :
-       {lsm::MergePolicy::kGeometric, lsm::MergePolicy::kTiered}) {
-    RtsiConfig config = SmallConfig();
-    config.lsm.policy = policy;
-    config.lsm.rho = 2.0;
-    RtsiIndex waited(config);
-    RtsiIndex unwaited(config);
+  RtsiConfig config = SmallConfig();
+  config.lsm.rho = 2.0;
+  RtsiIndex waited(config);
+  RtsiIndex unwaited(config);
 
-    Rng rng(17);
-    Timestamp t = 0;
-    std::vector<int> windows_left(60, 0);
-    for (int step = 0; step < 3000; ++step) {
-      t += kMicrosPerSecond;
-      const auto stream = static_cast<StreamId>(rng.NextUint64(60));
-      if (windows_left[stream] == 0) {
-        // A new broadcast, or one resuming after it finished.
-        windows_left[stream] = 1 + static_cast<int>(rng.NextUint64(6));
-      }
-      const bool live = --windows_left[stream] > 0;
-      const auto terms = RandomTerms(rng, kVocab, 4);
-      for (RtsiIndex* index : {&waited, &unwaited}) {
-        index->InsertWindow(stream, t, terms, live);
-        if (!live) index->FinishStream(stream);
-      }
-      waited.WaitForMerges();
-      if (rng.NextBool(0.1)) {
-        const auto target = static_cast<StreamId>(rng.NextUint64(60));
-        const std::uint64_t delta = 1 + rng.NextUint64(50);
-        waited.UpdatePopularity(target, delta);
-        unwaited.UpdatePopularity(target, delta);
-      }
-      if (rng.NextBool(0.005)) {
-        const auto target = static_cast<StreamId>(rng.NextUint64(60));
-        unwaited.WaitForMerges();
-        waited.DeleteStream(target);
-        unwaited.DeleteStream(target);
-      }
+  Rng rng(17);
+  Timestamp t = 0;
+  std::vector<int> windows_left(60, 0);
+  for (int step = 0; step < 3000; ++step) {
+    t += kMicrosPerSecond;
+    const auto stream = static_cast<StreamId>(rng.NextUint64(60));
+    if (windows_left[stream] == 0) {
+      // A new broadcast, or one resuming after it finished.
+      windows_left[stream] = 1 + static_cast<int>(rng.NextUint64(6));
     }
-    unwaited.WaitForMerges();
+    const bool live = --windows_left[stream] > 0;
+    const auto terms = RandomTerms(rng, kVocab, 4);
+    for (RtsiIndex* index : {&waited, &unwaited}) {
+      index->InsertWindow(stream, t, terms, live);
+      if (!live) index->FinishStream(stream);
+    }
+    waited.WaitForMerges();
+    if (rng.NextBool(0.1)) {
+      const auto target = static_cast<StreamId>(rng.NextUint64(60));
+      const std::uint64_t delta = 1 + rng.NextUint64(50);
+      waited.UpdatePopularity(target, delta);
+      unwaited.UpdatePopularity(target, delta);
+    }
+    if (rng.NextBool(0.005)) {
+      const auto target = static_cast<StreamId>(rng.NextUint64(60));
+      unwaited.WaitForMerges();
+      waited.DeleteStream(target);
+      unwaited.DeleteStream(target);
+    }
+  }
+  unwaited.WaitForMerges();
 
-    const std::string name = lsm::MergePolicyName(policy);
-    EXPECT_EQ(waited.tree().RunsPerLevel(), unwaited.tree().RunsPerLevel())
-        << name;
-    EXPECT_EQ(waited.tree().total_postings(),
-              unwaited.tree().total_postings())
-        << name;
-    const lsm::MergeStats a = waited.GetMergeStats();
-    const lsm::MergeStats b = unwaited.GetMergeStats();
-    EXPECT_GT(a.merges, 0u) << name;
-    EXPECT_EQ(a.merges, b.merges) << name;
-    EXPECT_EQ(a.postings_in, b.postings_in) << name;
-    EXPECT_EQ(a.postings_out, b.postings_out) << name;
-    EXPECT_EQ(a.consolidated_postings, b.consolidated_postings) << name;
-    EXPECT_EQ(a.purged_postings, b.purged_postings) << name;
-    EXPECT_EQ(waited.live_table().num_streams(),
-              unwaited.live_table().num_streams())
-        << name;
+  EXPECT_EQ(waited.tree().RunsPerLevel(), unwaited.tree().RunsPerLevel());
+  EXPECT_EQ(waited.tree().total_postings(),
+            unwaited.tree().total_postings());
+  const lsm::MergeStats a = waited.GetMergeStats();
+  const lsm::MergeStats b = unwaited.GetMergeStats();
+  EXPECT_GT(a.merges, 0u);
+  EXPECT_EQ(a.merges, b.merges);
+  EXPECT_EQ(a.postings_in, b.postings_in);
+  EXPECT_EQ(a.postings_out, b.postings_out);
+  EXPECT_EQ(a.consolidated_postings, b.consolidated_postings);
+  EXPECT_EQ(a.purged_postings, b.purged_postings);
+  EXPECT_EQ(waited.live_table().num_streams(),
+            unwaited.live_table().num_streams());
 
-    for (const bool use_bound : {true, false}) {
-      waited.SetUseBound(use_bound);
-      unwaited.SetUseBound(use_bound);
-      for (TermId q = 0; q < kVocab; ++q) {
-        const std::vector<TermId> terms = {q, (q + 13) % kVocab};
-        ExpectBitIdentical(waited.Query(terms, 10, t),
-                           unwaited.Query(terms, 10, t),
-                           name + (use_bound ? " pruned" : " full") +
-                               " query " + std::to_string(q));
-        if (HasFatalFailure()) return;
-      }
+  for (const bool use_bound : {true, false}) {
+    waited.SetUseBound(use_bound);
+    unwaited.SetUseBound(use_bound);
+    for (TermId q = 0; q < kVocab; ++q) {
+      const std::vector<TermId> terms = {q, (q + 13) % kVocab};
+      ExpectBitIdentical(waited.Query(terms, 10, t),
+                         unwaited.Query(terms, 10, t),
+                         std::string(use_bound ? "pruned" : "full") +
+                             " query " + std::to_string(q));
+      if (HasFatalFailure()) return;
     }
   }
 }

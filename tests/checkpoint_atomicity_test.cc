@@ -53,7 +53,6 @@ void CleanDir() {
 RtsiConfig SmallConfig() {
   RtsiConfig config;
   config.lsm.delta = 300;
-  config.lsm.num_l0_shards = 2;
   return config;
 }
 

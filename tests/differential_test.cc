@@ -23,7 +23,6 @@ class DifferentialSoak : public ::testing::TestWithParam<int> {};
 TEST_P(DifferentialSoak, RtsiAndLsiiAgreeOnSingleWindowWorkloads) {
   RtsiConfig config;
   config.lsm.delta = 200;
-  config.lsm.num_l0_shards = 4;
   // Popularity updates land after insertion; the snapshot bound mode is
   // then only approximate. The global-pop mode keeps both systems exact,
   // so their outputs must match bit for bit.

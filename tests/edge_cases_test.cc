@@ -22,7 +22,6 @@ using core::TermCount;
 RtsiConfig SmallConfig() {
   RtsiConfig config;
   config.lsm.delta = 100;
-  config.lsm.num_l0_shards = 4;
   return config;
 }
 

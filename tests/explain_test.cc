@@ -11,7 +11,6 @@ namespace {
 RtsiConfig SmallConfig() {
   RtsiConfig config;
   config.lsm.delta = 100;
-  config.lsm.num_l0_shards = 4;
   return config;
 }
 

@@ -26,7 +26,6 @@ RtsiConfig MergeHeavyConfig() {
   RtsiConfig config;
   config.lsm.delta = 300;
   config.lsm.rho = 2.0;
-  config.lsm.num_l0_shards = 8;
   return config;
 }
 

@@ -35,7 +35,6 @@ void Cleanup() {
 RtsiConfig SmallConfig() {
   RtsiConfig config;
   config.lsm.delta = 300;
-  config.lsm.num_l0_shards = 4;
   return config;
 }
 

@@ -58,7 +58,6 @@ TEST(LiveArenaTest, RetiredArenasQuarantinedUntilPinnedViewDrops) {
   // with it the retired ingest arenas quarantined at FreezeL0.
   lsm::LsmTree::Config config;
   config.delta = 256;
-  config.num_l0_shards = 4;
   lsm::LsmTree tree(config);
   const std::shared_ptr<MemoryTracker> tracker = tree.memory_tracker();
 

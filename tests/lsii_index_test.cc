@@ -22,7 +22,6 @@ RtsiConfig SmallConfig() {
   RtsiConfig config;
   config.lsm.delta = 150;
   config.lsm.rho = 2.0;
-  config.lsm.num_l0_shards = 4;
   return config;
 }
 

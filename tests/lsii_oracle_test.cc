@@ -84,7 +84,6 @@ class LsiiOracleTest : public ::testing::TestWithParam<int> {};
 TEST_P(LsiiOracleTest, TopKMatchesBruteForce) {
   RtsiConfig config;
   config.lsm.delta = 150;
-  config.lsm.num_l0_shards = 4;
   config.bound_mode = core::BoundMode::kGlobalPop;
   LsiiIndex index(config);
   const core::Scorer scorer(config.weights, config.freshness_tau_seconds);

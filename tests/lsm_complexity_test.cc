@@ -24,7 +24,6 @@ TEST(LsmComplexityTest, LevelCountIsLogarithmic) {
   lsm::LsmTree::Config config;
   config.delta = 100;
   config.rho = 2.0;
-  config.num_l0_shards = 4;
   lsm::LsmTree tree(config);
 
   Timestamp t = 0;
@@ -44,7 +43,6 @@ TEST(LsmComplexityTest, TotalMergeWorkIsLogLinear) {
   lsm::LsmTree::Config config;
   config.delta = 128;
   config.rho = 2.0;
-  config.num_l0_shards = 4;
   lsm::LsmTree tree(config);
 
   Timestamp t = 0;
@@ -71,7 +69,6 @@ TEST(LsmComplexityTest, InsertionCostIndependentOfHistoryBetweenMerges) {
   // early window of inserts with a late one (excluding merges).
   lsm::LsmTree::Config config;
   config.delta = 50'000;  // Large: no merge inside the measured windows.
-  config.num_l0_shards = 4;
   lsm::LsmTree tree(config);
 
   Timestamp t = 0;
@@ -97,7 +94,6 @@ TEST(LsmComplexityTest, BoundKeepsQueryCostNearFlat) {
   // visited per query stay small even as the index grows.
   core::RtsiConfig config;
   config.lsm.delta = 500;
-  config.lsm.num_l0_shards = 4;
 
   std::size_t visited_small = 0, visited_large = 0;
   for (const std::size_t num_streams : {500u, 4000u}) {

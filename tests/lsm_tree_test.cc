@@ -32,7 +32,6 @@ LsmTree::Config SmallConfig(std::size_t delta = 100, double rho = 2.0) {
   LsmTree::Config config;
   config.delta = delta;
   config.rho = rho;
-  config.num_l0_shards = 4;
   return config;
 }
 
@@ -333,31 +332,6 @@ TEST(LsmTreeTest, RestoreAcceptsLevelZeroAndSharedLevels) {
   const auto runs = tree.RunsPerLevel();
   EXPECT_TRUE(runs.empty() || runs[0] == 0u);
   for (const std::size_t count : runs) EXPECT_LE(count, 1u);
-}
-
-TEST(LsmTreeTest, TieredPolicyAccumulatesRunsThenFoldsTier) {
-  auto config = SmallConfig(10, 2.0);
-  config.policy = MergePolicy::kTiered;
-  config.tier_runs = 3;
-  LsmTree tree(config);
-  Timestamp t = 0;
-  StreamId s = 0;
-
-  // Two freezes: below the tier fan-out, runs just accumulate at level 0
-  // with zero merge work.
-  for (int wave = 0; wave < 2; ++wave) {
-    for (int i = 0; i < 12; ++i) tree.AddPosting(i % 3, P(++s, ++t, 1));
-    tree.MergeCascade(MergeHooks{});
-  }
-  EXPECT_EQ(tree.RunsPerLevel(), (std::vector<std::size_t>{2}));
-  EXPECT_EQ(tree.GetMergeStats().merges, 0u);
-
-  // Third freeze reaches tier_runs: the whole tier folds one level down.
-  for (int i = 0; i < 12; ++i) tree.AddPosting(i % 3, P(++s, ++t, 1));
-  tree.MergeCascade(MergeHooks{});
-  EXPECT_EQ(tree.RunsPerLevel(), (std::vector<std::size_t>{0, 1}));
-  EXPECT_EQ(tree.GetMergeStats().merges, 1u);
-  EXPECT_EQ(tree.total_postings(), 36u);
 }
 
 TEST(LsmTreeTest, ConcurrentInsertAndQueryDuringMerges) {

@@ -4,7 +4,7 @@
 // the sharded scatter-gather — drives the same exec::QueryPlan + operator
 // chain, so this suite pins the one invariant the pipeline must preserve:
 // bit-identical top-k (streams AND scores) and identical QueryStats
-// across the configuration matrix (filter × bound mode × merge policy),
+// across the configuration matrix (filter × bound mode),
 // each row checked against the full-walk oracle (use_bound off), which
 // consults no pruning or skipping structure. It also races queries
 // against inserts, updates and background merges on one index — the
@@ -30,13 +30,10 @@
 namespace rtsi::core {
 namespace {
 
-RtsiConfig PipelineConfig(bool use_bound,
-                          lsm::MergePolicy policy = lsm::MergePolicy::kGeometric) {
+RtsiConfig PipelineConfig(bool use_bound) {
   RtsiConfig config;
   config.lsm.delta = 300;  // Small: the workloads below seal many components.
   config.lsm.rho = 1.5;
-  config.lsm.num_l0_shards = 4;
-  config.lsm.policy = policy;
   config.use_bound = use_bound;
   return config;
 }
@@ -156,7 +153,6 @@ void ExpectSameStats(const QueryStats& got, const QueryStats& want,
 struct MatrixRow {
   const char* name;
   BoundMode bound_mode;
-  lsm::MergePolicy policy;
 };
 
 // The row's workload, identical in every index of `indices`.
@@ -177,23 +173,19 @@ class PipelineMatrixTest : public ::testing::TestWithParam<MatrixRow> {};
 
 TEST_P(PipelineMatrixTest, MatchesFullWalkOracleBitwise) {
   const MatrixRow row = GetParam();
-  auto config = PipelineConfig(/*use_bound=*/true, row.policy);
+  auto config = PipelineConfig(/*use_bound=*/true);
   config.bound_mode = row.bound_mode;
   // The oracle scores every posting of every component: no bound walk,
-  // no skip headers. It shares the row's merge policy — a stream's
+  // no skip headers. It shares the row's LSM shape — a stream's
   // relevance accumulates within the component that discovers it, so
   // component structure is part of the score; what the oracle removes is
   // every skipping and pruning mechanism.
-  auto oracle_config = PipelineConfig(/*use_bound=*/false, row.policy);
+  auto oracle_config = PipelineConfig(/*use_bound=*/false);
   auto index = std::make_unique<RtsiIndex>(config);
   auto oracle = std::make_unique<RtsiIndex>(oracle_config);
 
   const Timestamp t = BuildRowWorkload(row, {index.get(), oracle.get()});
-  // Full compaction folds everything into one component by design;
-  // every other policy must leave a real multi-component cascade.
-  const std::size_t min_components =
-      row.policy == lsm::MergePolicy::kFullCompaction ? 1u : 2u;
-  ASSERT_GE(index->tree().SealedSnapshot().size(), min_components)
+  ASSERT_GE(index->tree().SealedSnapshot().size(), 2u)
       << "workload too small to exercise multi-component traversal";
 
   Rng rng(777);
@@ -215,10 +207,8 @@ TEST_P(PipelineMatrixTest, MatchesFullWalkOracleBitwise) {
 }
 
 const MatrixRow kMatrixRows[] = {
-    {"bound", BoundMode::kGlobalPop, lsm::MergePolicy::kGeometric},
-    {"snapshot", BoundMode::kSnapshot, lsm::MergePolicy::kGeometric},
-    {"bound_tiered", BoundMode::kGlobalPop, lsm::MergePolicy::kTiered},
-    {"bound_full", BoundMode::kGlobalPop, lsm::MergePolicy::kFullCompaction},
+    {"bound", BoundMode::kGlobalPop},
+    {"snapshot", BoundMode::kSnapshot},
 };
 
 std::string RowName(const ::testing::TestParamInfo<MatrixRow>& info) {
@@ -366,7 +356,7 @@ class PipelineExplainTest : public ::testing::TestWithParam<MatrixRow> {};
 
 TEST_P(PipelineExplainTest, ExplainResultsMatchQueryBitwise) {
   const MatrixRow row = GetParam();
-  auto config = PipelineConfig(/*use_bound=*/true, row.policy);
+  auto config = PipelineConfig(/*use_bound=*/true);
   config.bound_mode = row.bound_mode;
   auto index = std::make_unique<RtsiIndex>(config);
   const Timestamp t = BuildRowWorkload(row, {index.get()});
@@ -464,8 +454,7 @@ TEST(PipelineLsiiTest, LsiiBoundMatchesLsiiFullWalkBitwise) {
 // stream resumes) and after DeleteStream (the window is dropped)
 // included: BuildWorkload does both freely. The results must stay
 // bit-identical to one index, and the shards' summed df must equal its
-// df. Runs on the full walk and under kGlobalPop with
-// both compaction policies; kSnapshot is left out because its stale
+// df. Runs on the full walk and under kGlobalPop; kSnapshot is left out because its stale
 // per-list bounds already drop true hits on one index (the known pruning
 // defect, ROADMAP "Sound by default"), so shard-count parity under it
 // would test the defect, not the routing.
@@ -473,16 +462,14 @@ TEST(ShardIdReuseTest, EveryShardCountMatchesOneIndex) {
   struct Mode {
     const char* name;
     bool use_bound;
-    lsm::MergePolicy policy;
   };
   const Mode modes[] = {
-      {"full walk", false, lsm::MergePolicy::kGeometric},
-      {"globalpop geometric", true, lsm::MergePolicy::kGeometric},
-      {"globalpop tiered", true, lsm::MergePolicy::kTiered},
+      {"full walk", false},
+      {"globalpop", true},
   };
   for (const Mode& mode : modes) {
     for (const int seed : {91, 92}) {
-      RtsiConfig config = PipelineConfig(mode.use_bound, mode.policy);
+      RtsiConfig config = PipelineConfig(mode.use_bound);
       config.bound_mode = BoundMode::kGlobalPop;
       auto single = std::make_unique<RtsiIndex>(config);
       std::vector<std::unique_ptr<shard::IndexShardSet>> sets;

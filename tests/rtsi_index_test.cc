@@ -20,7 +20,6 @@ RtsiConfig SmallConfig() {
   RtsiConfig config;
   config.lsm.delta = 200;
   config.lsm.rho = 2.0;
-  config.lsm.num_l0_shards = 4;
   return config;
 }
 
@@ -443,6 +442,59 @@ TEST(RtsiIndexTest, BoundOnAndOffAgree) {
     ASSERT_EQ(r1.size(), r2.size()) << a;
     for (std::size_t i = 0; i < r1.size(); ++i) {
       ASSERT_NEAR(r1[i].score, r2[i].score, 1e-9) << a << " rank " << i;
+    }
+  }
+}
+
+// Whatever merge interleaving a delta produces, top-k results match a
+// never-merged full walk (no pruning, no skip headers) over the same
+// inserts: different deltas force different freeze points and cascade
+// depths of the same posting stream.
+TEST(RtsiIndexTest, MergedMatchesNeverMergedAcrossDeltas) {
+  const auto insert_workload = [](RtsiIndex& index) {
+    Rng rng(17);
+    Timestamp t = 0;
+    for (StreamId s = 0; s < 600; ++s) {
+      std::vector<TermCount> terms;
+      std::set<TermId> used;
+      for (int i = 0; i < 4; ++i) {
+        const auto term = static_cast<TermId>(rng.NextUint64(40));
+        if (used.insert(term).second) {
+          terms.push_back(
+              {term, 1 + static_cast<TermFreq>(rng.NextUint64(3))});
+        }
+      }
+      t += kMicrosPerSecond;
+      index.InsertWindow(s, t, terms, false);
+      index.FinishStream(s);
+    }
+    index.WaitForMerges();
+  };
+  // Oracle: delta so large nothing ever leaves L0, walked exhaustively.
+  RtsiConfig oracle_config;
+  oracle_config.lsm.delta = 1u << 20;
+  RtsiIndex oracle(oracle_config);
+  oracle.SetUseBound(false);
+  insert_workload(oracle);
+
+  for (const std::size_t delta : {80u, 150u, 400u}) {
+    RtsiConfig config;
+    config.lsm.delta = delta;
+    RtsiIndex index(config);
+    insert_workload(index);
+    ASSERT_GT(index.GetMergeStats().merges, 0u) << "delta " << delta;
+    for (TermId q = 0; q < 40; q += 3) {
+      const Timestamp now = 600 * kMicrosPerSecond;
+      const auto expect = oracle.Query({q, (q + 7) % 40}, 10, now);
+      const auto got = index.Query({q, (q + 7) % 40}, 10, now);
+      ASSERT_EQ(got.size(), expect.size()) << "delta " << delta << " term "
+                                           << q;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(got[i].stream, expect[i].stream)
+            << "delta " << delta << " term " << q << " rank " << i;
+        ASSERT_NEAR(got[i].score, expect[i].score, 1e-9)
+            << "delta " << delta << " term " << q << " rank " << i;
+      }
     }
   }
 }

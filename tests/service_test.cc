@@ -15,7 +15,6 @@ namespace {
 SearchServiceConfig SmallServiceConfig(AcousticPath path) {
   SearchServiceConfig config;
   config.index.lsm.delta = 500;
-  config.index.lsm.num_l0_shards = 4;
   config.ingestion.acoustic_path = path;
   config.ingestion.transcriber.word_error_rate = 0.0;  // Deterministic.
   return config;

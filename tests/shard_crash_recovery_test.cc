@@ -75,7 +75,6 @@ void RemoveRoot(const std::string& root, int shards) {
 RtsiConfig SmallConfig() {
   RtsiConfig config;
   config.lsm.delta = 300;
-  config.lsm.num_l0_shards = 2;
   return config;
 }
 

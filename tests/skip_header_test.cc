@@ -174,7 +174,6 @@ namespace {
 RtsiConfig SmallConfig() {
   RtsiConfig config;
   config.lsm.delta = 200;
-  config.lsm.num_l0_shards = 2;
   return config;
 }
 

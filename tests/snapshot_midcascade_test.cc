@@ -4,10 +4,9 @@
 // answers the probe queries identically to the live (uninterrupted)
 // index at the moment the snapshot was taken, round-trips its exact
 // per-level run shape, and keeps compacting correctly from the
-// mid-cascade shape (the stateless policies re-plan from whatever levels
-// they see). Verified for all three compaction policies, plus a
-// power-loss variant where the snapshot write itself is killed at every
-// filesystem syscall boundary.
+// mid-cascade shape (the stateless cascade re-plans from whatever levels
+// it sees). A power-loss variant kills the snapshot write itself at
+// every filesystem syscall boundary.
 
 #include <gtest/gtest.h>
 #include <sys/stat.h>
@@ -41,13 +40,10 @@ std::string StepPath(std::size_t step) {
 constexpr TermId kVocab = 30;
 constexpr int kNumOps = 260;
 
-RtsiConfig SmallConfig(lsm::MergePolicy policy) {
+RtsiConfig SmallConfig() {
   RtsiConfig config;
   config.lsm.delta = 120;  // Small: many freezes, deep cascades.
   config.lsm.rho = 2.0;
-  config.lsm.num_l0_shards = 2;
-  config.lsm.policy = policy;
-  config.lsm.tier_runs = 3;
   return config;
 }
 
@@ -138,8 +134,8 @@ class SnapshotMidCascadeTest : public ::testing::Test {
   void SetUp() override { ::mkdir(kDir, 0755); }
 };
 
-void RunSnapshotEveryStep(lsm::MergePolicy policy) {
-  RtsiIndex index(SmallConfig(policy));
+TEST_F(SnapshotMidCascadeTest, EveryStepRestorable) {
+  RtsiIndex index(SmallConfig());
   const auto ops = MakeWorkload(/*seed=*/29, kNumOps, /*base=*/0);
 
   std::vector<StepRecord> records;
@@ -168,7 +164,7 @@ void RunSnapshotEveryStep(lsm::MergePolicy policy) {
   }
   index.SetCascadeObserver(nullptr);
 
-  ASSERT_GT(records.size(), 5u) << lsm::MergePolicyName(policy);
+  ASSERT_GT(records.size(), 5u);
   // At least one captured state must be genuinely mid-cascade — a frozen
   // level-0 run still awaiting its fold. Those states were exactly the
   // unrestorable ones before multi-component levels.
@@ -178,40 +174,26 @@ void RunSnapshotEveryStep(lsm::MergePolicy policy) {
       saw_l0_run = true;
     }
   }
-  EXPECT_TRUE(saw_l0_run) << lsm::MergePolicyName(policy);
+  EXPECT_TRUE(saw_l0_run);
 
   for (const auto& rec : records) {
-    const std::string label = std::string(lsm::MergePolicyName(policy)) +
-                              " step " + std::to_string(rec.step);
+    const std::string label = "step " + std::to_string(rec.step);
     auto loaded = storage::LoadIndexSnapshot(StepPath(rec.step));
     ASSERT_TRUE(loaded.ok()) << label << ": " << loaded.status().ToString();
     auto restored = std::move(loaded).value();
     // Shape round-trips exactly, mid-cascade or not.
     EXPECT_EQ(restored->tree().RunsPerLevel(), rec.runs_per_level) << label;
-    EXPECT_EQ(restored->tree().policy(), policy) << label;
     ExpectSameResults(Probe(*restored, rec.now), rec.oracle, label);
     std::remove(StepPath(rec.step).c_str());
   }
 }
 
-TEST_F(SnapshotMidCascadeTest, GeometricEveryStepRestorable) {
-  RunSnapshotEveryStep(lsm::MergePolicy::kGeometric);
-}
-
-TEST_F(SnapshotMidCascadeTest, TieredEveryStepRestorable) {
-  RunSnapshotEveryStep(lsm::MergePolicy::kTiered);
-}
-
-TEST_F(SnapshotMidCascadeTest, FullCompactionEveryStepRestorable) {
-  RunSnapshotEveryStep(lsm::MergePolicy::kFullCompaction);
-}
-
 // A restored mid-cascade state is not a dead end: feeding it the rest of
 // the workload produces the same results as an oracle that was never
-// snapshotted — the stateless policy re-plans from the restored shape
+// snapshotted — the stateless cascade re-plans from the restored shape
 // and compacts it back down.
-void RunRestoreAndContinue(lsm::MergePolicy policy) {
-  RtsiIndex index(SmallConfig(policy));
+TEST_F(SnapshotMidCascadeTest, RestoreAndContinue) {
+  RtsiIndex index(SmallConfig());
   const auto prefix = MakeWorkload(/*seed=*/31, kNumOps, /*base=*/0);
   const auto suffix =
       MakeWorkload(/*seed=*/33, 120, /*base=*/kNumOps + 100);
@@ -233,7 +215,7 @@ void RunRestoreAndContinue(lsm::MergePolicy policy) {
     ++ops_applied;
   }
   index.SetCascadeObserver(nullptr);
-  ASSERT_GE(snap_ops, 0) << lsm::MergePolicyName(policy);
+  ASSERT_GE(snap_ops, 0);
 
   auto loaded = storage::LoadIndexSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -243,7 +225,7 @@ void RunRestoreAndContinue(lsm::MergePolicy policy) {
   // with its cascades running uninterrupted the whole time. The cascade
   // (and so the snapshot) fires after op `snap_ops` finished inserting
   // its window, so the prefix is inclusive.
-  RtsiIndex oracle(SmallConfig(policy));
+  RtsiIndex oracle(SmallConfig());
   for (int i = 0; i <= snap_ops; ++i) Apply(oracle, prefix[i]);
   Timestamp now = 0;
   for (const Op& op : suffix) {
@@ -254,24 +236,10 @@ void RunRestoreAndContinue(lsm::MergePolicy policy) {
   restored->WaitForMerges();
   oracle.WaitForMerges();
   EXPECT_EQ(restored->tree().total_postings(),
-            oracle.tree().total_postings())
-      << lsm::MergePolicyName(policy);
+            oracle.tree().total_postings());
   ExpectSameResults(Probe(*restored, now), Probe(oracle, now),
-                    std::string(lsm::MergePolicyName(policy)) +
-                        " continue-after-restore");
+                    "continue-after-restore");
   std::remove(path.c_str());
-}
-
-TEST_F(SnapshotMidCascadeTest, GeometricRestoreAndContinue) {
-  RunRestoreAndContinue(lsm::MergePolicy::kGeometric);
-}
-
-TEST_F(SnapshotMidCascadeTest, TieredRestoreAndContinue) {
-  RunRestoreAndContinue(lsm::MergePolicy::kTiered);
-}
-
-TEST_F(SnapshotMidCascadeTest, FullCompactionRestoreAndContinue) {
-  RunRestoreAndContinue(lsm::MergePolicy::kFullCompaction);
 }
 
 // Power-loss torture on the mid-cascade snapshot write itself: kill the
@@ -283,7 +251,7 @@ TEST_F(SnapshotMidCascadeTest, CrashDuringMidCascadeSnapshotWrite) {
   const std::string path = std::string(kDir) + "/torture.snap";
   std::remove(path.c_str());
 
-  RtsiIndex index(SmallConfig(lsm::MergePolicy::kTiered));
+  RtsiIndex index(SmallConfig());
   const auto ops = MakeWorkload(/*seed=*/41, kNumOps, /*base=*/0);
 
   // Capture two mid-cascade states: an early one (becomes the durable

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "common/crc32.h"
@@ -30,7 +32,6 @@ std::string TempPath(const char* name) {
 RtsiConfig SmallConfig() {
   RtsiConfig config;
   config.lsm.delta = 200;
-  config.lsm.num_l0_shards = 4;
   return config;
 }
 
@@ -238,7 +239,7 @@ TEST(SnapshotTest, LoadsVersion1Snapshots) {
     writer.WriteU64(config.lsm.delta);
     writer.WriteDouble(config.lsm.rho);
     writer.WriteU32(config.lsm.compress ? 1 : 0);
-    writer.WriteU64(config.lsm.num_l0_shards);
+    writer.WriteU64(16);  // Retired L0-shard slot.
     writer.WriteDouble(config.weights.pop);
     writer.WriteDouble(config.weights.rel);
     writer.WriteDouble(config.weights.frsh);
@@ -406,6 +407,116 @@ TEST(SnapshotTest, EmptyIndexRoundTrips) {
   auto result = LoadIndexSnapshot(path);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value()->tree().total_postings(), 0u);
+  std::remove(path.c_str());
+}
+
+// The config slots a v5 file carries, defaulting to what a writer
+// stores for RtsiConfig{}.
+struct V5ConfigSlots {
+  std::uint64_t delta = RtsiConfig{}.lsm.delta;
+  double rho = RtsiConfig{}.lsm.rho;
+  std::uint64_t l0_shards = 16;
+  std::uint32_t bound_mode = 0;
+  std::uint32_t policy = 0;
+  std::uint64_t runs_per_tier = 4;
+};
+
+// Writes a v5 snapshot of an empty index by hand, config slots as given.
+void WriteV5Snapshot(const std::string& path, const V5ConfigSlots& slots) {
+  const RtsiConfig config;
+  SnapshotWriter writer;
+  ASSERT_TRUE(writer.Open(path, 5).ok());
+  writer.WriteU64(slots.delta);
+  writer.WriteDouble(slots.rho);
+  writer.WriteU32(0);  // compress
+  writer.WriteU64(slots.l0_shards);
+  writer.WriteDouble(config.weights.pop);
+  writer.WriteDouble(config.weights.rel);
+  writer.WriteDouble(config.weights.frsh);
+  writer.WriteDouble(config.freshness_tau_seconds);
+  writer.WriteU32(1);  // use_bound
+  writer.WriteU32(slots.bound_mode);
+  writer.WriteU32(10);  // Retired default-k slot.
+  writer.WriteU32(slots.policy);
+  writer.WriteU64(slots.runs_per_tier);
+  writer.WriteU64(0);     // Journal epoch.
+  writer.WriteU64(0);     // Documents.
+  writer.WriteVarint(0);  // Document frequencies.
+  writer.WriteVarint(0);  // Stream table.
+  writer.WriteVarint(0);  // Live-term table.
+  writer.WriteVarint(0);  // Sealed components.
+  writer.WriteVarint(0);  // L0 terms.
+  ASSERT_TRUE(writer.Finish().ok());
+}
+
+// Algorithm 1's cascade never settles when rho <= 1, rho is NaN or delta
+// is 0: every non-empty level is over capacity, so each step opens a
+// deeper one and the merge thread (and every later freeze) hangs. Such a
+// file must fail to load instead.
+TEST(SnapshotTest, RejectsConfigsWhoseCascadeNeverSettles) {
+  const std::string path = TempPath("badcascade");
+  WriteV5Snapshot(path, V5ConfigSlots{});
+  ASSERT_TRUE(LoadIndexSnapshot(path).ok());  // The control loads.
+
+  V5ConfigSlots rho_one;
+  rho_one.rho = 1.0;
+  V5ConfigSlots rho_nan;
+  rho_nan.rho = std::numeric_limits<double>::quiet_NaN();
+  V5ConfigSlots delta_zero;
+  delta_zero.delta = 0;
+  for (const auto& [label, slots] :
+       {std::pair{"rho 1", rho_one}, std::pair{"rho NaN", rho_nan},
+        std::pair{"delta 0", delta_zero}}) {
+    WriteV5Snapshot(path, slots);
+    EXPECT_FALSE(LoadIndexSnapshot(path).ok()) << label;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotTest, RejectsOutOfRangeBoundMode) {
+  const std::string path = TempPath("badboundmode");
+  V5ConfigSlots slots;
+  slots.bound_mode = 1;
+  WriteV5Snapshot(path, slots);
+  ASSERT_TRUE(LoadIndexSnapshot(path).ok());  // kGlobalPop, the largest.
+  slots.bound_mode = 7;
+  WriteV5Snapshot(path, slots);
+  EXPECT_FALSE(LoadIndexSnapshot(path).ok());
+  std::remove(path.c_str());
+}
+
+// Files written before the compaction policy and the L0 shard count were
+// retired may hold any of their values; the slots are ignored and the
+// restored tree runs the geometric cascade.
+TEST(SnapshotTest, RetiredPolicySlotsAreIgnored) {
+  const std::string path = TempPath("retiredslots");
+  V5ConfigSlots slots;
+  slots.delta = 10;
+  slots.rho = 2.0;
+  slots.policy = 1;
+  slots.runs_per_tier = 3;
+  slots.l0_shards = 4;
+  WriteV5Snapshot(path, slots);
+  auto result = LoadIndexSnapshot(path);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  RtsiIndex& index = *result.value();
+  EXPECT_EQ(index.config().lsm.delta, 10u);
+  EXPECT_EQ(index.config().lsm.rho, 2.0);
+
+  Timestamp t = 0;
+  for (StreamId s = 0; s < 200; ++s) {
+    index.InsertWindow(s, t += kMicrosPerSecond, {{3, 1}}, false);
+    index.FinishStream(s);
+  }
+  index.WaitForMerges();
+  EXPECT_GT(index.GetMergeStats().merges, 0u);
+  // Geometric steady state: at most one run per level, none at level 0,
+  // and 200 postings under delta 10, rho 2 span several levels.
+  EXPECT_GT(index.tree().num_levels(), 1u);
+  const auto runs = index.tree().RunsPerLevel();
+  ASSERT_FALSE(runs.empty());
+  EXPECT_EQ(runs[0], 0u);
+  for (const std::size_t count : runs) EXPECT_LE(count, 1u);
   std::remove(path.c_str());
 }
 

@@ -19,7 +19,6 @@ namespace {
 core::RtsiConfig SmallConfig() {
   core::RtsiConfig config;
   config.lsm.delta = 300;
-  config.lsm.num_l0_shards = 4;
   return config;
 }
 

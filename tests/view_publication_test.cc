@@ -39,7 +39,6 @@ RtsiConfig ChurnConfig() {
   RtsiConfig config;
   config.lsm.delta = 200;        // Trip cascades constantly.
   config.lsm.rho = 2.0;
-  config.lsm.num_l0_shards = 4;
   // Streams keep re-inserting after their components seal; only the
   // global-pop mode's live ceilings keep pruning lossless there (§6c),
   // which the pruned-vs-full comparison requires.

@@ -27,7 +27,6 @@ CorpusConfig SmallCorpusConfig() {
 core::RtsiConfig SmallIndexConfig() {
   core::RtsiConfig config;
   config.lsm.delta = 2000;
-  config.lsm.num_l0_shards = 4;
   return config;
 }
 

@@ -222,10 +222,9 @@ int CmdStats(int argc, char** argv) {
   std::printf("  postings:     %zu (L0: %zu, levels: %zu)\n",
               index.tree().total_postings(), index.tree().l0_postings(),
               index.tree().num_levels());
-  // Compaction shape: the policy the restored tree will keep compacting
-  // with, and how many sealed runs each level currently holds (tiered
-  // levels hold several; a level-0 entry is a frozen, not-yet-folded
-  // run — a mid-cascade snapshot).
+  // Compaction shape: how many sealed runs each level currently holds
+  // (a level-0 entry, or several runs on one level, is a snapshot cut
+  // mid-cascade).
   {
     const auto runs = index.tree().RunsPerLevel();
     std::string shape;
@@ -234,8 +233,7 @@ int CmdStats(int argc, char** argv) {
       shape += "L" + std::to_string(level) + "=" +
                std::to_string(runs[level]);
     }
-    std::printf("  compaction:   %s policy, %zu runs%s%s%s\n",
-                lsm::MergePolicyName(index.tree().policy()),
+    std::printf("  compaction:   %zu runs%s%s%s\n",
                 index.tree().num_runs(), shape.empty() ? "" : " (",
                 shape.c_str(), shape.empty() ? "" : ")");
   }

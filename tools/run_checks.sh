@@ -7,9 +7,8 @@
 #                                at RTSI_BENCH_SCALE=0.01 — catches bench
 #                                bit-rot plus the correctness exits: the
 #                                fig10 pruned-vs-full-walk divergence and
-#                                the ablation_policy optimized-vs-walk
-#                                audit across all three compaction
-#                                policies)
+#                                the fig17 audit of the sound kGlobalPop
+#                                bound against the full walk)
 #   4. sanitizer gate           (tools/run_sanitizers.sh: full suite under
 #                                ASan, `-L sanitizer` under TSan — the
 #                                label includes query_pipeline_test, so
