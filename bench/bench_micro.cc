@@ -4,6 +4,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "audio/mfcc.h"
 #include "audio/synthesizer.h"
 #include "common/rng.h"
@@ -56,17 +58,33 @@ void BM_TermPostingsSeal(benchmark::State& state) {
 }
 BENCHMARK(BM_TermPostingsSeal)->Arg(1024)->Arg(16384);
 
+// Candidate scoring's random-access probe. The second argument picks the
+// probed ids: 1 = streams the list holds, 0 = streams it does not (a
+// candidate that lacks one of the query terms).
 void BM_AggregateForStream(benchmark::State& state) {
   index::TermPostings postings = MakePostings(state.range(0), 11);
   postings.Seal();
+  const bool hit = state.range(1) != 0;
+  std::vector<bool> held(100000, false);
+  for (const index::Posting& p : postings.entries()) held[p.stream] = true;
   Rng rng(3);
+  std::vector<StreamId> probes;
+  while (probes.size() < 4096) {
+    const StreamId stream = rng.NextUint64(100000);
+    if (held[stream] == hit) probes.push_back(stream);
+  }
   index::Posting out;
+  std::size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        postings.AggregateForStream(rng.NextUint64(100000), out));
+        postings.AggregateForStream(probes[i++ % probes.size()], out));
   }
 }
-BENCHMARK(BM_AggregateForStream)->Arg(1024)->Arg(65536);
+BENCHMARK(BM_AggregateForStream)
+    ->Args({1024, 1})
+    ->Args({1024, 0})
+    ->Args({65536, 1})
+    ->Args({65536, 0});
 
 void BM_HuffmanEncode(benchmark::State& state) {
   Rng rng(5);

@@ -162,9 +162,9 @@ std::vector<ScoredStream> LsiiIndex::Query(const std::vector<TermId>& terms,
     std::vector<std::uint32_t>& round_terms() { return round_terms_buf; }
     void BeginComponent(const exec::SelectedComponent&) {}
     bool Admit(StreamId stream) { return scored.insert(stream).second; }
-    void Candidate(const exec::Traversal&, StreamId stream, std::size_t,
-                   QueryStats&) {
-      score(stream);
+    void Candidate(const exec::Traversal&, const Posting& yielded,
+                   std::size_t, QueryStats&) {
+      score(yielded.stream);
     }
   };
   std::vector<Posting> round;

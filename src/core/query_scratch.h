@@ -26,35 +26,93 @@
 
 namespace rtsi::core {
 
+/// A set of stream ids that empties in O(1). Membership is a stamp in a
+/// dense stream-indexed array: a stream is in the set when its stamp
+/// equals the current epoch, so Clear() only advances the epoch. A
+/// hash-set probe per scanned posting was ~30% of sealed-phase latency;
+/// a stamp probe is one array load. Ids beyond the dense range (sparse id
+/// spaces; streams inserted after the query sized the set) fall back to a
+/// hash set, so correctness never depends on density. The stamps keep
+/// their size across queries with the scratch that owns the set.
+class StampedStreamSet {
+ public:
+  /// Grows the dense range to cover ids up to `max_stream` (capped at
+  /// kDenseLimit ids = 16 MiB of stamps).
+  void Reserve(StreamId max_stream) {
+    const auto want = static_cast<std::size_t>(
+        std::min<StreamId>(max_stream + 1, kDenseLimit));
+    if (stamps_.size() < want) stamps_.resize(want, 0);
+  }
+
+  /// Empties the set: every stamp becomes stale in O(1).
+  void Clear() {
+    if (++epoch_ == 0) {  // Epoch wrap: stale stamps could collide.
+      std::fill(stamps_.begin(), stamps_.end(), 0);
+      epoch_ = 1;
+    }
+    overflow_.clear();
+  }
+
+  /// Adds `stream`; true when it was not yet in the set.
+  bool Insert(StreamId stream) {
+    if (stream < stamps_.size()) {
+      std::uint32_t& stamp = stamps_[static_cast<std::size_t>(stream)];
+      if (stamp == epoch_) return false;
+      stamp = epoch_;
+      return true;
+    }
+    return overflow_.insert(stream).second;
+  }
+
+  bool Contains(StreamId stream) const {
+    if (stream < stamps_.size()) {
+      return stamps_[static_cast<std::size_t>(stream)] == epoch_;
+    }
+    return !overflow_.empty() && overflow_.count(stream) > 0;
+  }
+
+  /// Testing hook: empties the set by moving the epoch forward to
+  /// `epoch` (ignored unless it is ahead), so a test can reach the wrap.
+  void AdvanceEpochForTesting(std::uint32_t epoch) {
+    if (epoch <= epoch_) return;
+    epoch_ = epoch;
+    overflow_.clear();
+  }
+
+  std::uint32_t epoch() const { return epoch_; }
+
+  static constexpr StreamId kDenseLimit = StreamId{1} << 22;
+
+ private:
+  std::vector<std::uint32_t> stamps_;
+  std::uint32_t epoch_ = 1;  // Stamps start at 0: the set starts empty.
+  std::unordered_set<StreamId> overflow_;
+};
+
 /// All transient buffers of one query execution. Members keep their
 /// capacity across Clear(), so a recycled scratch serves the next query
 /// allocation-free.
 struct QueryScratch {
-  // Per-candidate tf buffer (stride = q.size()), reused across candidates.
+  // Slot-major tf matrix of the exact phases (live table, then L0):
+  // stream -> slot, the tfs with stride q.size(), and slot -> stream
+  // (deterministic first-seen order). Each phase empties it when done.
+  std::unordered_map<StreamId, std::uint32_t> slot_of;
+  std::vector<TermFreq> slot_tf;
+  std::vector<StreamId> slot_streams;
+
+  // Explain's per-candidate tf buffer (stride = q.size()).
   std::vector<TermFreq> tfs;
 
-  // L0 accumulation: stream -> slot, slot-major tf matrix with stride
-  // q.size(), and slot -> stream (deterministic insertion order).
-  std::unordered_map<StreamId, std::uint32_t> l0_slot;
-  std::vector<TermFreq> l0_tf;
-  std::vector<StreamId> l0_streams;
+  // Streams whose exact totals phase 1 or 2 scored: the sealed walk
+  // admits none of them, and the L0 phase skips phase 1's.
+  StampedStreamSet exact_scored;
 
-  // Phase-1 live-table matches.
-  std::vector<StreamId> table_matches;
-
-  // Sealed-component traversal: round buffer and per-component candidate
-  // dedup. The dense epoch-stamped filter (seen_stamps/seen_epoch) handles
-  // stream ids below its size in O(1) without per-component clearing;
-  // component_seen is the overflow set for ids beyond the dense range.
-  // Deliberately NOT reset by Clear(): the epoch discipline makes stale
-  // stamps harmless and re-zeroing the array per query would defeat it.
+  // Sealed-component traversal: round buffer, and per round posting the
+  // query-term index whose list yielded it (parallel to `round`).
   std::vector<index::Posting> round;
-  // Per round posting, the query-term index whose list yielded it
-  // (parallel to `round`; filled by the term-reporting NextRound).
   std::vector<std::uint32_t> round_terms;
-  std::unordered_set<StreamId> component_seen;
-  std::vector<std::uint32_t> seen_stamps;
-  std::uint32_t seen_epoch = 0;
+  // Per-component candidate dedup; cleared as each component begins.
+  StampedStreamSet component_seen;
 
   // Per-component bound inputs.
   std::vector<exec::PerTermBound> per_term;
@@ -68,66 +126,18 @@ struct QueryScratch {
   std::vector<double> screen_own;
 
   void Clear() {
+    slot_of.clear();
+    slot_tf.clear();
+    slot_streams.clear();
     tfs.clear();
-    l0_slot.clear();
-    l0_tf.clear();
-    l0_streams.clear();
-    table_matches.clear();
+    exact_scored.Clear();
     round.clear();
     round_terms.clear();
-    component_seen.clear();
+    component_seen.Clear();
     per_term.clear();
     screen_tfidf.clear();
     screen_own.clear();
-    // seen_stamps/seen_epoch intentionally survive (see above).
   }
-};
-
-/// Per-component stream dedup over a scratch's buffers. A hash-set insert
-/// per scanned posting was ~30% of sealed-phase latency; stamping a dense
-/// stream-indexed array with a per-component epoch replaces it with one
-/// array probe. Ids beyond the dense range (sparse id spaces; streams
-/// inserted after the query captured max_stream_id) fall back to the hash
-/// set, so correctness never depends on density.
-class StreamSeenFilter {
- public:
-  /// Sizes the dense range for `max_stream` (capped at kDenseLimit ids =
-  /// 16 MiB of stamps, kept across queries by the scratch).
-  StreamSeenFilter(QueryScratch& scratch, StreamId max_stream)
-      : stamps_(scratch.seen_stamps),
-        epoch_(scratch.seen_epoch),
-        overflow_(scratch.component_seen) {
-    const auto want = static_cast<std::size_t>(
-        std::min<StreamId>(max_stream + 1, kDenseLimit));
-    if (stamps_.size() < want) stamps_.resize(want, 0);
-  }
-
-  /// Starts a new component: all ids become unseen in O(1).
-  void NextComponent() {
-    if (++epoch_ == 0) {  // Epoch wrap: stale stamps could collide.
-      std::fill(stamps_.begin(), stamps_.end(), 0);
-      epoch_ = 1;
-    }
-    overflow_.clear();
-  }
-
-  /// True the first time `stream` is offered within the current component.
-  bool Insert(StreamId stream) {
-    if (stream < stamps_.size()) {
-      std::uint32_t& stamp = stamps_[static_cast<std::size_t>(stream)];
-      if (stamp == epoch_) return false;
-      stamp = epoch_;
-      return true;
-    }
-    return overflow_.insert(stream).second;
-  }
-
- private:
-  static constexpr StreamId kDenseLimit = StreamId{1} << 22;
-
-  std::vector<std::uint32_t>& stamps_;
-  std::uint32_t& epoch_;
-  std::unordered_set<StreamId>& overflow_;
 };
 
 /// A free-list of QueryScratch instances shared by all queries of one

@@ -285,13 +285,15 @@ std::vector<ScoredStream> RtsiIndex::Execute(
   if (!plan.empty()) {
     ScratchLease lease(scratch_pool_);
     QueryScratch& scratch = *lease;
-    std::unordered_set<StreamId> scored;
+    // Streams inserted after this read fall to the sets' overflow path.
+    const StreamId max_stream = streams_.max_stream_id();
+    scratch.exact_scored.Reserve(max_stream);
+    scratch.component_seen.Reserve(max_stream);
     exec::ExactScorer exact(plan, scorer_, streams_, sink, qs, recorder);
-    exec::RunLiveTablePhase(plan, scorer_, live_terms_, scratch, scored,
-                            exact);
-    const std::size_t table_candidates = scored.size();
+    const std::size_t table_candidates =
+        exec::RunLiveTablePhase(plan, scorer_, live_terms_, scratch, exact);
     const std::size_t l0_candidates =
-        exec::RunL0Phase(plan, scorer_, tree_, scratch, scored, exact, qs);
+        exec::RunL0Phase(plan, scorer_, tree_, scratch, exact, qs);
     if (explain != nullptr) {
       explain->live_table_candidates = table_candidates;
       explain->l0_candidates = l0_candidates;
@@ -305,9 +307,8 @@ std::vector<ScoredStream> RtsiIndex::Execute(
     const lsm::IndexViewPtr view = tree_.PinView();
     const std::vector<exec::SelectedComponent> selected =
         SelectSealed(plan, *view, scratch, qs, explain);
-    exec::SealedScorer policy(plan, scorer_, streams_, scored,
-                              scratch.screen_tfidf, plan.use_bound, scratch,
-                              streams_.max_stream_id(), sink, recorder);
+    exec::SealedScorer policy(plan, scorer_, streams_, plan.use_bound,
+                              scratch, sink, recorder);
     exec::RunSealedSequential(plan, scorer_, selected, policy, sink, qs,
                               explain);
     AddLifetimeCounters(qs);

@@ -178,6 +178,10 @@ class RtsiIndex : public SearchIndex {
   index::LiveTermTable& mutable_live_table() { return live_terms_; }
   DocumentFrequencyTable& mutable_doc_freq() { return df_; }
 
+  // Test seam: the recycled query scratches, so a test can drive a
+  // scratch's stamped sets (e.g. to an epoch wrap) between queries.
+  ScratchPool& scratch_pool() { return scratch_pool_; }
+
  private:
   lsm::MergeHooks MakeMergeHooks();
 

@@ -1,43 +1,20 @@
 #include "core/scorer.h"
 
-#include <algorithm>
-#include <cmath>
-
 namespace rtsi::core {
 
-Scorer::Scorer(const ScoreWeights& weights, double freshness_tau_seconds)
-    : weights_(weights),
-      tau_seconds_(std::max(freshness_tau_seconds, 1.0)) {}
+namespace {
 
-double Scorer::PopScore(std::uint64_t pop_count,
-                        std::uint64_t max_pop_count) const {
-  if (max_pop_count == 0) return 0.0;
-  return std::log1p(static_cast<double>(pop_count)) /
-         std::log1p(static_cast<double>(max_pop_count));
+std::array<double, kOnePlusLnTableSize> MakeOnePlusLnTable() {
+  std::array<double, kOnePlusLnTableSize> table{};
+  for (std::size_t tf = 1; tf < table.size(); ++tf) {
+    table[tf] = 1.0 + std::log(static_cast<double>(tf));
+  }
+  return table;
 }
 
-double Scorer::FrshScore(Timestamp frsh, Timestamp now) const {
-  const double age_seconds =
-      std::max<double>(0.0, static_cast<double>(now - frsh)) /
-      static_cast<double>(kMicrosPerSecond);
-  return std::exp(-age_seconds / tau_seconds_);
-}
+}  // namespace
 
-double Scorer::TermTfIdf(TermFreq tf, double idf) const {
-  if (tf == 0) return 0.0;
-  return (1.0 + std::log(static_cast<double>(tf))) * idf;
-}
-
-double Scorer::RelScore(double tfidf_sum, int num_query_terms) const {
-  if (num_query_terms <= 0 || tfidf_sum <= 0.0) return 0.0;
-  const double mean = tfidf_sum / num_query_terms;
-  return mean / (1.0 + mean);
-}
-
-double Scorer::Combine(double pop_score, double rel_score,
-                       double frsh_score) const {
-  return weights_.pop * pop_score + weights_.rel * rel_score +
-         weights_.frsh * frsh_score;
-}
+const std::array<double, kOnePlusLnTableSize> kOnePlusLnTable =
+    MakeOnePlusLnTable();
 
 }  // namespace rtsi::core

@@ -15,7 +15,6 @@
 #define RTSI_EXEC_ACCUMULATOR_H_
 
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/explain.h"
@@ -96,29 +95,6 @@ class BreakdownRecorder {
   std::unordered_map<StreamId, core::ScoreBreakdown> best_;
 };
 
-/// Candidate admission for sealed traversal: the per-component epoch
-/// dedup plus the phase-1/2 exact-total set (read-only during phase 3 —
-/// it marks streams whose totals are already exact).
-class CandidateGate {
- public:
-  CandidateGate(core::QueryScratch& scratch, StreamId max_stream,
-                const std::unordered_set<StreamId>& scored)
-      : seen_(scratch, max_stream), scored_(&scored) {}
-
-  void NextComponent() { seen_.NextComponent(); }
-
-  /// True the first time `stream` is admitted within the current
-  /// component and it was not already scored exactly in phase 1/2.
-  bool Admit(StreamId stream) {
-    if (!seen_.Insert(stream)) return false;
-    return scored_->count(stream) == 0;
-  }
-
- private:
-  core::StreamSeenFilter seen_;
-  const std::unordered_set<StreamId>* scored_;
-};
-
 /// Sealed-component candidate policy: filter, admission screen against
 /// the sink's threshold, ti-first accumulation, offer. With a recorder it
 /// also captures each scored candidate's per-term tfs and breakdown; a
@@ -127,18 +103,14 @@ class CandidateGate {
 class SealedScorer {
  public:
   SealedScorer(const QueryPlan& plan, const core::Scorer& scorer,
-               const index::StreamInfoTable& streams,
-               const std::unordered_set<StreamId>& scored,
-               const std::vector<double>& screen_tfidf, bool screen_base,
-               core::QueryScratch& scratch, StreamId max_stream,
-               ResultSink& sink, BreakdownRecorder* recorder = nullptr)
+               const index::StreamInfoTable& streams, bool screen_base,
+               core::QueryScratch& scratch, ResultSink& sink,
+               BreakdownRecorder* recorder = nullptr)
       : plan_(&plan),
         scorer_(&scorer),
         streams_(&streams),
-        screen_tfidf_(&screen_tfidf),
         screen_base_(screen_base),
         scratch_(&scratch),
-        gate_(scratch, max_stream, scored),
         sink_(&sink),
         recorder_(recorder),
         nq_(plan.num_terms()),
@@ -148,16 +120,22 @@ class SealedScorer {
   std::vector<std::uint32_t>& round_terms() { return scratch_->round_terms; }
 
   void BeginComponent(const SelectedComponent& sc) {
-    gate_.NextComponent();
+    scratch_->component_seen.Clear();
     screen_ = screen_base_ && sc.screen;
     rel_total_ = sc.rel_total;
-    other_tfidf_ = screen_tfidf_->data() + sc.order * nq_;
+    other_tfidf_ = scratch_->screen_tfidf.data() + sc.order * nq_;
   }
 
-  bool Admit(StreamId stream) { return gate_.Admit(stream); }
+  /// True the first time `stream` shows up in the current component,
+  /// unless phase 1 or 2 already scored its exact total.
+  bool Admit(StreamId stream) {
+    return scratch_->component_seen.Insert(stream) &&
+           !scratch_->exact_scored.Contains(stream);
+  }
 
-  void Candidate(const Traversal& traversal, StreamId stream,
+  void Candidate(const Traversal& traversal, const index::Posting& yielded,
                  std::size_t ti, core::QueryStats& qs) {
+    const StreamId stream = yielded.stream;
     index::StreamInfo info;
     if (!streams_->Get(stream, info)) return;  // Deleted.
     if (plan_->filter.live_only && !info.live) return;
@@ -175,12 +153,10 @@ class SealedScorer {
       ++qs.candidates_screened;  // No term lookup was paid.
       return;
     }
-    // The discovering term's aggregate first (one lookup the old path
-    // repeated), then a tighter screen with its actual tf before paying
-    // for the remaining terms.
-    index::Posting agg;
-    if (!traversal.Find(ti, stream, agg)) return;
-    double tfidf_sum = scorer_->TermTfIdf(agg.tf, plan_->idfs[ti]);
+    // The discovering term's tf first — the yielded posting is the
+    // stream's folded aggregate in that list, so it costs no lookup —
+    // then a tighter screen with it before paying for the other terms.
+    double tfidf_sum = scorer_->TermTfIdf(yielded.tf, plan_->idfs[ti]);
     if (screen_ && nq_ > 1 &&
         sink_->Threshold() >
             scorer_->Combine(
@@ -225,10 +201,8 @@ class SealedScorer {
   const QueryPlan* plan_;
   const core::Scorer* scorer_;
   const index::StreamInfoTable* streams_;
-  const std::vector<double>* screen_tfidf_;
   bool screen_base_;
   core::QueryScratch* scratch_;
-  CandidateGate gate_;
   ResultSink* sink_;
   BreakdownRecorder* recorder_;
   std::size_t nq_;

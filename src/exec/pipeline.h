@@ -8,8 +8,12 @@
 //   std::vector<std::uint32_t>& round_terms();
 //   void BeginComponent(const SelectedComponent&);
 //   bool Admit(StreamId);                          // dedup / already-exact
-//   void Candidate(const Traversal&, StreamId, std::size_t term_index,
-//                  core::QueryStats&);
+//   void Candidate(const Traversal&, const index::Posting& yielded,
+//                  std::size_t term_index, core::QueryStats&);
+//
+// `yielded` is the posting the traversal handed over: a sealed list holds
+// one folded posting per stream, so it is the stream's aggregate for the
+// discovering term.
 //
 // RunSealedSequential drives the sealed-component walk (the RTSI and LSII
 // policies). RunLiveTablePhase / RunL0Phase are the exact-total phases
@@ -20,7 +24,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "core/explain.h"
@@ -44,84 +47,104 @@ inline bool Prunes(double threshold, double bound, bool if_equal) {
   return if_equal ? threshold >= bound : threshold > bound;
 }
 
+/// Adds `tf` to cell (stream, term i) of the exact phases' slot-major tf
+/// matrix, giving the stream a zeroed row on first sight.
+inline void AddToSlotMatrix(core::QueryScratch& scratch, std::size_t nq,
+                            StreamId stream, std::size_t i, TermFreq tf) {
+  const auto [it, inserted] = scratch.slot_of.try_emplace(
+      stream, static_cast<std::uint32_t>(scratch.slot_streams.size()));
+  if (inserted) {
+    scratch.slot_streams.push_back(stream);
+    scratch.slot_tf.resize(scratch.slot_tf.size() + nq, 0);
+  }
+  scratch.slot_tf[static_cast<std::size_t>(it->second) * nq + i] += tf;
+}
+
+/// Empties the slot matrix for the next phase (capacity kept).
+inline void ClearSlotMatrix(core::QueryScratch& scratch) {
+  scratch.slot_of.clear();
+  scratch.slot_tf.clear();
+  scratch.slot_streams.clear();
+}
+
 /// Phase 1: score every live-table stream touching a query term (the
 /// table is term-keyed, so only matching streams are visited). Their
 /// totals are exact regardless of how many components hold their
-/// postings; afterwards, any unscored candidate is single-component.
+/// postings; afterwards, any unscored candidate is single-component. The
+/// enumeration hands over each matching stream's total, so the tfs come
+/// straight from it into the slot matrix. Returns the number of
+/// candidates scored here (explain's live_table_candidates).
 template <typename ExactPolicy>
-void RunLiveTablePhase(const QueryPlan& plan, const core::Scorer& scorer,
-                       const index::LiveTermTable& live_terms,
-                       core::QueryScratch& scratch,
-                       std::unordered_set<StreamId>& scored,
-                       ExactPolicy& exact) {
-  std::vector<StreamId>& table_matches = scratch.table_matches;
-  for (const TermId term : plan.terms) {
-    live_terms.ForEachStreamOfTerm(term, [&](StreamId stream, TermFreq) {
-      table_matches.push_back(stream);
-    });
-  }
+std::size_t RunLiveTablePhase(const QueryPlan& plan,
+                              const core::Scorer& scorer,
+                              const index::LiveTermTable& live_terms,
+                              core::QueryScratch& scratch,
+                              ExactPolicy& exact) {
   const std::size_t nq = plan.num_terms();
-  std::vector<TermFreq>& tfs = scratch.tfs;
-  for (const StreamId stream : table_matches) {
-    if (scored.count(stream) > 0) continue;
-    double tfidf_sum = 0.0;
-    tfs.assign(nq, 0);
-    for (std::size_t i = 0; i < nq; ++i) {
-      tfs[i] = live_terms.GetTotal(stream, plan.terms[i]);
-      tfidf_sum += scorer.TermTfIdf(tfs[i], plan.idfs[i]);
-    }
+  core::StampedStreamSet& scored = scratch.exact_scored;
+  for (std::size_t i = 0; i < nq; ++i) {
+    live_terms.ForEachStreamOfTerm(
+        plan.terms[i], [&](StreamId stream, TermFreq total) {
+          AddToSlotMatrix(scratch, nq, stream, i, total);
+        });
+  }
+  std::size_t table_candidates = 0;
+  for (std::size_t slot = 0; slot < scratch.slot_streams.size(); ++slot) {
+    const StreamId stream = scratch.slot_streams[slot];
     // RemoveStream unregisters a stream before erasing its counters, so a
     // stream still registered after the reads was read whole. One being
     // evicted meanwhile may have been read torn; its postings already sit
     // in one published sealed component, so the sealed walk scores it.
     if (!live_terms.ContainsStream(stream)) continue;
-    scored.insert(stream);
-    exact.Candidate(stream, tfidf_sum, tfs.data(),
+    const TermFreq* stream_tfs = scratch.slot_tf.data() + slot * nq;
+    double tfidf_sum = 0.0;
+    for (std::size_t i = 0; i < nq; ++i) {
+      tfidf_sum += scorer.TermTfIdf(stream_tfs[i], plan.idfs[i]);
+    }
+    scored.Insert(stream);
+    ++table_candidates;
+    exact.Candidate(stream, tfidf_sum, stream_tfs,
                     core::ScoreBreakdown::Source::kLiveTable);
   }
+  ClearSlotMatrix(scratch);
+  return table_candidates;
 }
 
 /// Phase 2: full scan of I0 (it is small by construction). Accumulates
-/// per-stream tf sums into a slot-indexed flat matrix (stride nq), exact
-/// for streams whose postings are L0-only. Returns the number of
-/// candidates scored here (explain's l0_candidates).
+/// per-stream tf sums into the slot matrix, exact for streams whose
+/// postings are L0-only. Postings of streams phase 1 scored are counted
+/// as scanned but not accumulated: those streams already have their
+/// exact totals. Returns the number of candidates scored here (explain's
+/// l0_candidates).
 template <typename ExactPolicy>
 std::size_t RunL0Phase(const QueryPlan& plan, const core::Scorer& scorer,
                        lsm::LsmTree& tree, core::QueryScratch& scratch,
-                       std::unordered_set<StreamId>& scored,
                        ExactPolicy& exact, core::QueryStats& qs) {
   const std::size_t nq = plan.num_terms();
-  auto& l0_slot = scratch.l0_slot;
-  auto& l0_tf = scratch.l0_tf;
-  auto& l0_streams = scratch.l0_streams;
+  core::StampedStreamSet& scored = scratch.exact_scored;
   for (std::size_t i = 0; i < nq; ++i) {
     tree.WithL0Term(plan.terms[i], [&](const index::TermPostings* postings) {
       if (postings == nullptr) return;
       qs.postings_scanned += postings->size();
       for (const index::Posting& p : postings->entries()) {
-        auto [it, inserted] = l0_slot.try_emplace(
-            p.stream, static_cast<std::uint32_t>(l0_streams.size()));
-        if (inserted) {
-          l0_streams.push_back(p.stream);
-          l0_tf.resize(l0_tf.size() + nq, 0);
-        }
-        l0_tf[static_cast<std::size_t>(it->second) * nq + i] += p.tf;
+        if (scored.Contains(p.stream)) continue;
+        AddToSlotMatrix(scratch, nq, p.stream, i, p.tf);
       }
     });
   }
-  std::size_t l0_candidates = 0;
-  for (std::size_t slot = 0; slot < l0_streams.size(); ++slot) {
-    const StreamId stream = l0_streams[slot];
-    if (!scored.insert(stream).second) continue;
-    const TermFreq* stream_tfs = l0_tf.data() + slot * nq;
+  const std::size_t l0_candidates = scratch.slot_streams.size();
+  for (std::size_t slot = 0; slot < l0_candidates; ++slot) {
+    const StreamId stream = scratch.slot_streams[slot];
+    const TermFreq* stream_tfs = scratch.slot_tf.data() + slot * nq;
     double tfidf_sum = 0.0;
     for (std::size_t i = 0; i < nq; ++i) {
       tfidf_sum += scorer.TermTfIdf(stream_tfs[i], plan.idfs[i]);
     }
-    ++l0_candidates;
+    scored.Insert(stream);
     exact.Candidate(stream, tfidf_sum, stream_tfs,
                     core::ScoreBreakdown::Source::kL0Scan);
   }
+  ClearSlotMatrix(scratch);
   return l0_candidates;
 }
 
@@ -154,7 +177,7 @@ void RunSealedSequential(const QueryPlan& plan, const core::Scorer& scorer,
       for (std::size_t ri = 0; ri < round.size(); ++ri) {
         const index::Posting& p = round[ri];
         if (!policy.Admit(p.stream)) continue;
-        policy.Candidate(traversal, p.stream, round_terms[ri], qs);
+        policy.Candidate(traversal, p, round_terms[ri], qs);
       }
       qs.postings_scanned += round.size();
       round.clear();

@@ -120,19 +120,22 @@ const Posting& TermPostings::At(SortKey key, std::size_t i) const {
 
 bool TermPostings::AggregateForStream(StreamId stream, Posting& out) const {
   assert(sealed_);
-  // Duplicates were folded at Seal(), so a hit is a single load.
-  std::size_t lo = 0;
-  std::size_t hi = entries_.size();
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (entries_[mid].stream < stream) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
+  // Duplicates were folded at Seal(), so a hit is a single load. The
+  // lower bound halves the range without a data-dependent branch (the
+  // step is a conditional move), so a probe costs no mispredictions.
+  std::size_t len = entries_.size();
+  if (len == 0) return false;
+  const Posting* first = entries_.data();
+  while (len > 1) {
+    const std::size_t half = len / 2;
+    first += first[half].stream < stream ? half : 0;
+    len -= half;
   }
-  if (lo >= entries_.size() || entries_[lo].stream != stream) return false;
-  out = entries_[lo];
+  first += first->stream < stream ? 1 : 0;
+  if (first == entries_.data() + entries_.size() || first->stream != stream) {
+    return false;
+  }
+  out = *first;
   return true;
 }
 

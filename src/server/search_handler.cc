@@ -1,5 +1,6 @@
 #include "server/search_handler.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <sstream>
 
@@ -239,12 +240,14 @@ void RegisterSearchRoutes(HttpServerBase& http,
     const shard::IndexShardSet& text = *pinned->text;
     const shard::IndexShardSet& sound = *pinned->sound;
     std::size_t text_postings = 0, sound_postings = 0, text_runs = 0;
+    std::size_t text_levels = 0;  // The deepest shard's.
     std::size_t streams = 0, live_streams = 0;
     std::uint64_t merges = 0;
     for (int s = 0; s < text.num_shards(); ++s) {
       const core::RtsiIndex& index = text.shard_index(s);
       text_postings += index.tree().total_postings();
       text_runs += index.tree().num_runs();
+      text_levels = std::max(text_levels, index.tree().num_levels());
       streams += index.stream_table().size();
       live_streams += index.live_table().num_streams();
       merges += index.GetMergeStats().merges;
@@ -255,7 +258,7 @@ void RegisterSearchRoutes(HttpServerBase& http,
     std::ostringstream out;
     out << "{\"text_postings\":" << text_postings
         << ",\"sound_postings\":" << sound_postings
-        << ",\"text_levels\":" << text.shard_index(0).tree().num_levels()
+        << ",\"text_levels\":" << text_levels
         << ",\"text_runs\":" << text_runs << ",\"merges\":" << merges
         << ",\"streams\":" << streams
         << ",\"live_streams\":" << live_streams

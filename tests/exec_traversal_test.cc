@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <set>
+#include <string>
+
+#include "common/rng.h"
+#include "lsm/lsm_tree.h"
 
 namespace rtsi::exec {
 
@@ -213,6 +219,90 @@ TEST(TraversalTest, CountsPostingsYielded) {
   // drained; with 4 postings that is at least 4 and at most 12.
   EXPECT_GE(traversal.postings_yielded(), 4u);
   EXPECT_LE(traversal.postings_yielded(), 12u);
+}
+
+// Every posting a traversal yields is its stream's folded aggregate in
+// that list, bit for bit what Find() returns for the yielding term: a
+// sealed list holds one posting per stream. The sealed candidate scorer
+// takes the discovering term's tf from the yielded posting instead of
+// looking it up again, so it relies on exactly this.
+void ExpectYieldedEqualsFind(const index::InvertedIndex& component,
+                             const std::vector<TermId>& terms,
+                             const std::string& context) {
+  Traversal traversal(component, terms);
+  std::vector<Posting> round;
+  std::vector<std::uint32_t> term_of;
+  std::size_t checked = 0;
+  while (traversal.NextRound(round, term_of)) {
+    ASSERT_EQ(round.size(), term_of.size()) << context;
+    for (std::size_t r = 0; r < round.size(); ++r) {
+      const Posting& yielded = round[r];
+      Posting found;
+      ASSERT_TRUE(traversal.Find(term_of[r], yielded.stream, found))
+          << context << " stream " << yielded.stream;
+      EXPECT_EQ(found.stream, yielded.stream) << context;
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(found.pop),
+                std::bit_cast<std::uint32_t>(yielded.pop))
+          << context << " stream " << yielded.stream;
+      EXPECT_EQ(found.frsh, yielded.frsh) << context;
+      EXPECT_EQ(found.tf, yielded.tf) << context;
+      ++checked;
+    }
+    round.clear();
+    term_of.clear();
+  }
+  EXPECT_GT(checked, 0u) << context;
+}
+
+TEST(TraversalTest, YieldedPostingIsTheStreamAggregate) {
+  for (const bool compress : {false, true}) {
+    const std::string context = compress ? "compressed" : "plain";
+    // One component built directly, every stream posting each of its
+    // terms several times (a live stream's windows inside one epoch).
+    InvertedIndex idx(1);
+    Rng rng(17);
+    for (int window = 0; window < 6; ++window) {
+      for (StreamId stream = 0; stream < 40; ++stream) {
+        for (TermId term = 1; term <= 3; ++term) {
+          if (rng.NextBool(0.3)) continue;
+          idx.Add(term,
+                  P(stream, static_cast<float>(rng.NextUint64(50)),
+                    100 + window * 40 + static_cast<Timestamp>(stream),
+                    1 + static_cast<TermFreq>(rng.NextUint64(5))));
+        }
+      }
+    }
+    idx.SealAll();
+    if (compress) idx.CompressAll();
+    ExpectYieldedEqualsFind(idx, {1, 2, 3, 99}, context + " direct");
+
+    // Components the LSM tree froze and merged, from windows that repeat
+    // streams within and across freezes; each cascade's output is checked.
+    lsm::LsmTree::Config config;
+    config.delta = 64;
+    config.rho = 2.0;
+    config.compress = compress;
+    lsm::LsmTree tree(config);
+    Timestamp t = 1000;
+    int level2_checked = 0;
+    for (int step = 0; step < 2000; ++step) {
+      const auto stream = static_cast<StreamId>(rng.NextUint64(200));
+      const auto term = static_cast<TermId>(1 + rng.NextUint64(4));
+      tree.AddPosting(term, P(stream, static_cast<float>(rng.NextUint64(9)),
+                              ++t, 1 + static_cast<TermFreq>(
+                                           rng.NextUint64(3))));
+      if (!tree.NeedsMerge()) continue;
+      tree.MergeCascade(lsm::MergeHooks{});
+      for (const auto& component : tree.PinView()->components) {
+        ExpectYieldedEqualsFind(*component, {1, 2, 3, 4},
+                                context + " step " + std::to_string(step) +
+                                    " level " +
+                                    std::to_string(component->level()));
+        if (component->level() >= 2) ++level2_checked;
+      }
+    }
+    EXPECT_GT(level2_checked, 0) << context;
+  }
 }
 
 }  // namespace

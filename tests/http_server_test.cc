@@ -15,6 +15,7 @@
 #include "server/async_http_server.h"
 #include "server/search_handler.h"
 #include "service/search_service.h"
+#include "shard/shard_set.h"
 
 namespace rtsi::server {
 namespace {
@@ -167,6 +168,55 @@ TEST_F(SearchRoutesTest, StatsReportsCounts) {
   EXPECT_NE(response.find("\"view_epoch\""), std::string::npos);
   EXPECT_NE(response.find("\"arena_bytes\""), std::string::npos);
   EXPECT_NE(response.find("\"queue\":{\"pending\""), std::string::npos);
+}
+
+// With several shards, "text_levels" is the deepest shard's level count,
+// as "text_runs" and "merges" beside it cover every shard.
+TEST(SearchRoutesShardedTest, StatsTextLevelsIsMaxOverShards) {
+  SimulatedClock clock;
+  service::SearchServiceConfig config;
+  config.ingestion.acoustic_path = service::AcousticPath::kDirect;
+  config.ingestion.transcriber.word_error_rate = 0.0;
+  config.index.lsm.delta = 16;
+  config.shards = 2;
+  service::SearchService service(config, &clock);
+  AsyncHttpServer server{ServerConfig{}};
+  RegisterSearchRoutes(server, service, clock);
+  ASSERT_TRUE(server.Start(0).ok());
+
+  // Shard 0 gets one window, shard 1 enough to cascade several levels.
+  const std::vector<std::string> words = {
+      "quantum", "physics", "lecture", "football", "goal",    "stadium",
+      "music",   "concert", "guitar",  "weather", "storm",   "forecast"};
+  StreamId shard0_stream = 0;
+  while (shard::ShardForStream(shard0_stream, 2) != 0) ++shard0_stream;
+  ASSERT_TRUE(service.IngestWindow(shard0_stream, {"quantum"}).ok());
+  int shard1_windows = 0;
+  for (StreamId stream = 0; shard1_windows < 120; ++stream) {
+    if (shard::ShardForStream(stream, 2) != 1) continue;
+    std::vector<std::string> window;
+    for (std::size_t i = 0; i < 4; ++i) {
+      window.push_back(words[(stream + i * 5) % words.size()] +
+                       std::to_string(stream % 7));
+    }
+    ASSERT_TRUE(service.IngestWindow(stream, window).ok());
+    ++shard1_windows;
+    clock.Advance(kMicrosPerSecond);
+  }
+  const auto pinned = service.PinIndices();
+  pinned->text->WaitForMerges();
+  const std::size_t shard0_levels =
+      pinned->text->shard_index(0).tree().num_levels();
+  const std::size_t shard1_levels =
+      pinned->text->shard_index(1).tree().num_levels();
+  ASSERT_GT(shard1_levels, shard0_levels) << "shards did not diverge";
+
+  const std::string response = Get(server.port(), "/stats");
+  EXPECT_NE(response.find("\"num_shards\":2"), std::string::npos);
+  EXPECT_NE(response.find("\"text_levels\":" +
+                          std::to_string(shard1_levels) + ","),
+            std::string::npos)
+      << response;
 }
 
 TEST_F(SearchRoutesTest, IndexPageIsHtml) {

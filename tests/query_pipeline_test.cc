@@ -14,6 +14,8 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
@@ -22,6 +24,7 @@
 
 #include "baseline/lsii_index.h"
 #include "common/rng.h"
+#include "core/query_scratch.h"
 #include "core/rtsi_index.h"
 #include "exec/query_plan.h"
 #include "exec/sink.h"
@@ -446,6 +449,143 @@ TEST(PipelineLsiiTest, LsiiBoundMatchesLsiiFullWalkBitwise) {
     ExpectBitIdentical(bounded->Query(q, k, t), walker->Query(q, k, t),
                        "lsii query " + std::to_string(qi));
   }
+}
+
+// The exact-scored stream set (phases 1-2) and the per-component dedup
+// are epoch-stamped sets inside the leased scratch, which the next query
+// recycles. A stale stamp surviving into the next query would make the
+// sealed walk skip a stream phase 1 no longer scores: the live-table set
+// here changes between queries (new streams, finishes, evictions) while
+// one scratch serves them all. Every answer must equal the full walk of
+// a twin index that runs each query on a fresh scratch, and explain's
+// live_table_candidates must count the live-table matches. One stream id
+// lies beyond the dense range, and both sets are driven across an epoch
+// wrap mid-run.
+TEST(StampedSetReuseTest, RecycledScratchMatchesFullWalk) {
+  RtsiConfig config = PipelineConfig(/*use_bound=*/true);
+  config.bound_mode = BoundMode::kGlobalPop;
+  RtsiIndex index(config);
+  RtsiIndex oracle(PipelineConfig(/*use_bound=*/false));
+  const StreamId kHighStream = StampedStreamSet::kDenseLimit + 5;
+  constexpr int kRounds = 40;
+  constexpr int kWrapRound = 12;
+  constexpr std::uint32_t kMax = std::numeric_limits<std::uint32_t>::max();
+
+  Rng rng(4242);
+  Timestamp t = 1000;
+  std::set<StreamId> previous_table;
+  int table_changes = 0;
+  int high_matches = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    for (int w = 0; w < 25; ++w) {
+      t += kMicrosPerSecond;
+      // The id range grows, so streams no set has stamped keep arriving.
+      const StreamId stream =
+          rng.NextBool(0.1)
+              ? kHighStream
+              : static_cast<StreamId>(rng.NextUint64(60 + 2 * round));
+      std::vector<TermCount> terms;
+      std::set<TermId> used;
+      for (int i = 0; i < 4; ++i) {
+        const auto term = static_cast<TermId>(rng.NextUint64(50));
+        if (!used.insert(term).second) continue;
+        terms.push_back({term, 1 + static_cast<TermFreq>(rng.NextUint64(4))});
+      }
+      for (RtsiIndex* target : {&index, &oracle}) {
+        target->InsertWindow(stream, t, terms, /*live=*/true);
+      }
+    }
+    // Finishing evicts single-component streams from the live table now,
+    // the rest at their consolidating merge. Settling first keeps the
+    // twins' evictions in step.
+    std::vector<StreamId> finished;
+    for (int f = 0; f < 4; ++f) {
+      finished.push_back(static_cast<StreamId>(rng.NextUint64(60)));
+    }
+    if (round % 5 == 4) finished.push_back(kHighStream);
+    for (RtsiIndex* target : {&index, &oracle}) {
+      target->WaitForMerges();
+      for (const StreamId stream : finished) target->FinishStream(stream);
+      target->WaitForMerges();
+    }
+
+    if (round == kWrapRound) {
+      // Park both sets just short of the wrap in the scratch the next
+      // queries lease (single-threaded: the pool hands it straight back).
+      // Release's Clear() takes each one step further: the component
+      // dedup wraps inside the next query, the exact set at its release.
+      auto scratch = index.scratch_pool().Acquire();
+      scratch->exact_scored.AdvanceEpochForTesting(kMax - 1);
+      scratch->component_seen.AdvanceEpochForTesting(kMax - 3);
+      index.scratch_pool().Release(std::move(scratch));
+    }
+
+    std::set<StreamId> table;
+    index.live_table().ForEachStream(
+        [&](StreamId stream, const auto&) { table.insert(stream); });
+    if (round > 0 && table != previous_table) ++table_changes;
+    previous_table = table;
+
+    for (int qi = 0; qi < 6; ++qi) {
+      const auto q = RandomQuery(rng);
+      const int k = 1 + static_cast<int>(rng.NextUint64(10));
+      const std::string context = "round " + std::to_string(round) +
+                                  " query " + std::to_string(qi);
+      // Drop whatever scratch the oracle's pool holds, so its query runs
+      // on a freshly built one.
+      oracle.scratch_pool().Acquire();
+      ExpectBitIdentical(index.Query(q, k, t), oracle.Query(q, k, t),
+                         context);
+
+      std::set<StreamId> matches;
+      for (const TermId term : q) {
+        index.live_table().ForEachStreamOfTerm(
+            term, [&](StreamId stream, TermFreq) { matches.insert(stream); });
+      }
+      if (matches.count(kHighStream) > 0) ++high_matches;
+      const QueryExplanation explain =
+          index.ExplainQuery(q, k, t, QueryFilter{});
+      EXPECT_EQ(explain.live_table_candidates, matches.size()) << context;
+    }
+  }
+  EXPECT_GE(table_changes, kRounds / 2) << "the live-table set barely moved";
+  EXPECT_GT(high_matches, 0) << "the overflow id never reached phase 1";
+  // The wrap happened: both epochs restarted from 1 and stayed small.
+  auto scratch = index.scratch_pool().Acquire();
+  EXPECT_LT(scratch->exact_scored.epoch(), 1000u);
+  EXPECT_LT(scratch->component_seen.epoch(), 100000u);
+  index.scratch_pool().Release(std::move(scratch));
+}
+
+// The set on its own: Clear() empties it, an epoch wrap re-zeroes the
+// stamps (a zero stamp must not read as a member of epoch 0), and ids past
+// the dense range go through the overflow set.
+TEST(StampedStreamSetTest, ClearWrapAndOverflow) {
+  StampedStreamSet set;
+  set.Reserve(99);
+  const StreamId high = StampedStreamSet::kDenseLimit + 1;
+  EXPECT_FALSE(set.Contains(7));
+  EXPECT_TRUE(set.Insert(7));
+  EXPECT_FALSE(set.Insert(7));
+  EXPECT_TRUE(set.Insert(high));
+  EXPECT_FALSE(set.Insert(high));
+  EXPECT_TRUE(set.Contains(7));
+  EXPECT_TRUE(set.Contains(high));
+  EXPECT_FALSE(set.Contains(8));
+  set.Clear();
+  EXPECT_FALSE(set.Contains(7));
+  EXPECT_FALSE(set.Contains(high));
+
+  set.AdvanceEpochForTesting(std::numeric_limits<std::uint32_t>::max());
+  EXPECT_TRUE(set.Insert(5));
+  set.Clear();  // Wraps.
+  EXPECT_EQ(set.epoch(), 1u);
+  for (StreamId stream = 0; stream < 100; ++stream) {
+    EXPECT_FALSE(set.Contains(stream)) << stream;
+  }
+  EXPECT_TRUE(set.Insert(5));
+  EXPECT_TRUE(set.Insert(6));
+  EXPECT_FALSE(set.Insert(5));
 }
 
 // Sharded scatter-gather runs one set-wide plan on every shard and

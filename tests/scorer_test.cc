@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+
 #include "core/doc_freq.h"
 #include "core/top_k.h"
 
@@ -85,6 +90,77 @@ TEST(ScorerTest, CombineAppliesWeights) {
   weights.frsh = 0.0;
   const Scorer scorer(weights, 3600.0);
   EXPECT_DOUBLE_EQ(scorer.Combine(0.7, 0.9, 0.1), 0.7);
+}
+
+// The Equation-1 pieces are inline and TermTfIdf reads 1 + ln tf from a
+// table for small tf; results must stay bit-identical to the plain
+// expressions, or pruned and full-walk scores could drift apart.
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(ScorerTest, TermTfIdfBitIdenticalToLogExpression) {
+  const Scorer scorer = DefaultScorer();
+  EXPECT_TRUE(SameBits(scorer.TermTfIdf(0, 2.5), 0.0));
+  for (const double idf : {0.1, 1.0, 2.5, 7.25, 13.9, 1e-3}) {
+    // Runs past the table's edge into the computed range.
+    for (TermFreq tf = 1; tf <= 4096; ++tf) {
+      const double want = (1.0 + std::log(static_cast<double>(tf))) * idf;
+      ASSERT_TRUE(SameBits(scorer.TermTfIdf(tf, idf), want))
+          << "tf " << tf << " idf " << idf;
+    }
+  }
+}
+
+TEST(ScorerTest, InlinePiecesBitIdenticalToReference) {
+  ScoreWeights weights;
+  weights.pop = 0.35;
+  weights.rel = 0.45;
+  weights.frsh = 0.2;
+  const double tau = 5400.0;
+  const Scorer scorer(weights, tau);
+  for (const std::uint64_t max_pop : {0ULL, 1ULL, 77ULL, 100000ULL}) {
+    for (const std::uint64_t count : {0ULL, 1ULL, 13ULL, 77ULL, 99999ULL}) {
+      const double want =
+          max_pop == 0 ? 0.0
+                       : std::log1p(static_cast<double>(count)) /
+                             std::log1p(static_cast<double>(max_pop));
+      EXPECT_TRUE(SameBits(scorer.PopScore(count, max_pop), want))
+          << count << "/" << max_pop;
+    }
+  }
+  const Timestamp now = 500 * kMicrosPerHour;
+  for (const Timestamp age : {Timestamp{0}, Timestamp{1}, kMicrosPerSecond,
+                              7 * kMicrosPerHour + 3, 400 * kMicrosPerHour,
+                              -kMicrosPerMinute}) {
+    const Timestamp frsh = now - age;
+    const double age_seconds =
+        std::max<double>(0.0, static_cast<double>(now - frsh)) /
+        static_cast<double>(kMicrosPerSecond);
+    EXPECT_TRUE(SameBits(scorer.FrshScore(frsh, now),
+                         std::exp(-age_seconds / tau)))
+        << "age " << age;
+  }
+  for (const int n : {0, 1, 2, 7}) {
+    for (const double sum : {-1.0, 0.0, 0.3, 2.75, 41.0}) {
+      double want = 0.0;
+      if (n > 0 && sum > 0.0) {
+        const double mean = sum / n;
+        want = mean / (1.0 + mean);
+      }
+      EXPECT_TRUE(SameBits(scorer.RelScore(sum, n), want))
+          << sum << "/" << n;
+    }
+  }
+  for (const double pop : {0.0, 0.31, 1.0}) {
+    for (const double rel : {0.0, 0.62}) {
+      for (const double frsh : {0.05, 0.9}) {
+        const double want =
+            weights.pop * pop + weights.rel * rel + weights.frsh * frsh;
+        EXPECT_TRUE(SameBits(scorer.Combine(pop, rel, frsh), want));
+      }
+    }
+  }
 }
 
 TEST(DocFreqTest, IdfOrdersRareAboveCommon) {
