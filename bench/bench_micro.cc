@@ -1,6 +1,7 @@
 // Google-benchmark micro suite: the hot primitives under the experiment
-// harness — posting-list operations, Huffman coding, scoring, the MFCC
-// front-end, and the random-access path used by query candidates.
+// harness — posting-list operations, Huffman coding, scoring, the query
+// sink, the MFCC front-end, and the random-access path used by query
+// candidates.
 
 #include <benchmark/benchmark.h>
 
@@ -12,6 +13,7 @@
 #include "common/varint.h"
 #include "common/zipf.h"
 #include "core/scorer.h"
+#include "exec/sink.h"
 #include "index/compressed_postings.h"
 #include "index/huffman.h"
 #include "index/term_postings.h"
@@ -85,6 +87,36 @@ BENCHMARK(BM_AggregateForStream)
     ->Args({1024, 0})
     ->Args({65536, 1})
     ->Args({65536, 0});
+
+// The query sink's offer path: a fixed sequence of 4096 random offers into
+// a fresh TopKSink(k) per iteration. About a quarter of them re-offer a
+// stream the sink retains at that point (with a fresh score, better or
+// worse); the rest offer new streams. Reports time per offer.
+void BM_TopKSinkOffer(benchmark::State& state) {
+  const int k = static_cast<int>(state.range(0));
+  constexpr int kOffers = 4096;
+  Rng rng(13);
+  std::vector<core::ScoredStream> offers;
+  exec::TopKSink shadow(k);  // Tracks what the sink retains while drawing.
+  while (offers.size() < kOffers) {
+    core::ScoredStream offer{rng.NextUint64(1u << 20), rng.NextDouble()};
+    const std::vector<core::ScoredStream> retained = shadow.SortedResults();
+    if (!retained.empty() && rng.NextBool(0.25)) {
+      offer.stream = retained[rng.NextUint64(retained.size())].stream;
+    }
+    shadow.Offer(offer.stream, offer.score);
+    offers.push_back(offer);
+  }
+  for (auto _ : state) {
+    exec::TopKSink sink(k);
+    for (const core::ScoredStream& o : offers) sink.Offer(o.stream, o.score);
+    benchmark::DoNotOptimize(sink.Threshold());
+  }
+  state.counters["per_offer"] = benchmark::Counter(
+      kOffers, benchmark::Counter::kIsIterationInvariantRate |
+                   benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_TopKSinkOffer)->Arg(10)->Arg(100);
 
 void BM_HuffmanEncode(benchmark::State& state) {
   Rng rng(5);

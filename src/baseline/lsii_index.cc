@@ -49,7 +49,6 @@ void LsiiIndex::InsertWindow(StreamId stream, Timestamp now,
   big_.GetMeta(stream, pop_count, frsh);
   const float pop_snapshot = static_cast<float>(pop_count);
 
-  tree_.MarkStreamInL0(stream);
   for (const TermCount& tc : terms) {
     if (tc.tf == 0) continue;
     tree_.AddPosting(tc.term, Posting{stream, pop_snapshot, now, tc.tf});
@@ -72,11 +71,10 @@ std::vector<ScoredStream> LsiiIndex::Query(const std::vector<TermId>& terms,
   QueryStats& qs = stats != nullptr ? *stats : local_stats;
   qs = QueryStats{};
 
-  // The baseline executes through the same pipeline operators as RTSI
-  // (plan -> selector -> traversal -> sink) with its own soundness knobs:
-  // the >= prune cut, no skip headers, no component freshness ceilings,
-  // and the global per-term tf headroom (its streams may span components
-  // with no consolidation invariant to tighten that).
+  // The baseline shares RTSI's plan, traversal driver and sink, with its
+  // own soundness rules: the >= prune cut, no skip headers, no component
+  // freshness ceilings, and the global per-term tf headroom (its streams
+  // may span components with no consolidation invariant to tighten that).
   exec::QueryPlan plan;
   std::vector<TermId> term_set;
   exec::BuildQueryPlan(terms, df_, k, now, core::QueryFilter{},
@@ -128,29 +126,32 @@ std::vector<ScoredStream> LsiiIndex::Query(const std::vector<TermId>& terms,
     score_candidate(stream);
   }
 
-  // Sealed components through the shared selector + traversal driver.
+  // Sealed components: LSII's own selection, then the shared driver.
+  // Components carry no residency bookkeeping, so the freshness ceiling
+  // is `now` (sound because the workload clock is monotone); only proven
+  // term-free components are dropped, and the unstable bound-only sort
+  // keeps the baseline's historical walk order.
   const auto snapshot = tree_.SealedSnapshot();
-  std::vector<TermFreq> tf_corrections(nq, 0);
+  std::vector<exec::PerTermBound> per_term(nq);
   for (std::size_t i = 0; i < nq; ++i) {
-    tf_corrections[i] = big_.GetMaxTotal(q[i]);
+    per_term[i].idf = plan.idfs[i];
+    per_term[i].tf_correction = big_.GetMaxTotal(q[i]);
   }
-  std::vector<exec::PerTermBound> per_term;
-  std::vector<double> screen_own;
-  std::vector<double> screen_tfidf;
-  exec::SelectorOptions options;
-  options.consult_headers = false;
-  // LSII components carry no residency bookkeeping, so only the fallback
-  // ceiling is sound; `now` is valid because the workload clock is
-  // monotone — no stream's freshness can exceed the query timestamp.
-  options.use_component_ceiling = false;
-  options.fallback_ceiling = now;
-  options.require_positive_bound = false;
-  options.order_tie_break = false;
-  options.tf_corrections = &tf_corrections;
-  const std::vector<exec::SelectedComponent> selected =
-      exec::SelectComponents(plan, scorer_, snapshot, options,
-                             {per_term, screen_own, screen_tfidf}, qs,
-                             nullptr);
+  std::vector<exec::SelectedComponent> selected;
+  for (std::size_t ci = 0; ci < snapshot.size(); ++ci) {
+    bool any_present = false;
+    for (std::size_t i = 0; i < nq; ++i) {
+      per_term[i].bounds = snapshot[ci]->Bounds(q[i]);
+      any_present = any_present || per_term[i].bounds.present;
+    }
+    if (!any_present) continue;
+    const double bound = exec::ComponentBound(
+        scorer_, per_term, plan.now, plan.max_pop, now, plan.bound_mode);
+    selected.push_back({snapshot[ci].get(), bound, now, 0.0, ci, 0, false});
+  }
+  std::sort(selected.begin(), selected.end(),
+            [](const exec::SelectedComponent& a,
+               const exec::SelectedComponent& b) { return a.bound > b.bound; });
 
   struct Policy {
     std::vector<Posting>& round_buf;

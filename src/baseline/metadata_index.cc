@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "core/top_k.h"
+#include "exec/sink.h"
 
 namespace rtsi::baseline {
 
@@ -64,18 +64,18 @@ std::vector<core::ScoredStream> MetadataIndex::Query(
     }
   }
 
-  core::TopKHeap heap(k);
+  exec::TopKSink sink(k);
   for (const auto& [stream, sum] : tfidf) {
     index::StreamInfo info;
     if (!streams_.Get(stream, info)) continue;
-    heap.Offer(stream,
+    sink.Offer(stream,
                scorer_.Combine(
                    scorer_.PopScore(info.pop_count, max_pop),
                    scorer_.RelScore(sum, static_cast<int>(terms.size())),
                    scorer_.FrshScore(info.frsh, now)));
     if (stats != nullptr) ++stats->candidates_scored;
   }
-  return heap.SortedResults();
+  return sink.SortedResults();
 }
 
 std::size_t MetadataIndex::MemoryBytes() const {

@@ -145,11 +145,10 @@ void RtsiIndex::InsertWindow(StreamId stream, Timestamp now,
       if (totals[i] == tc.tf) df_.AddOccurrence(tc.term);  // First window.
       // AddPosting marks the stream's L0-epoch presence atomically with the
       // posting (under the term-shard lock), returning true on the stream's
-      // first posting of the epoch. Incrementing per true return — instead
-      // of one up-front MarkStreamInL0 — closes the race where a freeze
-      // slipped between the mark and the adds and left the component count
-      // short for the new epoch; a freeze splitting this window's postings
-      // across two epochs now yields the correct two increments.
+      // first posting of the epoch. Incrementing per true return means a
+      // freeze can never separate a mark from its posting, and a freeze
+      // splitting this window's postings across two epochs yields the
+      // correct two increments.
       if (tree_.AddPosting(tc.term,
                            Posting{stream, pop_snapshot, now, tc.tf})) {
         streams_.IncrementComponentCount(stream);
@@ -246,21 +245,6 @@ exec::QueryPlan RtsiIndex::BuildPlan(const std::vector<TermId>& terms,
   return plan;
 }
 
-std::vector<exec::SelectedComponent> RtsiIndex::SelectSealed(
-    const exec::QueryPlan& plan, const lsm::IndexView& view,
-    QueryScratch& scratch, QueryStats& qs, QueryExplanation* explain) const {
-  // Skip headers (Bloom filter, summaries, admission screen) are pruning
-  // structures, so they are consulted exactly when pruning is on: the
-  // full walk (use_bound off) stays the structure-free reference path.
-  exec::SelectorOptions options;
-  options.consult_headers = plan.use_bound;
-  options.fallback_ceiling = streams_.max_frsh();
-  return exec::SelectComponents(
-      plan, scorer_, view.components, options,
-      {scratch.per_term, scratch.screen_own, scratch.screen_tfidf}, qs,
-      explain);
-}
-
 void RtsiIndex::AddLifetimeCounters(const QueryStats& qs) {
   cum_visited_.fetch_add(qs.components_visited, std::memory_order_relaxed);
   cum_pruned_.fetch_add(qs.components_pruned, std::memory_order_relaxed);
@@ -271,13 +255,13 @@ void RtsiIndex::AddLifetimeCounters(const QueryStats& qs) {
 }
 
 std::vector<ScoredStream> RtsiIndex::ExecutePlan(const exec::QueryPlan& plan,
-                                                 exec::ResultSink& sink,
+                                                 exec::TopKSink& sink,
                                                  QueryStats* stats) {
   return Execute(plan, sink, stats, nullptr, nullptr);
 }
 
 std::vector<ScoredStream> RtsiIndex::Execute(
-    const exec::QueryPlan& plan, exec::ResultSink& sink, QueryStats* stats,
+    const exec::QueryPlan& plan, exec::TopKSink& sink, QueryStats* stats,
     QueryExplanation* explain, exec::BreakdownRecorder* recorder) {
   // Diagnostics accumulate in a local and are published once on exit, so
   // the per-candidate increments never write through the caller's pointer.
@@ -303,12 +287,18 @@ std::vector<ScoredStream> RtsiIndex::Execute(
     // traverses that view: no locks, no structure re-checks, no mirror
     // lookups. Merges publishing mid-query cannot perturb the pinned
     // component set, and pre-merge components stay alive because the pin
-    // references them.
+    // references them. Skip headers (Bloom filter, summaries, admission
+    // screen) are pruning structures, so the selector reads them exactly
+    // when the plan prunes: the full walk stays the structure-free
+    // reference path.
     const lsm::IndexViewPtr view = tree_.PinView();
     const std::vector<exec::SelectedComponent> selected =
-        SelectSealed(plan, *view, scratch, qs, explain);
-    exec::SealedScorer policy(plan, scorer_, streams_, plan.use_bound,
-                              scratch, sink, recorder);
+        exec::SelectComponents(
+            plan, scorer_, view->components, streams_.max_frsh(),
+            {scratch.per_term, scratch.screen_own, scratch.screen_tfidf}, qs,
+            explain);
+    exec::SealedScorer policy(plan, scorer_, streams_, scratch, sink,
+                              recorder);
     exec::RunSealedSequential(plan, scorer_, selected, policy, sink, qs,
                               explain);
     AddLifetimeCounters(qs);

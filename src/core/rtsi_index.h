@@ -127,7 +127,7 @@ class RtsiIndex : public SearchIndex {
   /// re-executions can accumulate — and the returned vector is its
   /// current rank order.
   std::vector<ScoredStream> ExecutePlan(const exec::QueryPlan& plan,
-                                        exec::ResultSink& sink,
+                                        exec::TopKSink& sink,
                                         QueryStats* stats = nullptr);
   std::size_t MemoryBytes() const override;
   std::string name() const override { return "RTSI"; }
@@ -201,17 +201,11 @@ class RtsiIndex : public SearchIndex {
   /// still in L0), keeping those back in L0 queued.
   void DrainPendingFinished();
 
-  /// Phase-3 planning over a pinned view: skip headers are consulted
-  /// exactly when the plan prunes.
-  std::vector<exec::SelectedComponent> SelectSealed(
-      const exec::QueryPlan& plan, const lsm::IndexView& view,
-      QueryScratch& scratch, QueryStats& qs, QueryExplanation* explain) const;
-
   /// The one query walk behind ExecutePlan and ExplainQuery: phases 1-3
   /// into `sink`. `explain` (candidate counts, component fates) and
   /// `recorder` (per-candidate breakdowns) are null on the query path.
   std::vector<ScoredStream> Execute(const exec::QueryPlan& plan,
-                                    exec::ResultSink& sink, QueryStats* stats,
+                                    exec::TopKSink& sink, QueryStats* stats,
                                     QueryExplanation* explain,
                                     exec::BreakdownRecorder* recorder);
 

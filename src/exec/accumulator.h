@@ -8,8 +8,8 @@
 // into an optional BreakdownRecorder, which is how ExplainQuery explains
 // the walk the query itself runs.
 //
-// Everything here is header-only so the per-posting work stays
-// monomorphic; only the per-candidate sink calls are virtual.
+// Everything here is header-only so the per-posting and per-candidate work
+// stays monomorphic; the sink is the concrete TopKSink.
 
 #ifndef RTSI_EXEC_ACCUMULATOR_H_
 #define RTSI_EXEC_ACCUMULATOR_H_
@@ -21,7 +21,6 @@
 #include "core/query_scratch.h"
 #include "core/scorer.h"
 #include "core/search_index.h"
-#include "core/top_k.h"
 #include "exec/query_plan.h"
 #include "exec/selector.h"
 #include "exec/sink.h"
@@ -70,8 +69,7 @@ class BreakdownRecorder {
               core::ScoreBreakdown::Source source) {
     const auto it = best_.find(stream);
     if (it != best_.end() &&
-        !core::TopKHeap::RanksAbove({stream, parts.total},
-                                    {stream, it->second.total})) {
+        !RanksAbove({stream, parts.total}, {stream, it->second.total})) {
       return;
     }
     core::ScoreBreakdown& b = best_[stream];
@@ -103,13 +101,12 @@ class BreakdownRecorder {
 class SealedScorer {
  public:
   SealedScorer(const QueryPlan& plan, const core::Scorer& scorer,
-               const index::StreamInfoTable& streams, bool screen_base,
-               core::QueryScratch& scratch, ResultSink& sink,
+               const index::StreamInfoTable& streams,
+               core::QueryScratch& scratch, TopKSink& sink,
                BreakdownRecorder* recorder = nullptr)
       : plan_(&plan),
         scorer_(&scorer),
         streams_(&streams),
-        screen_base_(screen_base),
         scratch_(&scratch),
         sink_(&sink),
         recorder_(recorder),
@@ -121,7 +118,7 @@ class SealedScorer {
 
   void BeginComponent(const SelectedComponent& sc) {
     scratch_->component_seen.Clear();
-    screen_ = screen_base_ && sc.screen;
+    screen_ = sc.screen;
     rel_total_ = sc.rel_total;
     other_tfidf_ = scratch_->screen_tfidf.data() + sc.order * nq_;
   }
@@ -201,9 +198,8 @@ class SealedScorer {
   const QueryPlan* plan_;
   const core::Scorer* scorer_;
   const index::StreamInfoTable* streams_;
-  bool screen_base_;
   core::QueryScratch* scratch_;
-  ResultSink* sink_;
+  TopKSink* sink_;
   BreakdownRecorder* recorder_;
   std::size_t nq_;
   int num_terms_;
@@ -219,7 +215,7 @@ class SealedScorer {
 class ExactScorer {
  public:
   ExactScorer(const QueryPlan& plan, const core::Scorer& scorer,
-              const index::StreamInfoTable& streams, ResultSink& sink,
+              const index::StreamInfoTable& streams, TopKSink& sink,
               core::QueryStats& qs, BreakdownRecorder* recorder = nullptr)
       : plan_(&plan),
         scorer_(&scorer),
@@ -244,7 +240,7 @@ class ExactScorer {
   const QueryPlan* plan_;
   const core::Scorer* scorer_;
   const index::StreamInfoTable* streams_;
-  ResultSink* sink_;
+  TopKSink* sink_;
   core::QueryStats* qs_;
   BreakdownRecorder* recorder_;
 };

@@ -1,7 +1,6 @@
 // Pipeline drivers: the traversal loops of Algorithm 3, templated over a
-// candidate policy so the per-posting inner loop stays monomorphic (no
-// virtual or std::function dispatch per posting — only per-candidate sink
-// calls are virtual).
+// candidate policy so the inner loop stays monomorphic: no virtual or
+// std::function dispatch per posting or per candidate.
 //
 // A policy provides:
 //   std::vector<index::Posting>& round();          // this thread's buffers
@@ -155,7 +154,7 @@ std::size_t RunL0Phase(const QueryPlan& plan, const core::Scorer& scorer,
 template <typename Policy>
 void RunSealedSequential(const QueryPlan& plan, const core::Scorer& scorer,
                          const std::vector<SelectedComponent>& comps,
-                         Policy& policy, ResultSink& sink,
+                         Policy& policy, TopKSink& sink,
                          core::QueryStats& qs,
                          core::QueryExplanation* explain) {
   std::vector<index::Posting>& round = policy.round();

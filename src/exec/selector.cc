@@ -10,7 +10,7 @@ std::vector<SelectedComponent> SelectComponents(
     const QueryPlan& plan, const core::Scorer& scorer,
     const std::vector<std::shared_ptr<const index::InvertedIndex>>&
         components,
-    const SelectorOptions& options, SelectorScratch scratch,
+    Timestamp fallback_ceiling, SelectorScratch scratch,
     core::QueryStats& qs, core::QueryExplanation* explain) {
   const std::vector<TermId>& q = plan.terms;
   const std::vector<double>& idfs = plan.idfs;
@@ -27,13 +27,12 @@ std::vector<SelectedComponent> SelectComponents(
   for (std::size_t ci = 0; ci < components.size(); ++ci) {
     const auto& component = components[ci];
     const index::SkipHeader* header =
-        options.consult_headers ? component->skip_header() : nullptr;
+        plan.use_bound ? component->skip_header() : nullptr;
     per_term.assign(nq, PerTermBound{});
     bool any_present = false;
     if (header != nullptr) {
       for (std::size_t i = 0; i < nq; ++i) {
         per_term[i].idf = idfs[i];
-        per_term[i].tf_correction = 0;  // Consolidation invariant.
         if (!header->MayContain(q[i])) continue;
         const index::TermSummary* s = header->Find(q[i]);
         if (s == nullptr) {
@@ -48,9 +47,6 @@ std::vector<SelectedComponent> SelectComponents(
       for (std::size_t i = 0; i < nq; ++i) {
         per_term[i].bounds = component->Bounds(q[i]);
         per_term[i].idf = idfs[i];
-        per_term[i].tf_correction =
-            options.tf_corrections != nullptr ? (*options.tf_corrections)[i]
-                                              : 0;
         any_present = any_present || per_term[i].bounds.present;
       }
     }
@@ -58,10 +54,9 @@ std::vector<SelectedComponent> SelectComponents(
     // it, so it is far tighter than the table-global fallback — which
     // stays the sound choice for components without a cell (restored
     // from old snapshots, or built by tests via bare CombineComponents).
-    const Timestamp frsh_ceiling =
-        options.use_component_ceiling && component->has_ceiling()
-            ? component->LiveFrshCeiling()
-            : options.fallback_ceiling;
+    const Timestamp frsh_ceiling = component->has_ceiling()
+                                       ? component->LiveFrshCeiling()
+                                       : fallback_ceiling;
     const double bound = ComponentBound(scorer, per_term, plan.now,
                                         plan.max_pop, frsh_ceiling,
                                         plan.bound_mode);
@@ -82,11 +77,7 @@ std::vector<SelectedComponent> SelectComponents(
       ++qs.components_skipped;
       continue;
     }
-    if (options.require_positive_bound) {
-      if (!(bound > 0.0)) continue;
-    } else if (!any_present) {
-      continue;  // LSII: only proven term-free components are dropped.
-    }
+    if (!(bound > 0.0)) continue;
     double rel_total = 0.0;
     if (header != nullptr) {
       // Admission-screen ingredients. own[i] bounds term i's tf-idf
@@ -117,18 +108,11 @@ std::vector<SelectedComponent> SelectComponents(
     selected.push_back({component.get(), bound, frsh_ceiling, rel_total, ci,
                         slot, header != nullptr});
   }
-  if (options.order_tie_break) {
-    std::sort(selected.begin(), selected.end(),
-              [](const SelectedComponent& a, const SelectedComponent& b) {
-                if (a.bound != b.bound) return a.bound > b.bound;
-                return a.order < b.order;
-              });
-  } else {
-    std::sort(selected.begin(), selected.end(),
-              [](const SelectedComponent& a, const SelectedComponent& b) {
-                return a.bound > b.bound;
-              });
-  }
+  std::sort(selected.begin(), selected.end(),
+            [](const SelectedComponent& a, const SelectedComponent& b) {
+              if (a.bound != b.bound) return a.bound > b.bound;
+              return a.order < b.order;
+            });
   return selected;
 }
 

@@ -1,13 +1,14 @@
 // ComponentSelector: the planning operator over a pinned component set.
 //
 // For each sealed component it resolves per-term bounds (through the skip
-// header's Bloom filter + summaries when consulted, else the posting-map
-// Bounds()), computes the sc-top upper bound of Algorithm 3, drops
-// components proven term-free or bound-free, precomputes the admission
-// screen's relevance ceilings, and returns the survivors sorted best
-// bound first. Summary bounds are >= the posting-map bounds by
-// construction, so switching lookups never tightens a bound — pruning
-// stays lossless.
+// header's Bloom filter + summaries when the plan prunes, else the
+// posting-map Bounds()), computes the sc-top upper bound of Algorithm 3,
+// drops components proven term-free or bound-free, precomputes the
+// admission screen's relevance ceilings, and returns the survivors sorted
+// best bound first, ties in snapshot order. Summary bounds are >= the
+// posting-map bounds by construction, so switching lookups never tightens
+// a bound — pruning stays lossless. This is RTSI's selector; the LSII
+// baseline keeps its own selection loop (baseline/lsii_index.cc).
 
 #ifndef RTSI_EXEC_SELECTOR_H_
 #define RTSI_EXEC_SELECTOR_H_
@@ -36,34 +37,7 @@ struct SelectedComponent {
   std::size_t order = 0;    // Snapshot position: deterministic sort
                             // tie-break and the component's screen row.
   std::size_t explain_slot = 0;
-  bool screen = false;      // Header summaries available for screening.
-};
-
-/// Per-path selection knobs (the RTSI planner and the LSII baseline make
-/// different soundness assumptions; see each field).
-struct SelectorOptions {
-  /// Resolve term bounds through the skip headers (Bloom + summaries) and
-  /// precompute admission-screen ingredients. Off = posting-map Bounds().
-  bool consult_headers = false;
-  /// Use the component's residency-bumped FreshnessCeiling cell when it
-  /// has one. The LSII baseline turns this off: its components carry no
-  /// residency bookkeeping, so only the fallback is sound for it.
-  bool use_component_ceiling = true;
-  /// Ceiling when the component has no cell (or cells are not used).
-  /// RTSI passes the stream table's max_frsh() via `fallback_ceiling`;
-  /// LSII passes `now` (its workload clock is monotone).
-  Timestamp fallback_ceiling = 0;
-  /// Drop components whose bound is not strictly positive (RTSI). The
-  /// LSII baseline keeps them and only drops proven term-free components,
-  /// preserving its historical walk order.
-  bool require_positive_bound = true;
-  /// Break bound ties by snapshot position (deterministic walk order).
-  /// LSII keeps its original unstable bound-only sort.
-  bool order_tie_break = true;
-  /// Per-query-term tf headroom for multi-component streams, parallel to
-  /// the plan's terms; null = 0 per term (the consolidation invariant).
-  /// LSII passes its global per-term max totals.
-  const std::vector<TermFreq>* tf_corrections = nullptr;
+  bool screen = false;      // Header summaries read: screen candidates.
 };
 
 /// Reused buffers for selection (views into QueryScratch or locals).
@@ -78,13 +52,16 @@ struct SelectorScratch {
 
 /// Plans over `components` (a pinned view's snapshot): per-component
 /// bounds, Bloom/bound skips (counted into `qs`), screen ingredients, and
-/// the bound-descending sort. When `explain` is non-null every component
-/// gets a ComponentExplanation slot, pushed before any skip decision.
+/// the bound-descending sort. Skip headers are read exactly when
+/// `plan.use_bound` is set. A component without a freshness ceiling cell
+/// is bounded with `fallback_ceiling` (the stream table's max_frsh()).
+/// When `explain` is non-null every component gets a ComponentExplanation
+/// slot, pushed before any skip decision.
 std::vector<SelectedComponent> SelectComponents(
     const QueryPlan& plan, const core::Scorer& scorer,
     const std::vector<std::shared_ptr<const index::InvertedIndex>>&
         components,
-    const SelectorOptions& options, SelectorScratch scratch,
+    Timestamp fallback_ceiling, SelectorScratch scratch,
     core::QueryStats& qs, core::QueryExplanation* explain);
 
 }  // namespace rtsi::exec

@@ -1,14 +1,15 @@
-// ResultSink: the pluggable tail of the query-execution pipeline.
-//
-// Every query path accumulates candidates through this interface —
-// queries into a TopKSink, shard scatter-gather folds per-shard partials
-// through a TopKSink, and future standing queries can implement a push
-// sink without touching the traversal.
+// TopKSink: the tail of the query-execution pipeline, where candidates
+// land. Queries offer into one, shard scatter-gather folds per-shard
+// partials through one, and the LSII and metadata baselines keep their
+// results in one.
 //
 // Sink contract (what the pruning soundness arguments rely on):
 //  * Offer() keeps the best score per stream under the deterministic
-//    total order (score desc, stream asc) — re-offering a retained stream
-//    with a worse partial score must not displace the better one.
+//    total order RanksAbove (score desc, stream asc) — re-offering a
+//    retained stream with a worse partial score must not displace the
+//    better one. The total order makes the retained top-k independent of
+//    offer order, which is what lets shard scatter-gather reproduce a
+//    single index's results bit for bit.
 //  * Threshold() is a monotone non-decreasing lower bound on the final
 //    k-th score, and is -infinity until k distinct candidates have been
 //    offered. Operators compare bounds against it to prune/screen; a
@@ -20,45 +21,40 @@
 #ifndef RTSI_EXEC_SINK_H_
 #define RTSI_EXEC_SINK_H_
 
+#include <cstddef>
+#include <limits>
 #include <vector>
 
 #include "core/search_index.h"
-#include "core/top_k.h"
 
 namespace rtsi::exec {
 
-class ResultSink {
+/// Total result order: true when `a` ranks strictly above `b`.
+inline bool RanksAbove(const core::ScoredStream& a,
+                       const core::ScoredStream& b) {
+  if (a.score != b.score) return a.score > b.score;
+  return a.stream < b.stream;
+}
+
+/// Keeps the k best-ranked *distinct* streams offered to it, in rank
+/// order. k <= 0 acts as k = 1. The entries grow with offers only, never
+/// with k, so a k taken from a request sizes no allocation up front.
+class TopKSink {
  public:
-  virtual ~ResultSink() = default;
+  explicit TopKSink(int k) : k_(k < 1 ? 1 : static_cast<std::size_t>(k)) {}
 
-  /// Offers one scored candidate (keep-best-per-stream).
-  virtual void Offer(StreamId stream, double score) = 0;
+  void Offer(StreamId stream, double score);
 
-  /// Monotone lower bound on the final k-th score; -infinity until k
-  /// distinct candidates have been offered.
-  virtual double Threshold() const = 0;
-
-  /// Results in (score desc, stream asc) rank order.
-  virtual std::vector<core::ScoredStream> SortedResults() const = 0;
-};
-
-/// Single-threaded top-k sink over core::TopKHeap.
-class TopKSink : public ResultSink {
- public:
-  explicit TopKSink(int k) : heap_(k) {}
-
-  void Offer(StreamId stream, double score) override {
-    heap_.Offer(stream, score);
-  }
-  double Threshold() const override { return heap_.KthScore(); }
-  std::vector<core::ScoredStream> SortedResults() const override {
-    return heap_.SortedResults();
+  double Threshold() const {
+    return entries_.size() < k_ ? -std::numeric_limits<double>::infinity()
+                                : entries_.back().score;
   }
 
-  const core::TopKHeap& heap() const { return heap_; }
+  std::vector<core::ScoredStream> SortedResults() const { return entries_; }
 
  private:
-  core::TopKHeap heap_;
+  std::size_t k_;
+  std::vector<core::ScoredStream> entries_;  // Rank order, at most k.
 };
 
 /// Folds one shard's / one modality's QueryStats into `total`.

@@ -100,12 +100,6 @@ bool LsmTree::AddPosting(TermId term, const Posting& posting) {
   return first_in_epoch;
 }
 
-bool LsmTree::MarkStreamInL0(StreamId stream) {
-  StreamSeenShard& shard = *stream_seen_[stream % stream_seen_.size()];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  return shard.seen.insert(stream).second;
-}
-
 bool LsmTree::StreamInL0(StreamId stream) const {
   StreamSeenShard& shard = *stream_seen_[stream % stream_seen_.size()];
   std::lock_guard<std::mutex> lock(shard.mu);

@@ -76,13 +76,6 @@ class LsmTree {
   /// on the same side of a freeze. Thread-safe.
   bool AddPosting(TermId term, const index::Posting& posting);
 
-  /// Records that `stream` has postings in the current L0 epoch without
-  /// adding a posting; returns true on the first call for this stream
-  /// since the last freeze. Prefer the AddPosting return value — a freeze
-  /// between this call and a later AddPosting splits mark and posting
-  /// across epochs. The LSII baseline calls it.
-  bool MarkStreamInL0(StreamId stream);
-
   /// True when `stream` has postings in the current L0 epoch.
   bool StreamInL0(StreamId stream) const;
 

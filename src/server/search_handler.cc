@@ -1,7 +1,9 @@
 #include "server/search_handler.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
+#include <optional>
 #include <sstream>
 
 #include "core/rtsi_index.h"
@@ -53,6 +55,27 @@ int QueryInt(const HttpRequest& request, const char* key,
   auto it = request.query.find(key);
   if (it == request.query.end()) return default_value;
   return std::atoi(it->second.c_str());
+}
+
+/// The `k` of /search and /live: 10 when absent, nullopt unless it is a
+/// decimal integer in [1, kMaxK].
+std::optional<int> QueryK(const HttpRequest& request) {
+  const auto it = request.query.find("k");
+  if (it == request.query.end()) return 10;
+  const std::string& text = it->second;
+  const char* const end = text.data() + text.size();
+  int k = 0;
+  const auto [ptr, ec] = std::from_chars(text.data(), end, k);
+  if (ec != std::errc() || ptr != end || k < 1 || k > kMaxK) {
+    return std::nullopt;
+  }
+  return k;
+}
+
+HttpResponse BadK() {
+  return HttpResponse{400, "application/json",
+                      "{\"error\":\"k must be an integer in [1, " +
+                          std::to_string(kMaxK) + "]\"}\n"};
 }
 
 std::string QueryString(const HttpRequest& request, const char* key) {
@@ -157,9 +180,10 @@ void RegisterSearchRoutes(HttpServerBase& http,
       return HttpResponse{400, "application/json",
                           "{\"error\":\"missing q\"}\n"};
     }
-    const int k = QueryInt(request, "k", 10);
+    const std::optional<int> k = QueryK(request);
+    if (!k) return BadK();
     return HttpResponse{200, "application/json",
-                        ResultsToJson(service.SearchKeywords(q, k))};
+                        ResultsToJson(service.SearchKeywords(q, *k))};
   });
 
   http.Route("/live", [&service, &clock](const HttpRequest& request) {
@@ -168,7 +192,8 @@ void RegisterSearchRoutes(HttpServerBase& http,
       return HttpResponse{400, "application/json",
                           "{\"error\":\"missing q\"}\n"};
     }
-    const int k = QueryInt(request, "k", 10);
+    const std::optional<int> k = QueryK(request);
+    if (!k) return BadK();
     // Live-only search on the text shards via the filtered query API.
     Rng rng(1);
     const auto processed =
@@ -177,7 +202,7 @@ void RegisterSearchRoutes(HttpServerBase& http,
     filter.live_only = true;
     const auto pinned = service.PinIndices();
     const auto results = pinned->text->QueryFiltered(
-        processed.text_terms, k, clock.Now(), filter);
+        processed.text_terms, *k, clock.Now(), filter);
     std::ostringstream out;
     out << "{\"live_results\":[";
     for (std::size_t i = 0; i < results.size(); ++i) {

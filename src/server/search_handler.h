@@ -3,6 +3,8 @@
 //   GET /                 — tiny HTML search page
 //   GET /search?q=...&k=N — fused multi-modal keyword search, JSON
 //   GET /live?q=...&k=N   — text-tree search restricted to live streams
+//       (k: a decimal integer in [1, kMaxK], default 10; anything else is
+//       a 400)
 //   GET /ingest?stream=ID&words=a+b+c[&live=0|1] — index one window;
 //       also accepts a POST body of lines "STREAM word word ..." (one
 //       window per line). Registered as a batch route: the server
@@ -22,6 +24,10 @@
 #include "service/search_service.h"
 
 namespace rtsi::server {
+
+/// Largest `k` /search and /live accept: k sizes the per-query work, and
+/// the service fetches 2k per modality.
+inline constexpr int kMaxK = 1000;
 
 /// Registers all routes on `http`. `service`, `clock` and `http` must
 /// outlive the server's run.

@@ -145,8 +145,8 @@ class SearchService {
       const std::vector<core::ScoredStream>& text_results,
       const std::vector<core::ScoredStream>& sound_results, int k) const;
 
-  /// Runs the two single-modality queries (concurrently when the modality
-  /// pool exists) against the pinned pair and fuses.
+  /// Runs the two single-modality queries, one after the other on the
+  /// calling thread, against the pinned pair and fuses.
   std::vector<SearchResult> SearchBothModalities(
       const IndexPair& indices, const std::vector<TermId>& text_terms,
       const std::vector<TermId>& sound_terms, int fetch, int k);

@@ -15,13 +15,13 @@
 // sums a single index would hold), the popularity normalizer as the
 // maximum of the shards' counters. Every shard then runs that one plan
 // through ExecutePlan into its own sink, and the set merges the per-shard
-// top-k with the deterministic total order of core::TopKHeap. Results are
+// top-k with the deterministic total order of exec::TopKSink. Results are
 // bit-identical to a single unsharded index holding the same streams:
 //   * every stream lives in exactly one shard, so the global top-k is a
 //     subset of the union of per-shard top-k lists;
 //   * every shard scores each candidate with the plan's corpus-wide idfs
 //     and normalizer, captured once per query;
-//   * the merge heap applies the same (score desc, stream asc) total
+//   * the merge sink applies the same (score desc, stream asc) total
 //     order as every other query path in the repo.
 // A set of any shard count accepts exactly the operations one index
 // accepts, stream-id reuse after finish or delete included.

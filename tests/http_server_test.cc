@@ -11,6 +11,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cstdlib>
+#include <string>
+
 #include "common/clock.h"
 #include "server/async_http_server.h"
 #include "server/search_handler.h"
@@ -115,6 +118,41 @@ TEST_F(SearchRoutesTest, SearchReturnsMatchingStream) {
 TEST_F(SearchRoutesTest, SearchWithoutQueryIs400) {
   const std::string response = Get(port(), "/search");
   EXPECT_NE(response.find("400"), std::string::npos);
+}
+
+// The status code of a raw HTTP response ("HTTP/1.x NNN ..."), or -1.
+int StatusCode(const std::string& response) {
+  if (response.rfind("HTTP/1.", 0) != 0 || response.size() < 12) return -1;
+  return std::atoi(response.substr(9, 3).c_str());
+}
+
+TEST_F(SearchRoutesTest, KOutsideOneToMaxIs400) {
+  for (const char* route : {"/search", "/live"}) {
+    for (const char* k : {"abc", "0", "-3", "1001", "1500000000",
+                          "30000000000", "", "10x", "%205"}) {
+      const std::string response =
+          Get(port(), std::string(route) + "?q=quantum&k=" + k);
+      EXPECT_EQ(StatusCode(response), 400) << route << " k=" << k;
+      EXPECT_NE(response.find("\"error\""), std::string::npos)
+          << route << " k=" << k;
+    }
+  }
+}
+
+TEST_F(SearchRoutesTest, KAtBoundsIs200) {
+  ASSERT_EQ(kMaxK, 1000);
+  for (const char* route : {"/search", "/live"}) {
+    for (const char* k : {"1", "1000"}) {
+      const std::string response =
+          Get(port(), std::string(route) + "?q=quantum&k=" + k);
+      EXPECT_EQ(StatusCode(response), 200) << route << " k=" << k;
+      EXPECT_NE(response.find("\"stream\":1"), std::string::npos)
+          << route << " k=" << k;
+    }
+    // An absent k means 10.
+    EXPECT_EQ(StatusCode(Get(port(), std::string(route) + "?q=quantum")),
+              200);
+  }
 }
 
 TEST_F(SearchRoutesTest, IngestThenSearchRoundTrip) {

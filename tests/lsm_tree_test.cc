@@ -115,15 +115,15 @@ TEST(LsmTreeTest, MergeCascadeFreezesL0) {
 
 TEST(LsmTreeTest, StreamSeenResetsOnFreeze) {
   LsmTree tree(SmallConfig(10, 2.0));
-  EXPECT_TRUE(tree.MarkStreamInL0(7));
-  EXPECT_FALSE(tree.MarkStreamInL0(7));
+  Timestamp t = 0;
+  EXPECT_TRUE(tree.AddPosting(1, P(7, ++t, 1)));
+  EXPECT_FALSE(tree.AddPosting(2, P(7, ++t, 1)));  // Any term: same epoch.
   EXPECT_TRUE(tree.StreamInL0(7));
 
-  Timestamp t = 0;
   for (int i = 0; i < 20; ++i) tree.AddPosting(1, P(7, ++t, 1));
   tree.MergeCascade(MergeHooks{});
   EXPECT_FALSE(tree.StreamInL0(7));
-  EXPECT_TRUE(tree.MarkStreamInL0(7));  // New epoch: first again.
+  EXPECT_TRUE(tree.AddPosting(1, P(7, ++t, 1)));  // New epoch: first again.
 }
 
 TEST(LsmTreeTest, CascadePushesDownAtCapacity) {
@@ -256,10 +256,8 @@ TEST(LsmTreeTest, FreezeBetweenMarkAndAddCannotSplitEpoch) {
   // the postings land — in the *new* epoch, with StreamInL0() false and
   // the per-stream component count short by one. The mark now travels
   // with each posting under the term-shard lock (AddPosting's return),
-  // so a freeze can never separate them; a stale stand-alone mark is
-  // simply superseded.
+  // so a freeze can never separate them.
   LsmTree tree(SmallConfig(10, 2.0));
-  EXPECT_TRUE(tree.MarkStreamInL0(7));  // The doomed pre-freeze mark.
   Timestamp t = 0;
   for (int i = 0; i < 20; ++i) tree.AddPosting(1, P(3, ++t, 1));
   tree.MergeCascade(MergeHooks{});  // Freeze: clears the seen set.

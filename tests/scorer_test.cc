@@ -6,9 +6,13 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
+#include <map>
+#include <vector>
 
+#include "common/rng.h"
 #include "core/doc_freq.h"
-#include "core/top_k.h"
+#include "exec/sink.h"
 
 namespace rtsi::core {
 namespace {
@@ -183,42 +187,101 @@ TEST(DocFreqTest, UnknownTermHasHighestIdf) {
   EXPECT_GE(df.Idf(999), df.Idf(1));
 }
 
-TEST(TopKHeapTest, KeepsBestK) {
-  TopKHeap heap(3);
-  for (int i = 0; i < 10; ++i) {
-    heap.Offer(i, static_cast<double>(i));
+// Brute-force top-k: the best score per stream, ranked, cut to k.
+std::vector<ScoredStream> ReferenceTopK(
+    const std::map<StreamId, double>& best, std::size_t k) {
+  std::vector<ScoredStream> ranked;
+  for (const auto& [stream, score] : best) ranked.push_back({stream, score});
+  std::sort(ranked.begin(), ranked.end(), exec::RanksAbove);
+  if (ranked.size() > k) ranked.resize(k);
+  return ranked;
+}
+
+bool SameResults(const std::vector<ScoredStream>& a,
+                 const std::vector<ScoredStream>& b) {
+  return a.size() == b.size() &&
+         std::equal(a.begin(), a.end(), b.begin(),
+                    [](const ScoredStream& x, const ScoredStream& y) {
+                      return x.stream == y.stream && x.score == y.score;
+                    });
+}
+
+// Offers `offers` to a TopKSink(k) and checks it against the brute-force
+// reference after every offer: Threshold() never decreases, is -infinity
+// until k distinct streams were offered and then the reference k-th
+// score; SortedResults() equals the reference at the end, which it
+// returns. k <= 0 is checked as k = 1.
+std::vector<ScoredStream> CheckSinkAgainstReference(
+    const std::vector<ScoredStream>& offers, int k) {
+  const std::size_t kk = k < 1 ? 1 : static_cast<std::size_t>(k);
+  exec::TopKSink sink(k);
+  std::map<StreamId, double> best;
+  double last_threshold = -std::numeric_limits<double>::infinity();
+  for (std::size_t n = 0; n < offers.size(); ++n) {
+    const ScoredStream& o = offers[n];
+    sink.Offer(o.stream, o.score);
+    const auto [it, inserted] = best.try_emplace(o.stream, o.score);
+    if (!inserted && exec::RanksAbove(o, {o.stream, it->second})) {
+      it->second = o.score;
+    }
+    const double threshold = sink.Threshold();
+    EXPECT_GE(threshold, last_threshold) << "k=" << k << " offer " << n;
+    last_threshold = threshold;
+    if (best.size() < kk) {
+      EXPECT_EQ(threshold, -std::numeric_limits<double>::infinity())
+          << "k=" << k << " offer " << n;
+    } else {
+      EXPECT_EQ(threshold, ReferenceTopK(best, kk).back().score)
+          << "k=" << k << " offer " << n;
+    }
   }
-  const auto results = heap.SortedResults();
+  const std::vector<ScoredStream> results = sink.SortedResults();
+  EXPECT_TRUE(SameResults(results, ReferenceTopK(best, kk))) << "k=" << k;
+  return results;
+}
+
+TEST(TopKSinkTest, MatchesBruteForceReference) {
+  // Fixed inputs.
+  std::vector<ScoredStream> rising;
+  for (StreamId i = 0; i < 10; ++i) {
+    rising.push_back({i, static_cast<double>(i)});
+  }
+  auto results = CheckSinkAgainstReference(rising, 3);
   ASSERT_EQ(results.size(), 3u);
   EXPECT_EQ(results[0].stream, 9u);
   EXPECT_EQ(results[1].stream, 8u);
   EXPECT_EQ(results[2].stream, 7u);
-  EXPECT_DOUBLE_EQ(heap.KthScore(), 7.0);
-}
-
-TEST(TopKHeapTest, NotFullKthIsMinusInfinity) {
-  TopKHeap heap(5);
-  heap.Offer(1, 10.0);
-  EXPECT_FALSE(heap.full());
-  EXPECT_LT(heap.KthScore(), -1e300);
-}
-
-TEST(TopKHeapTest, RejectsLowScoresWhenFull) {
-  TopKHeap heap(2);
-  heap.Offer(1, 10.0);
-  heap.Offer(2, 20.0);
-  heap.Offer(3, 5.0);  // Rejected.
-  const auto results = heap.SortedResults();
+  EXPECT_EQ(CheckSinkAgainstReference({{1, 10.0}}, 5).size(), 1u);
+  results = CheckSinkAgainstReference({{1, 10.0}, {2, 20.0}, {3, 5.0}}, 2);
   ASSERT_EQ(results.size(), 2u);
   EXPECT_EQ(results[0].stream, 2u);
   EXPECT_EQ(results[1].stream, 1u);
-}
+  EXPECT_EQ(CheckSinkAgainstReference({{1, 1.0}, {2, 2.0}}, 0).size(), 1u);
 
-TEST(TopKHeapTest, KOfZeroClampedToOne) {
-  TopKHeap heap(0);
-  heap.Offer(1, 1.0);
-  heap.Offer(2, 2.0);
-  EXPECT_EQ(heap.SortedResults().size(), 1u);
+  // Seeded random sequences: few distinct streams so they repeat, scores
+  // on a coarse grid so exact ties are common, and pools both smaller and
+  // larger than k.
+  const int ks[] = {1, 2, 10, 100};
+  Rng rng(2024);
+  for (int seq = 0; seq < 2000; ++seq) {
+    const int k = ks[seq % 4];
+    const std::uint64_t pool = 1 + rng.NextUint64(150);
+    std::vector<ScoredStream> offers(rng.NextUint64(300));
+    for (ScoredStream& o : offers) {
+      o.stream = rng.NextUint64(pool);
+      o.score = static_cast<double>(rng.NextUint64(24)) * 0.25 - 1.0;
+    }
+    results = CheckSinkAgainstReference(offers, k);
+    if (k == 1) {
+      // k <= 0 behaves as k = 1.
+      EXPECT_TRUE(SameResults(CheckSinkAgainstReference(offers, 0), results));
+      EXPECT_TRUE(SameResults(CheckSinkAgainstReference(offers, -3), results));
+    }
+    if (HasFailure()) {
+      ADD_FAILURE() << "sequence " << seq;
+      return;
+    }
+  }
 }
 
 }  // namespace
