@@ -1,10 +1,11 @@
 // Google-benchmark micro suite: the hot primitives under the experiment
 // harness — posting-list operations, Huffman coding, scoring, the query
-// sink, the MFCC front-end, and the random-access path used by query
-// candidates.
+// sink, the MFCC front-end, the ingest front-end, and the random-access
+// path used by query candidates.
 
 #include <benchmark/benchmark.h>
 
+#include <string>
 #include <vector>
 
 #include "audio/mfcc.h"
@@ -17,6 +18,11 @@
 #include "index/compressed_postings.h"
 #include "index/huffman.h"
 #include "index/term_postings.h"
+#include "service/ingestion.h"
+#include "text/term_dictionary.h"
+#include "workload/corpus.h"
+
+#include "bench_util.h"
 
 namespace {
 
@@ -207,6 +213,35 @@ void BM_MfccExtract(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MfccExtract);
+
+// The ingest front-end alone: IngestionPipeline::ProcessWindow (error
+// model, text tokenize/intern/count, kDirect lattice, unit
+// intern/count) on 256 fixed 80-word windows of the default bench corpus,
+// cycled. The dictionaries are warmed with one pass first, so the timed
+// windows intern mostly known terms, as a long-running service does.
+void BM_ProcessWindow(benchmark::State& state) {
+  const workload::SyntheticCorpus corpus(bench::DefaultCorpusConfig(64));
+  std::vector<std::vector<std::string>> windows;
+  for (StreamId s = 0; windows.size() < 256; ++s) {
+    for (int w = 0; w < corpus.NumWindows(s) && windows.size() < 256; ++w) {
+      windows.push_back(corpus.WindowWords(s, w));
+    }
+  }
+  text::TermDictionary text_dict;
+  text::TermDictionary sound_dict;
+  service::IngestionPipeline pipeline(service::IngestionConfig{}, &text_dict,
+                                      &sound_dict);
+  Rng rng(23);
+  for (const auto& words : windows) pipeline.ProcessWindow(words, rng);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const service::WindowArtifacts artifacts =
+        pipeline.ProcessWindow(windows[i++ % windows.size()], rng);
+    benchmark::DoNotOptimize(artifacts.text_terms.data());
+    benchmark::DoNotOptimize(artifacts.sound_terms.data());
+  }
+}
+BENCHMARK(BM_ProcessWindow);
 
 }  // namespace
 

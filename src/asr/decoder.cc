@@ -140,12 +140,11 @@ PhoneticLattice LatticeDecoder::Decode(const audio::PcmBuffer& pcm) const {
     }
   }
 
+  lattice.Reserve(kept.size(),
+                  kept.size() * config_.max_hypotheses_per_segment);
+  std::vector<PhoneHypothesis> hyps;
   for (const Run& run : kept) {
-    LatticeSegment segment;
-    segment.start_seconds = run.first_frame * shift_seconds;
-    segment.duration_seconds = run.num_frames * shift_seconds;
-
-    std::vector<PhoneHypothesis> hyps;
+    hyps.clear();
     double total = 0.0;
     for (const auto& [phone, mass] : run.mass) total += mass;
     for (const auto& [phone, mass] : run.mass) {
@@ -175,8 +174,8 @@ PhoneticLattice LatticeDecoder::Decode(const audio::PcmBuffer& pcm) const {
         hyps.resize(config_.max_hypotheses_per_segment);
       }
     }
-    segment.hypotheses = std::move(hyps);
-    lattice.AddSegment(std::move(segment));
+    lattice.AddSegment(run.first_frame * shift_seconds,
+                       run.num_frames * shift_seconds, hyps);
   }
   return lattice;
 }

@@ -2,51 +2,30 @@
 
 namespace rtsi::asr {
 
+void AppendUnitName(std::span<const PhonemeId> phones, std::string& out) {
+  for (std::size_t i = 0; i < phones.size(); ++i) {
+    if (i > 0) out += '_';
+    out += PhonemeName(phones[i]);
+  }
+}
+
+void PhoneticLattice::AddSegment(double start_seconds,
+                                 double duration_seconds,
+                                 std::span<const PhoneHypothesis> hypotheses) {
+  if (hypotheses.empty()) return;
+  segments_.push_back({static_cast<std::uint32_t>(hypotheses_.size()),
+                       static_cast<std::uint32_t>(hypotheses.size()),
+                       start_seconds, duration_seconds});
+  hypotheses_.insert(hypotheses_.end(), hypotheses.begin(), hypotheses.end());
+}
+
 std::vector<PhonemeId> PhoneticLattice::BestPath() const {
   std::vector<PhonemeId> path;
   path.reserve(segments_.size());
-  for (const auto& segment : segments_) {
-    if (!segment.hypotheses.empty()) {
-      path.push_back(segment.hypotheses.front().phone);
-    }
+  for (const LatticeSegment& segment : segments_) {
+    path.push_back(hypotheses_[segment.first].phone);
   }
   return path;
-}
-
-std::string UnitName(const std::vector<PhonemeId>& phones) {
-  std::string name;
-  for (std::size_t i = 0; i < phones.size(); ++i) {
-    if (i > 0) name += '_';
-    name += PhonemeName(phones[i]);
-  }
-  return name;
-}
-
-std::vector<std::string> PhoneticLattice::ExtractUnits(
-    int n, double alt_threshold) const {
-  std::vector<std::string> units;
-  const std::vector<PhonemeId> best = BestPath();
-  if (n <= 0 || best.size() < static_cast<std::size_t>(n)) return units;
-
-  std::vector<PhonemeId> gram(static_cast<std::size_t>(n));
-  for (std::size_t start = 0; start + n <= best.size(); ++start) {
-    for (int i = 0; i < n; ++i) gram[i] = best[start + i];
-    units.push_back(UnitName(gram));
-
-    // Alternative units: substitute the runner-up hypothesis at each slot of
-    // the window when it is confident enough. One substitution at a time
-    // keeps the unit count linear in lattice size.
-    for (int i = 0; i < n; ++i) {
-      const auto& hyps = segments_[start + i].hypotheses;
-      if (hyps.size() >= 2 && hyps[1].posterior >= alt_threshold) {
-        const PhonemeId saved = gram[i];
-        gram[i] = hyps[1].phone;
-        units.push_back(UnitName(gram));
-        gram[i] = saved;
-      }
-    }
-  }
-  return units;
 }
 
 }  // namespace rtsi::asr

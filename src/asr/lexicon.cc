@@ -89,13 +89,14 @@ std::vector<PhonemeId> Lexicon::GraphemeToPhoneme(std::string_view word) {
   return phones;
 }
 
-std::vector<PhonemeId> Lexicon::Pronounce(std::string_view word) const {
+void Lexicon::Pronounce(std::string_view word,
+                        std::vector<PhonemeId>& out) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = cache_.find(std::string(word));
-  if (it != cache_.end()) return it->second;
-  std::vector<PhonemeId> phones = GraphemeToPhoneme(word);
-  cache_.emplace(std::string(word), phones);
-  return phones;
+  auto it = cache_.find(word);
+  if (it == cache_.end()) {
+    it = cache_.emplace(std::string(word), GraphemeToPhoneme(word)).first;
+  }
+  out.insert(out.end(), it->second.begin(), it->second.end());
 }
 
 void Lexicon::AddPronunciation(std::string word,

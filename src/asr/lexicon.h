@@ -13,11 +13,11 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "asr/phoneme.h"
+#include "common/string_hash.h"
 
 namespace rtsi::asr {
 
@@ -25,11 +25,11 @@ class Lexicon {
  public:
   Lexicon() = default;
 
-  /// Phone sequence for `word` (lowercased ASCII expected). Deterministic;
-  /// cached (hence logically const). Unknown characters are skipped; an
-  /// empty derivation yields a single schwa-like phone so every word is
-  /// pronounceable.
-  std::vector<PhonemeId> Pronounce(std::string_view word) const;
+  /// Appends the phone sequence of `word` (lowercased ASCII expected) to
+  /// `out`. Deterministic; cached (hence logically const). Unknown
+  /// characters are skipped; an empty derivation yields a single
+  /// schwa-like phone so every word is pronounceable.
+  void Pronounce(std::string_view word, std::vector<PhonemeId>& out) const;
 
   /// Registers an explicit pronunciation, overriding the G2P rules.
   void AddPronunciation(std::string word, std::vector<PhonemeId> phones);
@@ -43,7 +43,7 @@ class Lexicon {
   static std::vector<PhonemeId> GraphemeToPhoneme(std::string_view word);
 
   mutable std::mutex mu_;
-  mutable std::unordered_map<std::string, std::vector<PhonemeId>> cache_;
+  mutable StringMap<std::vector<PhonemeId>> cache_;
 };
 
 }  // namespace rtsi::asr

@@ -148,31 +148,6 @@ TermFreq BigTable::GetMaxTotal(TermId term) const {
   return it == max_total_.end() ? 0 : it->second;
 }
 
-std::size_t BigTable::size() const {
-  std::size_t total = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (const auto& [key, value] : shard.map) {
-      if (static_cast<TermId>(key) == kFlagsField &&
-          (value & kFlagExists) != 0) {
-        ++total;
-      }
-    }
-  }
-  return total;
-}
-
-std::size_t BigTable::num_tf_entries() const {
-  std::size_t total = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (const auto& [key, value] : shard.map) {
-      if (static_cast<TermId>(key) < kFirstReservedField) ++total;
-    }
-  }
-  return total;
-}
-
 std::size_t BigTable::MemoryBytes() const {
   std::size_t bytes = sizeof(*this);
   for (const Shard& shard : shards_) {

@@ -65,12 +65,6 @@ class BigTable {
     return max_pop_count_.load(std::memory_order_relaxed);
   }
 
-  /// Number of streams with metadata entries.
-  std::size_t size() const;
-
-  /// Number of (stream, term) frequency entries.
-  std::size_t num_tf_entries() const;
-
   std::size_t MemoryBytes() const;
 
  private:

@@ -6,7 +6,6 @@ namespace rtsi::lsm {
 
 using index::InvertedIndex;
 using index::Posting;
-using index::TermBounds;
 
 namespace {
 
@@ -104,12 +103,6 @@ bool LsmTree::StreamInL0(StreamId stream) const {
   StreamSeenShard& shard = *stream_seen_[stream % stream_seen_.size()];
   std::lock_guard<std::mutex> lock(shard.mu);
   return shard.seen.count(stream) > 0;
-}
-
-TermBounds LsmTree::L0Bounds(TermId term) const {
-  const L0Shard& shard = *l0_shards_[term % l0_shards_.size()];
-  std::shared_lock<std::shared_mutex> lock(shard.mu);
-  return shard.index.Bounds(term);
 }
 
 std::vector<std::shared_ptr<const InvertedIndex>> LsmTree::SealedSnapshot()

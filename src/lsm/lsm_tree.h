@@ -112,9 +112,6 @@ class LsmTree {
     fn(shard.index.GetPlain(term));
   }
 
-  /// Upper bounds of `term` inside L0.
-  index::TermBounds L0Bounds(TermId term) const;
-
   /// Runs fn(TermId, const index::TermPostings&) for every L0 term, one
   /// shard at a time under its shared lock (snapshot save path).
   template <typename Fn>

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdlib>
+#include <limits>
 #include <optional>
 #include <sstream>
 
@@ -50,26 +51,26 @@ std::string ResultsToJson(
   return out.str();
 }
 
-int QueryInt(const HttpRequest& request, const char* key,
-             int default_value) {
-  auto it = request.query.find(key);
+/// The integer query parameter `key`: `default_value` when absent,
+/// nullopt unless the whole value is a decimal integer in [lo, hi].
+std::optional<int> QueryInt(const HttpRequest& request, const char* key,
+                            int default_value, int lo, int hi) {
+  const auto it = request.query.find(key);
   if (it == request.query.end()) return default_value;
-  return std::atoi(it->second.c_str());
+  const std::string& text = it->second;
+  const char* const end = text.data() + text.size();
+  int value = 0;
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || value < lo || value > hi) {
+    return std::nullopt;
+  }
+  return value;
 }
 
 /// The `k` of /search and /live: 10 when absent, nullopt unless it is a
 /// decimal integer in [1, kMaxK].
 std::optional<int> QueryK(const HttpRequest& request) {
-  const auto it = request.query.find("k");
-  if (it == request.query.end()) return 10;
-  const std::string& text = it->second;
-  const char* const end = text.data() + text.size();
-  int k = 0;
-  const auto [ptr, ec] = std::from_chars(text.data(), end, k);
-  if (ec != std::errc() || ptr != end || k < 1 || k > kMaxK) {
-    return std::nullopt;
-  }
-  return k;
+  return QueryInt(request, "k", 10, 1, kMaxK);
 }
 
 HttpResponse BadK() {
@@ -93,7 +94,12 @@ struct ParsedIngest {
 
 ParsedIngest ParseIngest(const HttpRequest& request) {
   ParsedIngest parsed;
-  const bool live = QueryInt(request, "live", 1) != 0;
+  const std::optional<int> live_flag = QueryInt(request, "live", 1, 0, 1);
+  if (!live_flag) {
+    parsed.error = "live must be 0 or 1";
+    return parsed;
+  }
+  const bool live = *live_flag != 0;
   const std::string words = QueryString(request, "words");
   const std::string stream = QueryString(request, "stream");
   if (!words.empty() && !stream.empty()) {
@@ -250,13 +256,16 @@ void RegisterSearchRoutes(HttpServerBase& http,
 
   http.Route("/pop", [&service](const HttpRequest& request) {
     const std::string stream = QueryString(request, "stream");
-    const int delta = QueryInt(request, "delta", 1);
-    if (stream.empty() || delta <= 0) {
-      return HttpResponse{400, "application/json",
-                          "{\"error\":\"need stream and delta\"}\n"};
+    const std::optional<int> delta = QueryInt(
+        request, "delta", 1, 1, std::numeric_limits<int>::max());
+    if (stream.empty() || !delta) {
+      return HttpResponse{
+          400, "application/json",
+          "{\"error\":\"need stream and a delta in [1, " +
+              std::to_string(std::numeric_limits<int>::max()) + "]\"}\n"};
     }
     service.UpdatePopularity(std::strtoull(stream.c_str(), nullptr, 10),
-                             static_cast<std::uint64_t>(delta));
+                             static_cast<std::uint64_t>(*delta));
     return HttpResponse{200, "application/json", "{\"ok\":true}\n"};
   });
 

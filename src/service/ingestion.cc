@@ -1,7 +1,8 @@
 #include "service/ingestion.h"
 
-#include <unordered_map>
-#include <utility>
+#include <algorithm>
+#include <span>
+#include <string_view>
 
 namespace rtsi::service {
 namespace {
@@ -18,12 +19,15 @@ audio::SynthesizerConfig DefaultSynthConfig() {
 
 }  // namespace
 
-std::vector<core::TermCount> CountTerms(const std::vector<TermId>& ids) {
-  std::unordered_map<TermId, TermFreq> counts;
-  for (const TermId id : ids) ++counts[id];
+std::vector<core::TermCount> CountTerms(std::vector<TermId> ids) {
+  std::sort(ids.begin(), ids.end());
   std::vector<core::TermCount> out;
-  out.reserve(counts.size());
-  for (const auto& [term, tf] : counts) out.push_back({term, tf});
+  for (std::size_t i = 0; i < ids.size();) {
+    std::size_t j = i + 1;
+    while (j < ids.size() && ids[j] == ids[i]) ++j;
+    out.push_back({ids[i], static_cast<TermFreq>(j - i)});
+    i = j;
+  }
   return out;
 }
 
@@ -52,13 +56,15 @@ IngestionPipeline::IngestionPipeline(const IngestionConfig& config,
 
 asr::PhoneticLattice IngestionPipeline::BuildLattice(
     const std::vector<std::string>& words, Rng& rng) const {
+  std::vector<asr::PhonemeId> phones;
+  for (const std::string& word : words) lexicon_.Pronounce(word, phones);
+
   if (config_.acoustic_path == AcousticPath::kFull) {
     // Words -> phones -> waveform -> MFCC -> lattice.
     std::vector<audio::PhoneSpec> specs;
-    for (const std::string& word : words) {
-      for (const asr::PhonemeId phone : lexicon_.Pronounce(word)) {
-        specs.push_back(asr::PhonemeSpec(phone));
-      }
+    specs.reserve(phones.size());
+    for (const asr::PhonemeId phone : phones) {
+      specs.push_back(asr::PhonemeSpec(phone));
     }
     const audio::PcmBuffer pcm = synthesizer_.Render(specs, rng);
     return decoder_->Decode(pcm);
@@ -66,51 +72,61 @@ asr::PhoneticLattice IngestionPipeline::BuildLattice(
 
   // Direct path: phones become best hypotheses outright.
   asr::PhoneticLattice lattice;
+  lattice.Reserve(phones.size(), 2 * phones.size());
   double t = 0.0;
-  for (const std::string& word : words) {
-    for (const asr::PhonemeId phone : lexicon_.Pronounce(word)) {
-      asr::LatticeSegment segment;
-      segment.start_seconds = t;
-      segment.duration_seconds = asr::PhonemeSpec(phone).duration_seconds;
-      t += segment.duration_seconds;
-      segment.hypotheses.push_back({phone, 0.9});
-      // A weak runner-up keeps the alternative-unit machinery exercised.
-      const auto alt = static_cast<asr::PhonemeId>(
-          rng.NextUint64(asr::PhonemeCount()));
-      if (alt != phone) segment.hypotheses.push_back({alt, 0.1});
-      lattice.AddSegment(std::move(segment));
-    }
+  for (const asr::PhonemeId phone : phones) {
+    const double duration = asr::PhonemeSpec(phone).duration_seconds;
+    // A weak runner-up keeps the alternative-unit machinery exercised.
+    const auto alt = static_cast<asr::PhonemeId>(
+        rng.NextUint64(asr::PhonemeCount()));
+    const asr::PhoneHypothesis hyps[] = {{phone, 0.9}, {alt, 0.1}};
+    lattice.AddSegment(t, duration,
+                       std::span(hyps, alt != phone ? 2 : 1));
+    t += duration;
   }
   return lattice;
 }
 
-WindowArtifacts IngestionPipeline::ProcessWindow(
-    const std::vector<std::string>& words, Rng& rng) {
-  WindowArtifacts artifacts;
+std::vector<std::string> IngestionPipeline::Transcribe(
+    const std::vector<std::string>& words, Rng& rng) const {
+  return transcriber_->Transcribe(words, rng);
+}
 
-  // Text side: error model -> tokenize -> stop words -> intern.
-  artifacts.transcript = transcriber_->Transcribe(words, rng);
-  std::vector<TermId> text_ids;
-  for (const std::string& word : artifacts.transcript) {
-    for (const std::string& token : tokenizer_.Tokenize(word)) {
-      if (stopwords_.IsStopword(token)) continue;
-      if (config_.stem_text) {
-        text_ids.push_back(text_dict_->Intern(stemmer_.Stem(token)));
-      } else {
-        text_ids.push_back(text_dict_->Intern(token));
-      }
-    }
+std::vector<TermId> IngestionPipeline::InternText(
+    const std::vector<std::string>& transcript) const {
+  std::vector<TermId> ids;
+  ids.reserve(transcript.size());
+  std::string buffer;
+  for (const std::string& word : transcript) {
+    tokenizer_.ForEachToken(word, buffer, [&](std::string_view token) {
+      if (stopwords_.IsStopword(token)) return;
+      ids.push_back(config_.stem_text ? text_dict_->Intern(stemmer_.Stem(token))
+                                      : text_dict_->Intern(token));
+    });
   }
-  artifacts.text_terms = CountTerms(text_ids);
+  return ids;
+}
 
-  // Sound side: lattice -> units -> intern.
+std::vector<TermId> IngestionPipeline::InternSound(
+    const std::vector<std::string>& words, Rng& rng) const {
   const asr::PhoneticLattice lattice = BuildLattice(words, rng);
-  std::vector<TermId> sound_ids;
-  for (const std::string& unit : lattice.ExtractUnits(
-           config_.lattice_ngram, config_.lattice_alt_threshold)) {
-    sound_ids.push_back(sound_dict_->Intern(unit));
-  }
-  artifacts.sound_terms = CountTerms(sound_ids);
+  std::vector<TermId> ids;
+  // Each n-gram window yields its best-path unit and at most n
+  // alternatives.
+  ids.reserve(lattice.size() * (1 + std::max(config_.lattice_ngram, 0)));
+  lattice.ExtractUnits(config_.lattice_ngram, config_.lattice_alt_threshold,
+                       [&](std::string_view unit) {
+                         ids.push_back(sound_dict_->Intern(unit));
+                       });
+  return ids;
+}
+
+WindowArtifacts IngestionPipeline::ProcessWindow(
+    const std::vector<std::string>& words, Rng& rng) const {
+  WindowArtifacts artifacts;
+  artifacts.transcript = Transcribe(words, rng);
+  artifacts.text_terms = CountTerms(InternText(artifacts.transcript));
+  artifacts.sound_terms = CountTerms(InternSound(words, rng));
   return artifacts;
 }
 

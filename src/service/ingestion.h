@@ -61,9 +61,29 @@ class IngestionPipeline {
                     text::TermDictionary* text_dict,
                     text::TermDictionary* sound_dict);
 
-  /// Processes the ground-truth words of one window.
+  /// Processes the ground-truth words of one window: Transcribe, then
+  /// InternText, then InternSound, then CountTerms on each modality.
+  /// SearchService runs the same steps with the text half on its helper
+  /// thread (DESIGN.md §6); this is their sequential form.
   WindowArtifacts ProcessWindow(const std::vector<std::string>& words,
-                                Rng& rng);
+                                Rng& rng) const;
+
+  /// The window's first draws: the word-error model applied to `words`.
+  /// Confusion words come from the text dictionary, so every earlier
+  /// window's InternText must have completed.
+  std::vector<std::string> Transcribe(const std::vector<std::string>& words,
+                                      Rng& rng) const;
+
+  /// Text half: tokenizes the transcript, drops stop words, stems if
+  /// configured and interns each token; one id per token, in order. Draws
+  /// nothing.
+  std::vector<TermId> InternText(
+      const std::vector<std::string>& transcript) const;
+
+  /// Sound half: builds the lattice of `words` (drawing its alternate
+  /// phones) and interns its units; one id per unit, in order.
+  std::vector<TermId> InternSound(const std::vector<std::string>& words,
+                                  Rng& rng) const;
 
   /// Lattice for a word sequence (shared with voice-query processing).
   asr::PhoneticLattice BuildLattice(const std::vector<std::string>& words,
@@ -89,8 +109,9 @@ class IngestionPipeline {
   std::unique_ptr<asr::Transcriber> transcriber_;
 };
 
-/// Aggregates duplicate terms into TermCounts (helper shared with tests).
-std::vector<core::TermCount> CountTerms(const std::vector<TermId>& ids);
+/// Aggregates duplicate terms into TermCounts, ordered by term id: sorts
+/// `ids` and counts each run.
+std::vector<core::TermCount> CountTerms(std::vector<TermId> ids);
 
 }  // namespace rtsi::service
 

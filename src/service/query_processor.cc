@@ -1,6 +1,7 @@
 #include "service/query_processor.h"
 
 #include <algorithm>
+#include <string_view>
 
 #include "text/tokenizer.h"
 
@@ -47,12 +48,17 @@ ProcessedQuery QueryProcessor::ProcessKeywords(const std::string& query,
   // hits the sound tree. Pronunciation uses the raw (unstemmed) words.
   const asr::PhoneticLattice lattice =
       pipeline_->BuildLattice(out.keywords, rng);
-  for (const std::string& unit :
-       lattice.ExtractUnits(lattice_ngram_, lattice_alt_threshold_)) {
-    const TermId id = sound_dict_->Lookup(unit);
-    if (id != kInvalidTermId) out.sound_terms.push_back(id);
-  }
+  LookupUnits(lattice, out.sound_terms);
   return out;
+}
+
+void QueryProcessor::LookupUnits(const asr::PhoneticLattice& lattice,
+                                 std::vector<TermId>& sound_terms) const {
+  lattice.ExtractUnits(lattice_ngram_, lattice_alt_threshold_,
+                       [&](std::string_view unit) {
+                         const TermId id = sound_dict_->Lookup(unit);
+                         if (id != kInvalidTermId) sound_terms.push_back(id);
+                       });
 }
 
 std::vector<std::string> QueryProcessor::PhonesToKeywords(
@@ -92,12 +98,7 @@ ProcessedQuery QueryProcessor::ProcessVoice(const audio::PcmBuffer& pcm,
   (void)rng;
   ProcessedQuery out;
   const asr::PhoneticLattice lattice = pipeline_->decoder().Decode(pcm);
-
-  for (const std::string& unit :
-       lattice.ExtractUnits(lattice_ngram_, lattice_alt_threshold_)) {
-    const TermId id = sound_dict_->Lookup(unit);
-    if (id != kInvalidTermId) out.sound_terms.push_back(id);
-  }
+  LookupUnits(lattice, out.sound_terms);
 
   // Voice -> keywords: segment the best phone path into lexicon words.
   out.keywords = PhonesToKeywords(lattice.BestPath());

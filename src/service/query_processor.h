@@ -57,6 +57,10 @@ class QueryProcessor {
       const std::vector<asr::PhonemeId>& phones) const;
 
  private:
+  /// Appends the ids of the lattice's units the sound dictionary knows.
+  void LookupUnits(const asr::PhoneticLattice& lattice,
+                   std::vector<TermId>& sound_terms) const;
+
   IngestionPipeline* pipeline_;              // Not owned.
   const text::TermDictionary* text_dict_;    // Not owned.
   const text::TermDictionary* sound_dict_;   // Not owned.

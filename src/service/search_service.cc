@@ -1,6 +1,9 @@
 #include "service/search_service.h"
 
 #include <algorithm>
+#include <condition_variable>
+#include <exception>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 
@@ -19,6 +22,144 @@ shard::ShardSetConfig ShardConfig(const SearchServiceConfig& config) {
 
 }  // namespace
 
+/// The ingest helper thread (DESIGN.md §6). It runs one window's text half
+/// at a time — InternText, CountTerms, then the text InsertWindow — while
+/// the caller that started it runs the sound half. Idle, it blocks on a
+/// condition variable.
+class SearchService::TextHelper {
+ public:
+  enum class Stage { kIdle, kPosted, kInterned, kDone };
+
+  explicit TextHelper(const IngestionPipeline& pipeline)
+      : pipeline_(pipeline), thread_([this] { Run(); }) {}
+
+  ~TextHelper() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stop_ = true;
+    }
+    wake_helper_.notify_one();
+    thread_.join();
+  }
+
+  TextHelper(const TextHelper&) = delete;
+  TextHelper& operator=(const TextHelper&) = delete;
+
+  /// One caller's use of the helper for one window. A started window is
+  /// finished on every exit: the helper reads the caller's transcript.
+  class Window {
+   public:
+    explicit Window(TextHelper& helper) : helper_(helper) {}
+    ~Window() {
+      // Only reached started when the caller is already unwinding; the
+      // exception in flight wins over one from the text half.
+      if (started_) helper_.Finish();
+    }
+
+    Window(const Window&) = delete;
+    Window& operator=(const Window&) = delete;
+
+    /// Hands the text half to the helper; false when another caller's
+    /// window holds it. `transcript` and `text` must outlive Finish().
+    bool TryStart(const std::vector<std::string>& transcript,
+                  shard::IndexShardSet& text, StreamId stream,
+                  Timestamp now, bool live) {
+      started_ = helper_.TryStart({&transcript, &text, stream, now, live});
+      return started_;
+    }
+    bool started() const { return started_; }
+
+    /// Blocks until a started text half has interned its terms.
+    void AwaitInterned() {
+      if (started_) helper_.Await(Stage::kInterned);
+    }
+
+    /// Blocks until a started text half has inserted its window, frees
+    /// the helper and rethrows what the text half threw.
+    void Finish() {
+      if (!started_) return;
+      started_ = false;
+      if (const std::exception_ptr error = helper_.Finish()) {
+        std::rethrow_exception(error);
+      }
+    }
+
+   private:
+    TextHelper& helper_;
+    bool started_ = false;
+  };
+
+ private:
+  struct Job {
+    const std::vector<std::string>* transcript = nullptr;
+    shard::IndexShardSet* text = nullptr;
+    StreamId stream = 0;
+    Timestamp now = 0;
+    bool live = true;
+  };
+
+  bool TryStart(const Job& job) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (stage_ != Stage::kIdle) return false;
+      job_ = job;
+      stage_ = Stage::kPosted;
+    }
+    wake_helper_.notify_one();
+    return true;
+  }
+
+  void Await(Stage stage) {
+    std::unique_lock<std::mutex> lock(mu_);
+    wake_caller_.wait(lock, [&] { return stage_ >= stage; });
+  }
+
+  std::exception_ptr Finish() {
+    std::unique_lock<std::mutex> lock(mu_);
+    wake_caller_.wait(lock, [&] { return stage_ == Stage::kDone; });
+    stage_ = Stage::kIdle;
+    return std::exchange(error_, nullptr);
+  }
+
+  void Run() {
+    std::unique_lock<std::mutex> lock(mu_);
+    for (;;) {
+      wake_helper_.wait(lock,
+                        [this] { return stop_ || stage_ == Stage::kPosted; });
+      if (stop_) return;
+      const Job job = job_;
+      lock.unlock();
+      std::exception_ptr error;
+      try {
+        std::vector<TermId> ids = pipeline_.InternText(*job.transcript);
+        {
+          std::lock_guard<std::mutex> stage_lock(mu_);
+          stage_ = Stage::kInterned;
+        }
+        wake_caller_.notify_one();
+        job.text->InsertWindow(job.stream, job.now,
+                               CountTerms(std::move(ids)), job.live);
+      } catch (...) {
+        error = std::current_exception();
+      }
+      lock.lock();
+      error_ = error;
+      stage_ = Stage::kDone;
+      wake_caller_.notify_one();
+    }
+  }
+
+  const IngestionPipeline& pipeline_;
+  std::mutex mu_;  // Guards every member below it except thread_.
+  std::condition_variable wake_helper_;
+  std::condition_variable wake_caller_;
+  Stage stage_ = Stage::kIdle;
+  Job job_;
+  std::exception_ptr error_;
+  bool stop_ = false;
+  std::thread thread_;  // Last: Run() uses every member above.
+};
+
 SearchService::SearchService(const SearchServiceConfig& config, Clock* clock)
     : config_(config), clock_(clock), rng_(config.seed) {
   pipeline_ = std::make_unique<IngestionPipeline>(config.ingestion,
@@ -31,7 +172,10 @@ SearchService::SearchService(const SearchServiceConfig& config, Clock* clock)
   initial->text = std::make_shared<shard::IndexShardSet>(ShardConfig(config));
   initial->sound = std::make_shared<shard::IndexShardSet>(ShardConfig(config));
   indices_.Store(std::move(initial));
+  text_helper_ = std::make_unique<TextHelper>(*pipeline_);
 }
+
+SearchService::~SearchService() = default;
 
 void SearchService::ReplaceIndices(std::unique_ptr<core::RtsiIndex> text,
                                    std::unique_ptr<core::RtsiIndex> sound) {
@@ -56,36 +200,46 @@ Status SearchService::IngestWindow(StreamId stream,
                                    const std::vector<std::string>& words,
                                    bool live) {
   const auto indices = PinIndices();
-  WindowArtifacts artifacts;
-  {
-    std::lock_guard<std::mutex> rng_lock(rng_mu_);
-    artifacts = pipeline_->ProcessWindow(words, rng_);
-  }
-  const Timestamp now = clock_->Now();
-  indices->text->InsertWindow(stream, now, artifacts.text_terms, live);
-  indices->sound->InsertWindow(stream, now, artifacts.sound_terms, live);
+  IngestOne(*indices, clock_->Now(), stream, words, live);
   return Status::Ok();
 }
 
 void SearchService::IngestBatch(const std::vector<IngestOp>& ops) {
   const auto indices = PinIndices();
-  std::vector<WindowArtifacts> artifacts(ops.size());
-  {
-    // One RNG acquisition for the whole batch: the draw sequence matches
-    // the same ops issued individually, keeping seeded runs comparable
-    // between the batched and unbatched front-ends.
-    std::lock_guard<std::mutex> rng_lock(rng_mu_);
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      artifacts[i] = pipeline_->ProcessWindow(ops[i].words, rng_);
-    }
-  }
   const Timestamp now = clock_->Now();
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    indices->text->InsertWindow(ops[i].stream, now, artifacts[i].text_terms,
-                                ops[i].live);
-    indices->sound->InsertWindow(ops[i].stream, now, artifacts[i].sound_terms,
-                                 ops[i].live);
+  for (const IngestOp& op : ops) {
+    IngestOne(*indices, now, op.stream, op.words, op.live);
   }
+}
+
+void SearchService::IngestOne(const IndexPair& indices, Timestamp now,
+                              StreamId stream,
+                              const std::vector<std::string>& words,
+                              bool live) {
+  std::vector<std::string> transcript;
+  std::vector<TermId> text_ids;
+  std::vector<TermId> sound_ids;
+  TextHelper::Window text_half(*text_helper_);
+  {
+    // Draw order as in IngestionPipeline::ProcessWindow: the transcriber,
+    // then the lattice's alternate phones. The text half's interning ends
+    // before the lock is released, because the next window's transcriber
+    // reads the text dictionary's size.
+    std::lock_guard<std::mutex> rng_lock(rng_mu_);
+    transcript = pipeline_->Transcribe(words, rng_);
+    if (!text_half.TryStart(transcript, *indices.text, stream, now, live)) {
+      text_ids = pipeline_->InternText(transcript);
+    }
+    sound_ids = pipeline_->InternSound(words, rng_);
+    text_half.AwaitInterned();
+  }
+  if (!text_half.started()) {
+    indices.text->InsertWindow(stream, now, CountTerms(std::move(text_ids)),
+                               live);
+  }
+  indices.sound->InsertWindow(stream, now, CountTerms(std::move(sound_ids)),
+                              live);
+  text_half.Finish();
 }
 
 void SearchService::FinishStream(StreamId stream) {
@@ -176,11 +330,14 @@ std::vector<SearchResult> SearchService::SearchVoice(
 
 audio::PcmBuffer SearchService::SynthesizeQuery(
     const std::vector<std::string>& words) {
-  std::vector<audio::PhoneSpec> specs;
+  std::vector<asr::PhonemeId> phones;
   for (const std::string& word : words) {
-    for (const asr::PhonemeId phone : pipeline_->lexicon().Pronounce(word)) {
-      specs.push_back(asr::PhonemeSpec(phone));
-    }
+    pipeline_->lexicon().Pronounce(word, phones);
+  }
+  std::vector<audio::PhoneSpec> specs;
+  specs.reserve(phones.size());
+  for (const asr::PhonemeId phone : phones) {
+    specs.push_back(asr::PhonemeSpec(phone));
   }
   audio::SynthesizerConfig synth_config;
   const audio::Synthesizer synth(synth_config);

@@ -62,19 +62,28 @@ class SearchService {
     std::shared_ptr<shard::IndexShardSet> sound;
   };
 
+  /// Starts the service's ingest helper thread (DESIGN.md §6), which
+  /// stays parked until a window arrives.
   SearchService(const SearchServiceConfig& config, Clock* clock);
+  /// Stops and joins the helper. No call may be in flight.
+  ~SearchService();
+
+  SearchService(const SearchService&) = delete;
+  SearchService& operator=(const SearchService&) = delete;
 
   /// Ingests one ~60 s window of a live stream, given its ground-truth
   /// words (what the broadcaster said). Runs ASR simulation, indexes both
   /// modalities. A window for a deleted stream is dropped by each index
-  /// (core::RtsiIndex::InsertWindow). Always returns Ok.
+  /// (core::RtsiIndex::InsertWindow). Always returns Ok. The same path as
+  /// an IngestBatch of one op.
   Status IngestWindow(StreamId stream, const std::vector<std::string>& words,
                       bool live = true);
 
-  /// Ingests a batch of windows in order against one pinned pair. ASR
-  /// simulation for the whole batch runs under a single RNG acquisition,
-  /// so a batched run draws the same sequence as the same ops issued
-  /// one by one — batching changes throughput, not results.
+  /// Ingests a batch of windows in op order against one pinned pair and
+  /// one clock reading. Each window's ASR simulation runs under its own
+  /// RNG acquisition, so a batched run draws the same sequence as the same
+  /// ops issued one by one — batching changes throughput, not results.
+  /// Returns once every window is in both modalities.
   void IngestBatch(const std::vector<IngestOp>& ops);
 
   void FinishStream(StreamId stream);
@@ -145,6 +154,15 @@ class SearchService {
       const std::vector<core::ScoredStream>& text_results,
       const std::vector<core::ScoredStream>& sound_results, int k) const;
 
+  class TextHelper;
+
+  /// The one window path. The caller runs the transcriber and, under the
+  /// same RNG acquisition, the sound half's lattice and interning; the
+  /// helper runs the text half (intern, count, insert) beside it, or the
+  /// caller does when another caller's window holds the helper.
+  void IngestOne(const IndexPair& indices, Timestamp now, StreamId stream,
+                 const std::vector<std::string>& words, bool live);
+
   /// Runs the two single-modality queries, one after the other on the
   /// calling thread, against the pinned pair and fuses.
   std::vector<SearchResult> SearchBothModalities(
@@ -165,9 +183,13 @@ class SearchService {
   // The service RNG feeds ASR simulation for ingestion, query processing
   // and synthesis; entry points can run concurrently, so draws are
   // serialized by rng_mu_ (single-threaded call sequences are unaffected,
-  // keeping seeded runs deterministic).
+  // keeping seeded runs deterministic). A window's interning into both
+  // dictionaries also completes under it, so term ids follow draw order.
   std::mutex rng_mu_;
   Rng rng_;
+  // Last: its thread uses pipeline_ and must stop before anything else
+  // is destroyed.
+  std::unique_ptr<TextHelper> text_helper_;
 };
 
 }  // namespace rtsi::service

@@ -26,7 +26,7 @@ StopwordFilter::StopwordFilter(std::vector<std::string> words) {
 }
 
 bool StopwordFilter::IsStopword(std::string_view token) const {
-  return words_.count(std::string(token)) > 0;
+  return words_.contains(token);
 }
 
 std::vector<std::string> StopwordFilter::Filter(

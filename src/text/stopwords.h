@@ -5,8 +5,9 @@
 
 #include <string>
 #include <string_view>
-#include <unordered_set>
 #include <vector>
+
+#include "common/string_hash.h"
 
 namespace rtsi::text {
 
@@ -26,7 +27,7 @@ class StopwordFilter {
   std::size_t size() const { return words_.size(); }
 
  private:
-  std::unordered_set<std::string> words_;
+  StringSet words_;
 };
 
 }  // namespace rtsi::text

@@ -8,7 +8,7 @@ namespace rtsi::text {
 TermId TermDictionary::Intern(std::string_view term) {
   {
     std::shared_lock<std::shared_mutex> lock(mu_);
-    auto it = ids_.find(std::string(term));
+    auto it = ids_.find(term);
     if (it != ids_.end()) return it->second;
   }
   std::unique_lock<std::shared_mutex> lock(mu_);
@@ -23,7 +23,7 @@ TermId TermDictionary::Intern(std::string_view term) {
 
 TermId TermDictionary::Lookup(std::string_view term) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
-  auto it = ids_.find(std::string(term));
+  auto it = ids_.find(term);
   return it == ids_.end() ? kInvalidTermId : it->second;
 }
 

@@ -3,7 +3,7 @@
 //
 // Shared by the text and sound LSM-trees (lattice units are terms too).
 // Thread-safe: interning takes an exclusive lock; lookups take a shared
-// lock; frequency counters are atomics.
+// lock and build no temporary string; frequency counters are atomics.
 
 #ifndef RTSI_TEXT_TERM_DICTIONARY_H_
 #define RTSI_TEXT_TERM_DICTIONARY_H_
@@ -14,9 +14,9 @@
 #include <shared_mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
+#include "common/string_hash.h"
 #include "common/types.h"
 
 namespace rtsi::text {
@@ -79,7 +79,7 @@ class TermDictionary {
 
  private:
   mutable std::shared_mutex mu_;
-  std::unordered_map<std::string, TermId> ids_;
+  StringMap<TermId> ids_;
   std::vector<std::string> strings_;
   std::vector<std::unique_ptr<std::atomic<std::uint64_t>>> doc_freq_;
   std::atomic<std::uint64_t> num_documents_{0};

@@ -1,34 +1,15 @@
 #include "text/tokenizer.h"
 
-#include <cctype>
-
 namespace rtsi::text {
 
 Tokenizer::Tokenizer(const TokenizerConfig& config) : config_(config) {}
 
 std::vector<std::string> Tokenizer::Tokenize(std::string_view text) const {
   std::vector<std::string> tokens;
-  std::string current;
-  auto flush = [&] {
-    if (current.size() >= config_.min_token_length &&
-        current.size() <= config_.max_token_length) {
-      tokens.push_back(current);
-    }
-    current.clear();
-  };
-
-  for (const char c : text) {
-    const auto byte = static_cast<unsigned char>(c);
-    if (byte >= 0x80) {
-      current.push_back(c);  // UTF-8 continuation/lead byte: keep verbatim.
-    } else if (std::isalnum(byte) != 0) {
-      current.push_back(
-          static_cast<char>(std::tolower(byte)));
-    } else {
-      flush();
-    }
-  }
-  flush();
+  std::string buffer;
+  ForEachToken(text, buffer, [&tokens](std::string_view token) {
+    tokens.emplace_back(token);
+  });
   return tokens;
 }
 

@@ -18,6 +18,12 @@
 namespace rtsi::asr {
 namespace {
 
+std::vector<PhonemeId> Phones(const Lexicon& lexicon, std::string_view word) {
+  std::vector<PhonemeId> phones;
+  lexicon.Pronounce(word, phones);
+  return phones;
+}
+
 TEST(PhonemeTest, InventoryHasDistinctNames) {
   std::set<std::string> names;
   for (int p = 0; p < PhonemeCount(); ++p) {
@@ -45,52 +51,60 @@ TEST(PhonemeTest, SpecsHavePositiveDurations) {
 
 TEST(LexiconTest, PronunciationIsDeterministic) {
   Lexicon lexicon;
-  const auto a = lexicon.Pronounce("hello");
-  const auto b = lexicon.Pronounce("hello");
+  const auto a = Phones(lexicon, "hello");
+  const auto b = Phones(lexicon, "hello");
   EXPECT_EQ(a, b);
   EXPECT_FALSE(a.empty());
 }
 
 TEST(LexiconTest, DifferentWordsUsuallyDiffer) {
   Lexicon lexicon;
-  EXPECT_NE(lexicon.Pronounce("cat"), lexicon.Pronounce("dog"));
-  EXPECT_NE(lexicon.Pronounce("stream"), lexicon.Pronounce("audio"));
+  EXPECT_NE(Phones(lexicon, "cat"), Phones(lexicon, "dog"));
+  EXPECT_NE(Phones(lexicon, "stream"), Phones(lexicon, "audio"));
 }
 
 TEST(LexiconTest, DigraphsAreSinglePhones) {
   Lexicon lexicon;
   // "sh" maps to one phone, not s + h.
-  EXPECT_EQ(lexicon.Pronounce("sh").size(), 1u);
-  EXPECT_EQ(lexicon.Pronounce("ng").size(), 1u);
+  EXPECT_EQ(Phones(lexicon, "sh").size(), 1u);
+  EXPECT_EQ(Phones(lexicon, "ng").size(), 1u);
 }
 
 TEST(LexiconTest, EmptyOrUnknownWordStillPronounceable) {
   Lexicon lexicon;
-  EXPECT_FALSE(lexicon.Pronounce("").empty());
-  EXPECT_FALSE(lexicon.Pronounce("!!!").empty());
+  EXPECT_FALSE(Phones(lexicon, "").empty());
+  EXPECT_FALSE(Phones(lexicon, "!!!").empty());
 }
 
 TEST(LexiconTest, ExplicitPronunciationOverridesG2p) {
   Lexicon lexicon;
   std::vector<PhonemeId> custom = {PhonemeByName("iy")};
   lexicon.AddPronunciation("xyz", custom);
-  EXPECT_EQ(lexicon.Pronounce("xyz"), custom);
+  EXPECT_EQ(Phones(lexicon, "xyz"), custom);
 }
 
 TEST(LexiconTest, EntriesSnapshotGrowsWithCache) {
   Lexicon lexicon;
-  lexicon.Pronounce("one");
-  lexicon.Pronounce("two");
+  Phones(lexicon, "one");
+  Phones(lexicon, "two");
   EXPECT_EQ(lexicon.Entries().size(), 2u);
+}
+
+TEST(LexiconTest, PronounceAppendsToTheBuffer) {
+  Lexicon lexicon;
+  std::vector<PhonemeId> phones;
+  lexicon.Pronounce("sh", phones);
+  lexicon.Pronounce("ng", phones);
+  EXPECT_EQ(phones, (std::vector<PhonemeId>{PhonemeByName("sh"),
+                                            PhonemeByName("ng")}));
 }
 
 TEST(LatticeTest, BestPathFollowsTopHypotheses) {
   PhoneticLattice lattice;
   for (int i = 0; i < 3; ++i) {
-    LatticeSegment segment;
-    segment.hypotheses.push_back({static_cast<PhonemeId>(i), 0.8});
-    segment.hypotheses.push_back({static_cast<PhonemeId>(i + 5), 0.2});
-    lattice.AddSegment(std::move(segment));
+    const PhoneHypothesis hyps[] = {{static_cast<PhonemeId>(i), 0.8},
+                                    {static_cast<PhonemeId>(i + 5), 0.2}};
+    lattice.AddSegment(0.0, 0.0, hyps);
   }
   const auto path = lattice.BestPath();
   ASSERT_EQ(path.size(), 3u);
@@ -102,32 +116,128 @@ TEST(LatticeTest, BestPathFollowsTopHypotheses) {
 TEST(LatticeTest, UnitNamesJoinWithUnderscore) {
   const std::vector<PhonemeId> phones = {PhonemeByName("s"),
                                          PhonemeByName("iy")};
-  EXPECT_EQ(UnitName(phones), "s_iy");
+  std::string name = "x:";
+  AppendUnitName(phones, name);
+  EXPECT_EQ(name, "x:s_iy");
+}
+
+TEST(LatticeTest, SegmentsIndexOneFlatHypothesisArray) {
+  PhoneticLattice lattice;
+  const PhoneHypothesis one[] = {{3, 1.0}};
+  const PhoneHypothesis three[] = {{4, 0.5}, {5, 0.3}, {6, 0.2}};
+  lattice.AddSegment(0.0, 0.1, one);
+  lattice.AddSegment(0.1, 0.2, {});  // No hypotheses: not a segment.
+  lattice.AddSegment(0.1, 0.3, three);
+  ASSERT_EQ(lattice.size(), 2u);
+  EXPECT_EQ(lattice.segments()[1].first, 1u);
+  EXPECT_EQ(lattice.segments()[1].count, 3u);
+  EXPECT_DOUBLE_EQ(lattice.segments()[1].duration_seconds, 0.3);
+  ASSERT_EQ(lattice.hypotheses(1).size(), 3u);
+  EXPECT_EQ(lattice.hypotheses(1)[2].phone, 6);
+  EXPECT_EQ(lattice.hypotheses(0)[0].phone, 3);
+}
+
+std::vector<std::string> Units(const PhoneticLattice& lattice, int n,
+                               double alt_threshold) {
+  std::vector<std::string> units;
+  lattice.ExtractUnits(n, alt_threshold, [&](std::string_view unit) {
+    units.emplace_back(unit);
+  });
+  return units;
 }
 
 TEST(LatticeTest, ExtractUnitsGeneratesNgramsAndAlternatives) {
   PhoneticLattice lattice;
   for (int i = 0; i < 4; ++i) {
-    LatticeSegment segment;
-    segment.hypotheses.push_back({static_cast<PhonemeId>(i), 0.6});
-    segment.hypotheses.push_back({static_cast<PhonemeId>(i + 10), 0.4});
-    lattice.AddSegment(std::move(segment));
+    const PhoneHypothesis hyps[] = {{static_cast<PhonemeId>(i), 0.6},
+                                    {static_cast<PhonemeId>(i + 10), 0.4}};
+    lattice.AddSegment(0.0, 0.0, hyps);
   }
-  const auto bigrams = lattice.ExtractUnits(2, 0.3);
+  const auto bigrams = Units(lattice, 2, 0.3);
   // 3 best-path bigrams + 2 alternatives each = 9 units.
   EXPECT_EQ(bigrams.size(), 9u);
 
   // High alternative threshold removes the substituted variants.
-  const auto strict = lattice.ExtractUnits(2, 0.9);
+  const auto strict = Units(lattice, 2, 0.9);
   EXPECT_EQ(strict.size(), 3u);
 }
 
 TEST(LatticeTest, TooShortLatticeYieldsNoUnits) {
   PhoneticLattice lattice;
-  LatticeSegment segment;
-  segment.hypotheses.push_back({0, 1.0});
-  lattice.AddSegment(std::move(segment));
-  EXPECT_TRUE(lattice.ExtractUnits(3, 0.2).empty());
+  const PhoneHypothesis hyps[] = {{0, 1.0}};
+  lattice.AddSegment(0.0, 0.0, hyps);
+  EXPECT_TRUE(Units(lattice, 3, 0.2).empty());
+}
+
+// The unit extraction the flat lattice replaced: segments as vectors of
+// hypotheses, every unit a fresh string. The flat lattice must visit the
+// same units in the same order.
+std::vector<std::string> ReferenceUnits(
+    const std::vector<std::vector<PhoneHypothesis>>& segments, int n,
+    double alt_threshold) {
+  auto name = [](const std::vector<PhonemeId>& phones) {
+    std::string out;
+    for (std::size_t i = 0; i < phones.size(); ++i) {
+      if (i > 0) out += '_';
+      out += PhonemeName(phones[i]);
+    }
+    return out;
+  };
+  std::vector<std::string> units;
+  std::vector<PhonemeId> best;
+  for (const auto& hyps : segments) {
+    if (!hyps.empty()) best.push_back(hyps.front().phone);
+  }
+  if (n <= 0 || best.size() < static_cast<std::size_t>(n)) return units;
+  std::vector<PhonemeId> gram(static_cast<std::size_t>(n));
+  for (std::size_t start = 0; start + n <= best.size(); ++start) {
+    for (int i = 0; i < n; ++i) gram[i] = best[start + i];
+    units.push_back(name(gram));
+    for (int i = 0; i < n; ++i) {
+      const auto& hyps = segments[start + i];
+      if (hyps.size() >= 2 && hyps[1].posterior >= alt_threshold) {
+        const PhonemeId saved = gram[i];
+        gram[i] = hyps[1].phone;
+        units.push_back(name(gram));
+        gram[i] = saved;
+      }
+    }
+  }
+  return units;
+}
+
+PhoneticLattice Flatten(
+    const std::vector<std::vector<PhoneHypothesis>>& segments) {
+  PhoneticLattice lattice;
+  for (const auto& hyps : segments) lattice.AddSegment(0.0, 0.0, hyps);
+  return lattice;
+}
+
+TEST(LatticeTest, FlatUnitsEqualReferenceOnFixedLattices) {
+  // Runner-up posteriors straddle each threshold below: some segments
+  // have one hypothesis, some a runner-up just under or just over it, some
+  // a third hypothesis that must never be substituted.
+  Rng rng(17);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<std::vector<PhoneHypothesis>> segments(
+        1 + rng.NextUint64(12));
+    for (auto& hyps : segments) {
+      const std::size_t count = 1 + rng.NextUint64(3);
+      const double second = 0.05 * static_cast<double>(rng.NextUint64(9));
+      for (std::size_t h = 0; h < count; ++h) {
+        hyps.push_back({static_cast<PhonemeId>(rng.NextUint64(PhonemeCount())),
+                        h == 0 ? 0.5 : (h == 1 ? second : 0.05)});
+      }
+    }
+    const PhoneticLattice lattice = Flatten(segments);
+    for (const int n : {1, 2, 3, 4}) {
+      for (const double threshold : {0.0, 0.15, 0.2, 0.25, 1.0}) {
+        ASSERT_EQ(Units(lattice, n, threshold),
+                  ReferenceUnits(segments, n, threshold))
+            << "trial " << trial << " n " << n << " threshold " << threshold;
+      }
+    }
+  }
 }
 
 class AcousticFixture : public ::testing::Test {
@@ -205,6 +315,40 @@ TEST_F(AcousticFixture, DecoderRecoversVowelSequence) {
   }
   EXPECT_EQ(truth_pos, truth.size())
       << "decoded path missed phones of the true sequence";
+}
+
+TEST_F(AcousticFixture, DecodedLatticeUnitsEqualReference) {
+  // A noisy kFull rendering of real words: decoded segments carry up to
+  // three hypotheses with runner-up posteriors spread on both sides of
+  // the thresholds below.
+  const audio::Synthesizer synth(audio::SynthesizerConfig{});
+  Rng rng(19);
+  Lexicon lexicon;
+  std::vector<PhonemeId> phones;
+  for (const char* word : {"morning", "stream", "search", "radio", "jazz"}) {
+    lexicon.Pronounce(word, phones);
+  }
+  std::vector<audio::PhoneSpec> specs;
+  for (const PhonemeId phone : phones) specs.push_back(PhonemeSpec(phone));
+  const LatticeDecoder decoder(&extractor_, &model_, DecoderConfig{});
+  const PhoneticLattice lattice = decoder.Decode(synth.Render(specs, rng));
+  ASSERT_GE(lattice.size(), 4u);
+
+  std::vector<std::vector<PhoneHypothesis>> segments;
+  bool has_runner_up = false;
+  for (std::size_t i = 0; i < lattice.size(); ++i) {
+    const auto hyps = lattice.hypotheses(i);
+    segments.emplace_back(hyps.begin(), hyps.end());
+    has_runner_up |= hyps.size() >= 2;
+  }
+  ASSERT_TRUE(has_runner_up);
+  for (const int n : {2, 3}) {
+    for (const double threshold : {0.0, 0.05, 0.2, 1.0}) {
+      EXPECT_EQ(Units(lattice, n, threshold),
+                ReferenceUnits(segments, n, threshold))
+          << "n " << n << " threshold " << threshold;
+    }
+  }
 }
 
 TEST(TranscriberTest, ZeroErrorRateIsIdentity) {

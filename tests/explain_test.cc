@@ -120,6 +120,45 @@ TEST(ExplainTest, ToStringMentionsKeyFacts) {
   EXPECT_NE(text.find("live-table"), std::string::npos);
 }
 
+TEST(ExplainTest, ToStringRendersEachComponentDecision) {
+  QueryExplanation explanation;
+  explanation.terms = {10};
+  explanation.idfs = {1.5};
+  explanation.k = 3;
+  ComponentExplanation visited;
+  visited.level = 1;
+  visited.num_postings = 40;
+  visited.upper_bound = 0.75;
+  visited.visited = true;
+  visited.terminated_early = true;
+  visited.postings_yielded = 12;
+  ComponentExplanation pruned;
+  pruned.level = 2;
+  pruned.num_postings = 80;
+  pruned.upper_bound = 0.25;
+  ComponentExplanation skipped;
+  skipped.level = 3;
+  skipped.num_postings = 160;
+  skipped.upper_bound = 0.5;
+  skipped.skipped = true;
+  explanation.components = {visited, pruned, skipped};
+
+  const std::string text = explanation.ToString();
+  EXPECT_NE(text.find("component L1 (40 postings): bound=0.7500 visited "
+                      "(early termination)\n  postings yielded: 12\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("component L2 (80 postings): bound=0.2500 PRUNED\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("component L3 (160 postings): bound=0.5000 SKIPPED "
+                      "(no query term)\n"),
+            std::string::npos)
+      << text;
+  // Only a visited component reports what it yielded.
+  EXPECT_EQ(text.find("postings yielded"), text.rfind("postings yielded"));
+}
+
 TEST(ExplainTest, EmptyQueryExplains) {
   RtsiIndex index(SmallConfig());
   const auto explanation = index.ExplainQuery({}, 5, 100);

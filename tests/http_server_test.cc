@@ -139,6 +139,31 @@ TEST_F(SearchRoutesTest, KOutsideOneToMaxIs400) {
   }
 }
 
+TEST_F(SearchRoutesTest, PopDeltaAndIngestLiveOutOfRangeAre400) {
+  for (const char* delta : {"4294967297", "30000000000", "7abc", "0", "-5",
+                            "", "abc", "%207"}) {
+    const std::string response =
+        Get(port(), std::string("/pop?stream=1&delta=") + delta);
+    EXPECT_EQ(StatusCode(response), 400) << "delta=" << delta;
+    EXPECT_NE(response.find("\"error\""), std::string::npos)
+        << "delta=" << delta;
+  }
+  for (const char* live : {"2", "-1", "1x", "4294967297", "", "yes"}) {
+    const std::string response =
+        Get(port(), std::string("/ingest?stream=9&words=zeppelin&live=") +
+                        live);
+    EXPECT_EQ(StatusCode(response), 400) << "live=" << live;
+    EXPECT_NE(response.find("\"error\""), std::string::npos)
+        << "live=" << live;
+  }
+  // Nothing from the rejected requests was indexed.
+  EXPECT_EQ(Get(port(), "/search?q=zeppelin").find("\"stream\":9"),
+            std::string::npos);
+  EXPECT_EQ(StatusCode(Get(port(), "/pop?stream=1&delta=2147483647")), 200);
+  EXPECT_EQ(StatusCode(Get(port(), "/ingest?stream=9&words=zeppelin&live=0")),
+            200);
+}
+
 TEST_F(SearchRoutesTest, KAtBoundsIs200) {
   ASSERT_EQ(kMaxK, 1000);
   for (const char* route : {"/search", "/live"}) {

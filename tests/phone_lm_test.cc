@@ -63,7 +63,9 @@ class ViterbiFixture : public ::testing::Test {
     Lexicon lexicon;
     for (const char* word :
          {"stream", "audio", "search", "music", "news", "live", "radio"}) {
-      lm_.AddSequence(lexicon.Pronounce(word));
+      std::vector<PhonemeId> phones;
+      lexicon.Pronounce(word, phones);
+      lm_.AddSequence(phones);
     }
     lm_.Finalize();
   }

@@ -4,6 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <string>
+#include <string_view>
+#include <thread>
+#include <vector>
+
 #include "common/clock.h"
 #include "service/search_service.h"
 #include "workload/corpus.h"
@@ -20,14 +28,21 @@ SearchServiceConfig Config(std::uint64_t seed) {
   return config;
 }
 
+const workload::SyntheticCorpus& SmallCorpus() {
+  static const workload::SyntheticCorpus corpus = [] {
+    workload::CorpusConfig config;
+    config.num_streams = 40;
+    config.vocab_size = 800;
+    config.words_per_window = 30;
+    config.avg_windows_per_stream = 3;
+    config.min_windows_per_stream = 2;
+    return workload::SyntheticCorpus(config);
+  }();
+  return corpus;
+}
+
 void IngestCorpus(SearchService& service, SimulatedClock& clock) {
-  workload::CorpusConfig corpus_config;
-  corpus_config.num_streams = 40;
-  corpus_config.vocab_size = 800;
-  corpus_config.words_per_window = 30;
-  corpus_config.avg_windows_per_stream = 3;
-  corpus_config.min_windows_per_stream = 2;
-  const workload::SyntheticCorpus corpus(corpus_config);
+  const workload::SyntheticCorpus& corpus = SmallCorpus();
   for (StreamId s = 0; s < 40; ++s) {
     const int n = corpus.NumWindows(s);
     for (int w = 0; w < n; ++w) {
@@ -75,6 +90,195 @@ TEST(ServiceDeterminismTest, DifferentSeedsDifferentErrorPatterns) {
   // the text dictionaries almost surely diverge.
   EXPECT_NE(a.text_index().tree().total_postings(),
             b.text_index().tree().total_postings());
+}
+
+// The sequential restatement of IngestWindow that perfbench's traced run
+// uses: ProcessWindow on an RNG seeded like the service's, then each
+// modality's InsertWindow. Returns each window's term counts.
+std::vector<WindowArtifacts> ReplayCorpus(SearchService& service,
+                                          SimulatedClock& clock,
+                                          std::uint64_t seed) {
+  const workload::SyntheticCorpus& corpus = SmallCorpus();
+  Rng rng(seed);
+  std::vector<WindowArtifacts> windows;
+  for (StreamId s = 0; s < 40; ++s) {
+    const int n = corpus.NumWindows(s);
+    for (int w = 0; w < n; ++w) {
+      windows.push_back(
+          service.pipeline().ProcessWindow(corpus.WindowWords(s, w), rng));
+      const Timestamp now = clock.Now();
+      service.text_shards().InsertWindow(s, now, windows.back().text_terms,
+                                         w + 1 < n);
+      service.sound_shards().InsertWindow(s, now, windows.back().sound_terms,
+                                          w + 1 < n);
+    }
+    service.FinishStream(s);
+    clock.Advance(kMicrosPerSecond);
+  }
+  service.text_index().WaitForMerges();
+  service.sound_index().WaitForMerges();
+  return windows;
+}
+
+struct Fnv {
+  std::uint64_t h = 1469598103934665603ULL;
+  void Bytes(const void* data, std::size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < n; ++i) h = (h ^ p[i]) * 1099511628211ULL;
+  }
+  void U64(std::uint64_t v) { Bytes(&v, sizeof v); }
+};
+
+std::vector<std::string> IdOrder(const text::TermDictionary& dict) {
+  std::vector<std::string> terms;
+  dict.ForEachInIdOrder([&](TermId, std::string_view term, std::uint64_t) {
+    terms.emplace_back(term);
+  });
+  return terms;
+}
+
+std::uint64_t DictionaryHash(SearchService& service) {
+  Fnv fnv;
+  for (const text::TermDictionary* dict :
+       {&service.text_dictionary(), &service.sound_dictionary()}) {
+    fnv.U64(dict->size());
+    dict->ForEachInIdOrder(
+        [&](TermId id, std::string_view term, std::uint64_t df) {
+          fnv.U64(id);
+          fnv.Bytes(term.data(), term.size());
+          fnv.U64(df);
+        });
+  }
+  return fnv.h;
+}
+
+// Hashes each window's term counts as a multiset: sorted by term id, so
+// the hash pins ids and frequencies, not the order CountTerms emits.
+std::uint64_t WindowCountsHash(const std::vector<WindowArtifacts>& windows) {
+  Fnv fnv;
+  for (const WindowArtifacts& window : windows) {
+    for (auto counts : {window.text_terms, window.sound_terms}) {
+      std::sort(counts.begin(), counts.end(),
+                [](const core::TermCount& a, const core::TermCount& b) {
+                  return a.term < b.term;
+                });
+      fnv.U64(counts.size());
+      for (const core::TermCount& tc : counts) {
+        fnv.U64(tc.term);
+        fnv.U64(tc.tf);
+      }
+    }
+  }
+  return fnv.h;
+}
+
+TEST(ServiceDeterminismTest, IngestWindowEqualsSequentialRestatement) {
+  SimulatedClock clock_a, clock_b;
+  SearchService a(Config(123), &clock_a);
+  SearchService b(Config(123), &clock_b);
+  IngestCorpus(a, clock_a);
+  ReplayCorpus(b, clock_b, 123);
+
+  EXPECT_EQ(IdOrder(a.text_dictionary()), IdOrder(b.text_dictionary()));
+  EXPECT_EQ(IdOrder(a.sound_dictionary()), IdOrder(b.sound_dictionary()));
+  EXPECT_EQ(a.text_index().tree().total_postings(),
+            b.text_index().tree().total_postings());
+  EXPECT_EQ(a.sound_index().tree().total_postings(),
+            b.sound_index().tree().total_postings());
+  // kDirect query lattices put 0.1 on each alternate, under the 0.2 unit
+  // threshold, so query terms do not depend on where either service's RNG
+  // stands.
+  for (const char* query : {"w3 w17", "w100", "w5 w250", "w1 w2 w40"}) {
+    const auto ra = a.SearchKeywords(query, 10);
+    const auto rb = b.SearchKeywords(query, 10);
+    ASSERT_EQ(ra.size(), rb.size()) << query;
+    for (std::size_t i = 0; i < ra.size(); ++i) {
+      EXPECT_EQ(ra[i].stream, rb[i].stream) << query;
+      EXPECT_EQ(ra[i].score, rb[i].score) << query;
+    }
+  }
+}
+
+// Pinned for seed 123: a change to any draw, or to the order in which
+// terms are interned, moves these.
+constexpr std::uint64_t kDictionaryHash = 262303486692992813ULL;
+constexpr std::uint64_t kWindowCountsHash = 15802724717372896678ULL;
+
+TEST(ServiceDeterminismTest, DictionariesAndWindowCountsArePinned) {
+  SimulatedClock clock_a, clock_b;
+  SearchService a(Config(123), &clock_a);
+  SearchService b(Config(123), &clock_b);
+  IngestCorpus(a, clock_a);
+  const std::vector<WindowArtifacts> windows = ReplayCorpus(b, clock_b, 123);
+  EXPECT_EQ(DictionaryHash(a), kDictionaryHash);
+  EXPECT_EQ(DictionaryHash(b), kDictionaryHash);
+  EXPECT_EQ(WindowCountsHash(windows), kWindowCountsHash);
+}
+
+// Four threads share one service: two ingest (one window at a time or in
+// batches of three), one searches and one bumps popularity. Each ingest
+// thread checks that every window it ingested is found in both modalities
+// as soon as its call returned, whether the helper ran its text half or
+// the thread ran both halves itself.
+TEST(ServiceDeterminismTest, ConcurrentIngestSearchAndPopularity) {
+  SimulatedClock clock;
+  SearchServiceConfig config = Config(7);
+  config.ingestion.transcriber.word_error_rate = 0.0;
+  SearchService service(config, &clock);
+  constexpr int kWindowsPerThread = 60;
+  std::atomic<bool> done{false};
+  std::atomic<int> missing{0};
+
+  auto expect_found = [&](StreamId stream, const std::string& word) {
+    bool found = false;
+    for (const SearchResult& r : service.SearchKeywords(word, 1000)) {
+      found |= r.stream == stream && r.text_score > 0 && r.sound_score > 0;
+    }
+    if (!found) missing.fetch_add(1);
+  };
+  auto window_words = [](const std::string& word) {
+    return std::vector<std::string>{"morning", word, "news", "radio"};
+  };
+  auto unique_word = [](int thread, int i) {
+    return "t" + std::to_string(thread) + "q" + std::to_string(i) + "x";
+  };
+
+  std::thread single([&] {
+    for (int i = 0; i < kWindowsPerThread; ++i) {
+      const StreamId stream = 1000 + i;
+      const std::string word = unique_word(1, i);
+      service.IngestWindow(stream, window_words(word));
+      expect_found(stream, word);
+    }
+  });
+  std::thread batched([&] {
+    for (int i = 0; i < kWindowsPerThread; i += 3) {
+      std::vector<IngestOp> ops;
+      for (int j = i; j < i + 3; ++j) {
+        ops.push_back({static_cast<StreamId>(2000 + j),
+                       window_words(unique_word(2, j)), true});
+      }
+      service.IngestBatch(ops);
+      for (int j = i; j < i + 3; ++j) {
+        expect_found(2000 + j, unique_word(2, j));
+      }
+    }
+  });
+  std::thread searcher([&] {
+    while (!done.load()) service.SearchKeywords("morning radio", 10);
+  });
+  std::thread popularity([&] {
+    Rng rng(3);
+    while (!done.load()) {
+      service.UpdatePopularity(1000 + rng.NextUint64(kWindowsPerThread), 1);
+    }
+  });
+  single.join();
+  batched.join();
+  done.store(true);
+  searcher.join();
+  popularity.join();
+  EXPECT_EQ(missing.load(), 0);
 }
 
 }  // namespace

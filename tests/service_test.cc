@@ -20,14 +20,16 @@ SearchServiceConfig SmallServiceConfig(AcousticPath path) {
   return config;
 }
 
-TEST(IngestionTest, CountTermsAggregates) {
-  const auto counts = CountTerms({1, 2, 1, 3, 1, 2});
+TEST(IngestionTest, CountTermsAggregatesInTermIdOrder) {
+  const auto counts = CountTerms({7, 2, 7, 3, 7, 2});
   ASSERT_EQ(counts.size(), 3u);
-  TermFreq tf1 = 0;
-  for (const auto& tc : counts) {
-    if (tc.term == 1) tf1 = tc.tf;
-  }
-  EXPECT_EQ(tf1, 3u);
+  EXPECT_EQ(counts[0].term, 2u);
+  EXPECT_EQ(counts[0].tf, 2u);
+  EXPECT_EQ(counts[1].term, 3u);
+  EXPECT_EQ(counts[1].tf, 1u);
+  EXPECT_EQ(counts[2].term, 7u);
+  EXPECT_EQ(counts[2].tf, 3u);
+  EXPECT_TRUE(CountTerms({}).empty());
 }
 
 TEST(IngestionTest, ProcessWindowProducesBothModalities) {
@@ -162,10 +164,9 @@ TEST(QueryProcessorTest, PhonesToKeywordsRecoversWords) {
   QueryProcessor processor(&pipeline, &text_dict, &sound_dict, 3, 0.2);
 
   // Prime the lexicon with the vocabulary.
-  const auto phones_hello = pipeline.lexicon().Pronounce("hello");
-  const auto phones_world = pipeline.lexicon().Pronounce("world");
-  std::vector<asr::PhonemeId> sequence = phones_hello;
-  sequence.insert(sequence.end(), phones_world.begin(), phones_world.end());
+  std::vector<asr::PhonemeId> sequence;
+  pipeline.lexicon().Pronounce("hello", sequence);
+  pipeline.lexicon().Pronounce("world", sequence);
 
   const auto words = processor.PhonesToKeywords(sequence);
   ASSERT_EQ(words.size(), 2u);

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "core/rtsi_index.h"
+#include "exec/sink.h"
 
 namespace rtsi::shard {
 namespace {
@@ -175,6 +176,58 @@ TEST(ShardDeterminismTest, ScatterGatherBitIdenticalToSingleShard) {
     for (const Op& op : ops) Apply(sharded, op);
     CompareAllProbes(sharded, oracle);
   }
+}
+
+// A 2-shard query's stats are the sum of what each shard's walk of the
+// set's plan counted; terminated_early is set when any shard's was.
+TEST(ShardDeterminismTest, QueryStatsFoldPerShardRuns) {
+  ShardSetConfig config;
+  config.index = SmallConfig();
+  config.num_shards = 2;
+  IndexShardSet sharded(config);
+  for (const Op& op : MakeWorkload(240)) Apply(sharded, op);
+  sharded.WaitForMerges();
+
+  std::size_t visited = 0;
+  std::size_t scanned = 0;
+  for (const std::vector<TermId>& terms :
+       std::vector<std::vector<TermId>>{{0}, {2, 5}, {1, 4, 8}, {kVocab + 1}}) {
+    for (const int k : {1, 5}) {
+      SCOPED_TRACE("terms " + std::to_string(terms.size()) + " k=" +
+                   std::to_string(k));
+      core::QueryStats folded;
+      sharded.Query(terms, k, kQueryTime, &folded);
+
+      const exec::QueryPlan plan = sharded.BuildPlan(terms, k, kQueryTime);
+      core::QueryStats sum;
+      for (int s = 0; s < 2; ++s) {
+        core::QueryStats part;
+        exec::TopKSink sink(k);
+        sharded.shard_index(s).ExecutePlan(plan, sink, &part);
+        sum.components_visited += part.components_visited;
+        sum.components_pruned += part.components_pruned;
+        sum.components_skipped += part.components_skipped;
+        sum.bloom_false_positives += part.bloom_false_positives;
+        sum.postings_scanned += part.postings_scanned;
+        sum.candidates_scored += part.candidates_scored;
+        sum.candidates_screened += part.candidates_screened;
+        sum.terminated_early = sum.terminated_early || part.terminated_early;
+      }
+      EXPECT_EQ(folded.components_visited, sum.components_visited);
+      EXPECT_EQ(folded.components_pruned, sum.components_pruned);
+      EXPECT_EQ(folded.components_skipped, sum.components_skipped);
+      EXPECT_EQ(folded.bloom_false_positives, sum.bloom_false_positives);
+      EXPECT_EQ(folded.postings_scanned, sum.postings_scanned);
+      EXPECT_EQ(folded.candidates_scored, sum.candidates_scored);
+      EXPECT_EQ(folded.candidates_screened, sum.candidates_screened);
+      EXPECT_EQ(folded.terminated_early, sum.terminated_early);
+      visited += folded.components_visited;
+      scanned += folded.postings_scanned;
+    }
+  }
+  // The probes reached sealed components on both sides of the fold.
+  EXPECT_GT(visited, 0u);
+  EXPECT_GT(scanned, 0u);
 }
 
 // The set's plan carries the corpus-wide statistics: a 3-shard plan must

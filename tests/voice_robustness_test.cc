@@ -39,10 +39,10 @@ TEST_F(VoiceRobustness, DecodesPureNoiseWithoutCrashing) {
   }
   const asr::PhoneticLattice lattice = decoder_.Decode(pcm);
   // Noise decodes to *something*; every segment must be well-formed.
-  for (const auto& segment : lattice.segments()) {
-    ASSERT_FALSE(segment.hypotheses.empty());
+  for (std::size_t i = 0; i < lattice.size(); ++i) {
+    ASSERT_FALSE(lattice.hypotheses(i).empty());
     double total = 0.0;
-    for (const auto& h : segment.hypotheses) {
+    for (const auto& h : lattice.hypotheses(i)) {
       ASSERT_GE(h.posterior, 0.0);
       total += h.posterior;
     }

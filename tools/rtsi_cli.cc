@@ -364,11 +364,11 @@ int CmdExplain(int argc, char** argv) {
 int CmdSynth(int argc, char** argv) {
   if (argc < 2) return Usage();
   asr::Lexicon lexicon;
+  std::vector<asr::PhonemeId> phones;
+  for (int i = 1; i < argc; ++i) lexicon.Pronounce(argv[i], phones);
   std::vector<audio::PhoneSpec> specs;
-  for (int i = 1; i < argc; ++i) {
-    for (const asr::PhonemeId phone : lexicon.Pronounce(argv[i])) {
-      specs.push_back(asr::PhonemeSpec(phone));
-    }
+  for (const asr::PhonemeId phone : phones) {
+    specs.push_back(asr::PhonemeSpec(phone));
   }
   audio::SynthesizerConfig synth_config;
   const audio::Synthesizer synth(synth_config);
