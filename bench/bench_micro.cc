@@ -1,10 +1,12 @@
 // Google-benchmark micro suite: the hot primitives under the experiment
 // harness — posting-list operations, Huffman coding, scoring, the query
-// sink, the MFCC front-end, the ingest front-end, and the random-access
-// path used by query candidates.
+// sink, the MFCC front-end, the ingest front-end, the index write path,
+// and the random-access path used by query candidates.
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -13,6 +15,7 @@
 #include "common/rng.h"
 #include "common/varint.h"
 #include "common/zipf.h"
+#include "core/rtsi_index.h"
 #include "core/scorer.h"
 #include "exec/sink.h"
 #include "index/compressed_postings.h"
@@ -242,6 +245,60 @@ void BM_ProcessWindow(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ProcessWindow);
+
+// The index write path: RtsiIndex::InsertWindow for 4096 fixed seeded
+// windows (512 streams, 8 windows each, 8 distinct terms of a 4000-term
+// vocabulary per window; each stream finishes after its last window) into
+// a fresh index per iteration. delta = 2048 postings, so a pass crosses
+// about 16 freezes and their cascades; WaitForMerges is inside the timed
+// region, construction and destruction are not. Items are windows.
+void BM_InsertWindow(benchmark::State& state) {
+  struct Window {
+    StreamId stream;
+    Timestamp t;
+    std::vector<core::TermCount> terms;
+    bool last;
+  };
+  constexpr StreamId kStreams = 512;
+  constexpr int kWindowsPerStream = 8;
+  std::vector<Window> windows;
+  Rng rng(31);
+  Timestamp t = 0;
+  for (int w = 0; w < kWindowsPerStream; ++w) {
+    for (StreamId s = 0; s < kStreams; ++s) {
+      Window window{s, t += 1000, {}, w == kWindowsPerStream - 1};
+      std::set<TermId> used;
+      while (used.size() < 8) {
+        const auto term = static_cast<TermId>(rng.NextUint64(4000));
+        if (used.insert(term).second) {
+          window.terms.push_back(
+              {term, 1 + static_cast<TermFreq>(rng.NextUint64(3))});
+        }
+      }
+      windows.push_back(std::move(window));
+    }
+  }
+  core::RtsiConfig config;
+  config.lsm.delta = 2048;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto index = std::make_unique<core::RtsiIndex>(config);
+    state.ResumeTiming();
+    for (const Window& window : windows) {
+      index->InsertWindow(window.stream, window.t, window.terms,
+                          !window.last);
+      if (window.last) index->FinishStream(window.stream);
+    }
+    index->WaitForMerges();
+    state.PauseTiming();
+    benchmark::DoNotOptimize(index->live_table().num_streams());
+    index.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(windows.size()));
+}
+BENCHMARK(BM_InsertWindow)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 

@@ -88,8 +88,6 @@ PhoneticLattice LatticeDecoder::Decode(const audio::PcmBuffer& pcm) const {
   const std::vector<audio::MfccFrame> frames = extractor_->Extract(pcm);
   if (frames.empty()) return lattice;
 
-  const double shift_seconds = extractor_->config().frame_shift_seconds;
-
   // Classify every frame once.
   std::vector<std::vector<ScoredPhone>> frame_scores;
   frame_scores.reserve(frames.size());
@@ -111,14 +109,13 @@ PhoneticLattice LatticeDecoder::Decode(const audio::PcmBuffer& pcm) const {
   // hypothesis mass.
   struct Run {
     PhonemeId best;
-    std::size_t first_frame;
     std::size_t num_frames;
     std::map<PhonemeId, double> mass;
   };
   std::vector<Run> runs;
   for (std::size_t f = 0; f < frames.size(); ++f) {
     if (runs.empty() || runs.back().best != framewise[f]) {
-      runs.push_back({framewise[f], f, 0, {}});
+      runs.push_back({framewise[f], 0, {}});
     }
     Run& run = runs.back();
     ++run.num_frames;
@@ -174,8 +171,7 @@ PhoneticLattice LatticeDecoder::Decode(const audio::PcmBuffer& pcm) const {
         hyps.resize(config_.max_hypotheses_per_segment);
       }
     }
-    lattice.AddSegment(run.first_frame * shift_seconds,
-                       run.num_frames * shift_seconds, hyps);
+    lattice.AddSegment(hyps);
   }
   return lattice;
 }

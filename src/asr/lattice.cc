@@ -9,13 +9,11 @@ void AppendUnitName(std::span<const PhonemeId> phones, std::string& out) {
   }
 }
 
-void PhoneticLattice::AddSegment(double start_seconds,
-                                 double duration_seconds,
-                                 std::span<const PhoneHypothesis> hypotheses) {
+void PhoneticLattice::AddSegment(
+    std::span<const PhoneHypothesis> hypotheses) {
   if (hypotheses.empty()) return;
   segments_.push_back({static_cast<std::uint32_t>(hypotheses_.size()),
-                       static_cast<std::uint32_t>(hypotheses.size()),
-                       start_seconds, duration_seconds});
+                       static_cast<std::uint32_t>(hypotheses.size())});
   hypotheses_.insert(hypotheses_.end(), hypotheses.begin(), hypotheses.end());
 }
 

@@ -30,8 +30,6 @@ struct PhoneHypothesis {
 struct LatticeSegment {
   std::uint32_t first = 0;  // Offset of the segment's hypotheses.
   std::uint32_t count = 0;  // Never 0 (see AddSegment).
-  double start_seconds = 0.0;
-  double duration_seconds = 0.0;
 };
 
 /// Appends the unit name of a phone n-gram, "p1_p2_...", to `out`.
@@ -41,8 +39,7 @@ class PhoneticLattice {
  public:
   /// Appends a segment whose hypotheses are ranked best-first. A segment
   /// without hypotheses is not added, so every segment has a best phone.
-  void AddSegment(double start_seconds, double duration_seconds,
-                  std::span<const PhoneHypothesis> hypotheses);
+  void AddSegment(std::span<const PhoneHypothesis> hypotheses);
 
   void Reserve(std::size_t segments, std::size_t hypotheses) {
     segments_.reserve(segments);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -43,81 +42,35 @@ lsm::MergeHooks RtsiIndex::MakeMergeHooks() {
   hooks.on_purged = [this](StreamId stream) {
     live_terms_.RemoveStream(stream);
   };
-  // Streams a merge consolidated into one residency leave the live-term
-  // table only once the merge output is published: until the swap,
-  // queries still walk the inputs, where only the table's totals score
-  // such a stream whole.
-  auto consolidated = std::make_shared<std::vector<StreamId>>();
-  hooks.on_stream = [this, consolidated](StreamId stream,
-                                         std::uint32_t copies,
-                                         const index::InvertedIndex& merged) {
-    // Register the stream on the (unpublished) merge output — its live
-    // freshness bumps the output's ceiling cell on the way. The input
-    // residencies stay until on_retired fires post-swap, so inserts keep
-    // bumping the still-query-visible inputs' ceilings. When the merge
-    // consolidated several of this stream's residencies into one and the
-    // stream stopped broadcasting, the per-component tf is the total and
-    // the live-term entries can go.
-    const auto [count, live] = streams_.MergeResidency(
-        stream, copies, merged.component_id(), merged.ceiling_cell());
-    if (copies > 1 && count <= 1 && !live) consolidated->push_back(stream);
+  // A new sealed component (frozen L0 run or merge output) registers a
+  // residency (stream -> ceiling cell) for each of its streams before it
+  // is query-visible; once it is published the retired inputs'
+  // residencies go and the stream's placement is re-decided.
+  hooks.on_stream = [this](StreamId stream,
+                           const index::InvertedIndex& component) {
+    streams_.AddSealedResidency(stream, component.component_id(),
+                                component.ceiling_cell());
   };
-  hooks.on_retired = [this](StreamId stream,
-                            const std::vector<ComponentId>& from) {
-    // The merge inputs left the component list: their ceiling cells can
-    // no longer reach a query, so the residency entries go.
-    streams_.DropResidency(stream, from);
-  };
-  hooks.on_cascade_step = [this, consolidated,
-                           observer = cascade_observer_] {
-    for (const StreamId stream : *consolidated) EvictIfConsolidated(stream);
-    consolidated->clear();
-    if (observer) observer();
-  };
-  hooks.on_frozen = [this](const index::InvertedIndex& frozen) {
-    // A new sealed component is about to become query-visible: register a
-    // residency (stream -> ceiling cell) for every distinct stream it
-    // holds, from the frozen postings themselves, so the set is exact
-    // whatever racing freezes did to the L0 epochs.
-    std::unordered_set<StreamId> streams;
-    frozen.ForEachTerm([&](TermId, const TermPostings& postings) {
-      for (const Posting& p : postings.entries()) streams.insert(p.stream);
-    });
-    for (const StreamId stream : streams) {
-      streams_.AddSealedResidency(stream, frozen.component_id(),
-                                  frozen.ceiling_cell());
+  hooks.on_settled = [this](StreamId stream,
+                            const std::vector<ComponentId>& retired_inputs) {
+    if (!retired_inputs.empty()) {
+      streams_.DropResidency(stream, retired_inputs);
     }
+    EvictIfConsolidated(stream);
   };
+  hooks.on_cascade_step = cascade_observer_;
   return hooks;
-}
-
-void RtsiIndex::DrainPendingFinished() {
-  // These streams finished with postings in L0, and the freeze that just
-  // published moved those postings into one sealed run. A stream that
-  // resumed since is back in L0 and stays queued for the next freeze.
-  std::vector<StreamId> pending;
-  {
-    std::lock_guard<std::mutex> lock(pending_mu_);
-    if (pending_finished_.empty()) return;
-    for (auto it = pending_finished_.begin(); it != pending_finished_.end();) {
-      if (tree_.StreamInL0(*it)) {
-        ++it;
-      } else {
-        pending.push_back(*it);
-        it = pending_finished_.erase(it);
-      }
-    }
-  }
-  for (const StreamId stream : pending) EvictIfConsolidated(stream);
 }
 
 void RtsiIndex::EvictIfConsolidated(StreamId stream) {
   // Under the stream's lock, so a window resuming the stream lands either
   // before the check (and blocks the eviction) or after the removal (and
-  // re-seeds the table) — never half-wiped in between.
+  // re-seeds the table) — never half-wiped in between. Every input is
+  // read together: liveness, the sealed residencies and the L0 stamp.
   std::lock_guard<std::mutex> lock(StreamMutex(stream));
-  if (!streams_.IsLive(stream) && streams_.GetComponentCount(stream) <= 1 &&
-      !tree_.StreamInL0(stream)) {
+  const index::StreamInfoTable::Placement placement =
+      streams_.GetPlacement(stream, tree_.l0_epoch());
+  if (!placement.live && placement.sealed <= 1 && !placement.in_l0) {
     live_terms_.RemoveStream(stream);
   }
 }
@@ -139,21 +92,18 @@ void RtsiIndex::InsertWindow(StreamId stream, Timestamp now,
     }
 
     const std::vector<TermFreq> totals = live_terms_.AddWindow(stream, terms);
+    bool appended = false;
     for (std::size_t i = 0; i < terms.size(); ++i) {
       const TermCount& tc = terms[i];
       if (tc.tf == 0) continue;
       if (totals[i] == tc.tf) df_.AddOccurrence(tc.term);  // First window.
-      // AddPosting marks the stream's L0-epoch presence atomically with the
-      // posting (under the term-shard lock), returning true on the stream's
-      // first posting of the epoch. Incrementing per true return means a
-      // freeze can never separate a mark from its posting, and a freeze
-      // splitting this window's postings across two epochs yields the
-      // correct two increments.
-      if (tree_.AddPosting(tc.term,
-                           Posting{stream, pop_snapshot, now, tc.tf})) {
-        streams_.IncrementComponentCount(stream);
-      }
+      tree_.AddPosting(tc.term, Posting{stream, pop_snapshot, now, tc.tf});
+      appended = true;
     }
+    // Stamp after the appends: a freeze racing them moves the epoch before
+    // this read, so the stamp can only be too high — which delays an
+    // eviction and never allows a wrong one.
+    if (appended) streams_.StampL0(stream, tree_.l0_epoch());
   }
 
   // Lines 4-7: when I0 exceeds delta, freeze it here, so I0 never grows
@@ -166,7 +116,6 @@ void RtsiIndex::InsertWindow(StreamId stream, Timestamp now,
     merge_executor_->Wait();
     const lsm::MergeHooks hooks = MakeMergeHooks();
     if (tree_.FreezeL0(hooks)) {
-      DrainPendingFinished();
       merge_executor_->Submit([this, hooks] { tree_.RunCascade(hooks); });
     }
   }
@@ -192,20 +141,9 @@ void RtsiIndex::SeedLiveTotals(StreamId stream) {
 
 void RtsiIndex::FinishStream(StreamId stream) {
   streams_.MarkFinished(stream);
-  if (streams_.GetComponentCount(stream) <= 1) {
-    bool in_l0 = false;
-    {
-      // Still has (possibly duplicate) postings in L0: queue the eviction
-      // for the next freeze. The check and the queueing share the drain's
-      // lock, so a freeze that empties L0 in between drains this stream.
-      std::lock_guard<std::mutex> lock(pending_mu_);
-      in_l0 = tree_.StreamInL0(stream);
-      if (in_l0) pending_finished_.insert(stream);
-    }
-    if (!in_l0) EvictIfConsolidated(stream);
-  }
-  // Streams spanning several components are evicted by the merge hook
-  // once consolidation brings them down to one residency.
+  // A stream still split across components, or with postings in L0, is
+  // evicted by the settle pass of the merge or freeze that consolidates it.
+  EvictIfConsolidated(stream);
 }
 
 void RtsiIndex::DeleteStream(StreamId stream) {

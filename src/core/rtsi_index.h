@@ -15,13 +15,15 @@
 //    frequencies of live (and not-yet-consolidated) streams, so scoring
 //    never visits multiple components.
 //
-// Consolidation invariant: a stream is present in the live-term table iff
-// it is live or its postings span more than one LSM component. Hence any
-// candidate not in the table has all its postings inside a single sealed
+// Consolidation invariant: a stream is absent from the live-term table
+// only if it is not live and all its postings sit in a single sealed
+// component of the published view. Queries read the table before they pin
+// a view, so any candidate not in the table is scored from that one
 // component, which makes per-component bounds and random accesses exact.
-// (One documented transient exception: a stream finished while its level-0
-// postings are being merged can momentarily evade the table; its score is
-// still computed exactly, only the pruning bound may be optimistic.)
+// One record says where a stream's postings are — its sealed residencies
+// plus its L0 stamp, in StreamInfoTable — and every eviction is decided
+// from it, under the stream's lock, after the freeze or merge it depends
+// on is published.
 
 #ifndef RTSI_CORE_RTSI_INDEX_H_
 #define RTSI_CORE_RTSI_INDEX_H_
@@ -32,7 +34,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -57,6 +58,7 @@ namespace rtsi::core {
 
 class RtsiIndex : public SearchIndex {
  public:
+  /// Requires config.lsm.Check() to pass (asserted in debug builds).
   explicit RtsiIndex(const RtsiConfig& config);
 
   /// Drains the merge thread.
@@ -183,23 +185,22 @@ class RtsiIndex : public SearchIndex {
   ScratchPool& scratch_pool() { return scratch_pool_; }
 
  private:
+  friend struct RtsiIndexTestPeer;
+
   lsm::MergeHooks MakeMergeHooks();
 
   /// Re-seeds the live-term table with a resuming stream's sealed totals.
   void SeedLiveTotals(StreamId stream);
 
   /// Drops a finished stream from the live-term table once all its
-  /// postings sit in one sealed component.
+  /// postings sit in one sealed component: not live, at most one sealed
+  /// residency (mid-merge the unpublished output counts too) and no L0
+  /// stamp in the current epoch, all read under the stream's lock.
   void EvictIfConsolidated(StreamId stream);
 
   std::mutex& StreamMutex(StreamId stream) {
     return stream_mu_[stream % stream_mu_.size()];
   }
-
-  /// After a freeze: evicts finished, now-consolidated streams from the
-  /// live-term table (queued by FinishStream while their postings were
-  /// still in L0), keeping those back in L0 queued.
-  void DrainPendingFinished();
 
   /// The one query walk behind ExecutePlan and ExplainQuery: phases 1-3
   /// into `sink`. `explain` (candidate counts, component fates) and
@@ -218,11 +219,9 @@ class RtsiIndex : public SearchIndex {
   index::StreamInfoTable streams_;
   index::LiveTermTable live_terms_;
   DocumentFrequencyTable df_;
-  std::mutex pending_mu_;
-  std::unordered_set<StreamId> pending_finished_;
   // Test seam: forwarded into MergeHooks::on_cascade_step at each merge.
   std::function<void()> cascade_observer_;
-  // Striped by stream: serializes a window's table/L0/count updates with
+  // Striped by stream: serializes a window's table/L0/stamp updates with
   // the eviction of the same stream from the live-term table.
   std::array<std::mutex, 64> stream_mu_;
   // Lifetime skip-planner counters (relaxed: statistics only).

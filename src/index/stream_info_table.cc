@@ -31,70 +31,27 @@ bool StreamInfoTable::OnInsert(StreamId stream, Timestamp frsh, bool live,
   return first_content;
 }
 
-void StreamInfoTable::IncrementComponentCount(StreamId stream) {
-  {
-    Shard& shard = ShardFor(stream);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    ++shard.map[stream].component_count;
-  }
-  BumpMaxStream(stream);
-}
-
 void StreamInfoTable::AddSealedResidency(StreamId stream,
                                          ComponentId component,
                                          const FreshnessCeilingPtr& cell) {
   if (cell == nullptr || component == kInvalidComponentId) return;
   Shard& shard = ShardFor(stream);
   std::lock_guard<std::mutex> lock(shard.mu);
+  auto it = shard.map.find(stream);
   // A deleted stream is never scored again, and MarkDeleted already
   // erased its residency: registering it would leak an orphan entry
   // (merges purge its postings without a de-registration hook).
-  auto [map_it, created] = shard.map.try_emplace(stream);
-  (void)created;
-  if (map_it->second.deleted) return;
+  if (it == shard.map.end() || it->second.deleted) return;
   // Fold the stream's current live freshness into the cell under the same
   // lock OnInsert bumps under: an insert serialized before this
   // registration contributed to info.frsh and is covered here; one
   // serialized after sees the entry and bumps the cell itself.
-  cell->Bump(map_it->second.frsh);
+  cell->Bump(it->second.frsh);
   std::vector<Residency>& entries = shard.residency[stream];
   for (const Residency& r : entries) {
     if (r.component == component) return;
   }
   entries.push_back({component, cell});
-}
-
-std::pair<std::uint32_t, bool> StreamInfoTable::MergeResidency(
-    StreamId stream, std::uint32_t copies, ComponentId to,
-    const FreshnessCeilingPtr& to_cell) {
-  Shard& shard = ShardFor(stream);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.map.find(stream);
-  if (it == shard.map.end()) return {0, false};
-  StreamInfo& info = it->second;
-  // `copies` residencies became one in the merge output.
-  for (std::uint32_t c = 1; c < copies && info.component_count > 0; ++c) {
-    --info.component_count;
-  }
-  // A deleted stream is never scored again; MarkDeleted erased its
-  // residency and re-registering here would leak an orphan entry (later
-  // merges purge its postings without calling the hook again).
-  if (info.deleted) return {info.component_count, false};
-
-  // Register the (unpublished) merge output so inserts from here on bump
-  // its ceiling cell too. The input residencies stay: the inputs remain
-  // query-visible until the component swap, so they must keep receiving
-  // bumps — DropResidency retires them once the swap is done.
-  if (to != kInvalidComponentId && to_cell != nullptr) {
-    to_cell->Bump(info.frsh);
-    std::vector<Residency>& entries = shard.residency[stream];
-    bool have_to = false;
-    for (const Residency& r : entries) {
-      have_to = have_to || r.component == to;
-    }
-    if (!have_to) entries.push_back({to, to_cell});
-  }
-  return {info.component_count, info.live};
 }
 
 void StreamInfoTable::DropResidency(StreamId stream,
@@ -129,11 +86,25 @@ std::vector<ComponentId> StreamInfoTable::GetResidency(
   return out;
 }
 
-std::uint32_t StreamInfoTable::GetComponentCount(StreamId stream) const {
-  const Shard& shard = ShardFor(stream);
+void StreamInfoTable::StampL0(StreamId stream, std::uint32_t l0_epoch) {
+  Shard& shard = ShardFor(stream);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.map.find(stream);
-  return it == shard.map.end() ? 0 : it->second.component_count;
+  if (it != shard.map.end()) it->second.l0_stamp = l0_epoch;
+}
+
+StreamInfoTable::Placement StreamInfoTable::GetPlacement(
+    StreamId stream, std::uint32_t l0_epoch) const {
+  const Shard& shard = ShardFor(stream);
+  std::lock_guard<std::mutex> lock(shard.mu);
+  Placement placement;
+  auto it = shard.map.find(stream);
+  if (it == shard.map.end()) return placement;
+  placement.live = it->second.live && !it->second.deleted;
+  placement.in_l0 = it->second.l0_stamp == l0_epoch;
+  auto res = shard.residency.find(stream);
+  if (res != shard.residency.end()) placement.sealed = res->second.size();
+  return placement;
 }
 
 bool StreamInfoTable::IsLive(StreamId stream) const {

@@ -2,8 +2,10 @@
 //
 // Keyed by StreamId only — |P| entries, independent of the number of terms
 // — holding the mutable score ingredients: the popularity counter and the
-// freshness timestamp, plus liveness and lazy-deletion flags. Sharded
-// mutexes allow concurrent updates with queries. Contrast with LSII's big
+// freshness timestamp, plus liveness and lazy-deletion flags. It is also
+// the one record of where a stream's postings live: its sealed-component
+// residencies and its L0 stamp (GetPlacement). Sharded mutexes allow
+// concurrent updates with queries. Contrast with LSII's big
 // table (baseline/big_table.h) which additionally stores every (stream,
 // term) frequency.
 
@@ -25,7 +27,10 @@ namespace rtsi::index {
 struct StreamInfo {
   std::uint64_t pop_count = 0;  // Play counter / likes (raw popularity).
   Timestamp frsh = 0;           // Timestamp of the latest content window.
-  std::uint32_t component_count = 0;  // LSM components holding postings.
+  std::uint32_t l0_stamp = 0;   // LsmTree::l0_epoch() read after the
+                                // stream's latest postings reached L0;
+                                // equal to the current epoch iff L0 may
+                                // still hold some (0: never in L0).
   bool content_seen = false;    // At least one window was indexed
                                 // (distinguishes real documents from
                                 // metadata-only entries created by early
@@ -36,6 +41,9 @@ struct StreamInfo {
                                 // resurrect the stream into the live set.
   bool deleted = false;         // Lazy deletion tombstone.
 };
+
+// Get() copies the record for every sealed-walk candidate.
+static_assert(sizeof(StreamInfo) == 24, "StreamInfo grew");
 
 class StreamInfoTable {
  public:
@@ -52,52 +60,43 @@ class StreamInfoTable {
   bool OnInsert(StreamId stream, Timestamp frsh, bool live,
                 std::uint64_t* pop_count = nullptr);
 
-  /// Increments the number of LSM components holding the stream's
-  /// postings (first posting in a fresh L0 epoch).
-  void IncrementComponentCount(StreamId stream);
-
   /// Records that sealed component `component` holds postings of `stream`
   /// and hands the stream a reference to the component's live-freshness
   /// ceiling cell, which every subsequent OnInsert bumps. The cell is
   /// immediately raised to the stream's current live freshness, so an
   /// insert that raced ahead of the registration is still covered.
-  /// Idempotent per (stream, component); no-op for deleted streams
-  /// (their residency was erased by MarkDeleted and re-adding it would
-  /// leak). Does not touch component_count (the L0-epoch increment
-  /// already accounted for this residency).
+  /// Called before the component becomes query-visible (a freeze, or a
+  /// merge output while its inputs are still published). Idempotent per
+  /// (stream, component); no-op for unknown or deleted streams (a
+  /// deleted stream's residency was erased by MarkDeleted and re-adding
+  /// it would leak, since later merges purge its postings without
+  /// another hook call).
   void AddSealedResidency(StreamId stream, ComponentId component,
                           const FreshnessCeilingPtr& cell);
 
-  /// Pre-publication merge bookkeeping, all under one shard lock:
-  /// registers the merge output `to` (bumping its cell to the stream's
-  /// live freshness) and debits the component count by `copies - 1` —
-  /// the N-way merge consolidated `copies` of the stream's residencies
-  /// into one. The input residencies are deliberately NOT dropped here:
-  /// the inputs stay query-visible (in the published IndexView, and in
-  /// any older views still pinned) until the output is swapped in, and
-  /// they must keep receiving ceiling bumps for that whole window or a
-  /// query pinning such a view could prune with a ceiling below the
-  /// stream's live freshness. DropResidency removes them after the swap.
-  /// Deleted streams get the count update but no registration (their
-  /// residency was erased by MarkDeleted; re-adding it would leak, since
-  /// later merges purge their postings without another hook call).
-  /// Returns the new count and whether the stream is still live
-  /// (live-table eviction decision).
-  std::pair<std::uint32_t, bool> MergeResidency(
-      StreamId stream, std::uint32_t copies, ComponentId to,
-      const FreshnessCeilingPtr& to_cell);
-
   /// Post-publication merge bookkeeping: drops the stream's residency
   /// entries for the retired merge inputs `from`, now no longer
-  /// query-visible. Inputs the stream never resided in are skipped.
-  /// No-op for unknown streams or absent entries.
+  /// query-visible. Until then they stay registered: the inputs are
+  /// served by the published view (and older pinned ones) for the whole
+  /// merge, so they must keep receiving ceiling bumps. Inputs the stream
+  /// never resided in are skipped; no-op for unknown streams.
   void DropResidency(StreamId stream, const std::vector<ComponentId>& from);
+
+  /// Records that the stream's latest postings reached L0 in epoch
+  /// `l0_epoch` (LsmTree::l0_epoch(), read after the appends).
+  void StampL0(StreamId stream, std::uint32_t l0_epoch);
+
+  /// Where a stream's postings live, read under one shard lock.
+  struct Placement {
+    bool live = false;       // Live and not deleted.
+    std::size_t sealed = 0;  // Residency entries. Mid-merge this counts
+                             // the inputs and the unpublished output.
+    bool in_l0 = false;      // L0 stamp equals the current epoch.
+  };
+  Placement GetPlacement(StreamId stream, std::uint32_t l0_epoch) const;
 
   /// Component ids the stream currently resides in (test introspection).
   std::vector<ComponentId> GetResidency(StreamId stream) const;
-
-  /// Current component count (0 for unknown streams).
-  std::uint32_t GetComponentCount(StreamId stream) const;
 
   bool IsLive(StreamId stream) const;
 

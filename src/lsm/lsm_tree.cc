@@ -1,6 +1,9 @@
 #include "lsm/lsm_tree.h"
 
 #include <algorithm>
+#include <cassert>
+#include <string>
+#include <unordered_set>
 
 namespace rtsi::lsm {
 
@@ -51,9 +54,19 @@ bool PlanCascadeStep(const std::vector<Runs>& levels, double delta,
 
 }  // namespace
 
+Status LsmTree::Config::Check() const {
+  if (delta == 0 || !(rho > 1.0)) {
+    return Status::InvalidArgument(
+        "lsm config: need delta >= 1 and rho > 1, got delta " +
+        std::to_string(delta) + " rho " + std::to_string(rho));
+  }
+  return Status::Ok();
+}
+
 LsmTree::LsmTree(const Config& config)
     : config_(config),
       view_gauge_(std::make_shared<std::atomic<std::int64_t>>(0)) {
+  assert(config.Check().ok());
   l0_shards_.reserve(kL0Shards);
   for (std::size_t i = 0; i < kL0Shards; ++i) {
     auto shard = std::make_unique<L0Shard>();
@@ -61,10 +74,6 @@ LsmTree::LsmTree(const Config& config)
         WindowArena::kDefaultSlabBytes, mem_tracker_);
     shard->index.set_arena(shard->arena.get());
     l0_shards_.push_back(std::move(shard));
-  }
-  stream_seen_.reserve(kL0Shards);
-  for (std::size_t i = 0; i < kL0Shards; ++i) {
-    stream_seen_.push_back(std::make_unique<StreamSeenShard>());
   }
   // Publish the empty epoch-0 view so PinView() never returns null.
   auto gauge = view_gauge_;
@@ -75,34 +84,13 @@ LsmTree::LsmTree(const Config& config)
   }));
 }
 
-bool LsmTree::AddPosting(TermId term, const Posting& posting) {
+void LsmTree::AddPosting(TermId term, const Posting& posting) {
   L0Shard& shard = *l0_shards_[term % l0_shards_.size()];
-  bool first_in_epoch = false;
-  {
-    std::unique_lock<std::shared_mutex> lock(shard.mu);
-    shard.index.Add(term, posting);
-    // Mark the stream while the term-shard lock is held: FreezeL0 drains
-    // under *every* shard lock, so the posting and its epoch mark cannot
-    // be split across a freeze (the historical mark-then-add race put the
-    // posting in the new epoch with StreamInL0() false and the stream's
-    // component count short by one). Lock order term-shard -> seen-shard
-    // matches FreezeL0, which clears the seen sets while still holding
-    // all term-shard locks.
-    StreamSeenShard& seen =
-        *stream_seen_[posting.stream % stream_seen_.size()];
-    std::lock_guard<std::mutex> seen_lock(seen.mu);
-    first_in_epoch = seen.seen.insert(posting.stream).second;
-    // Counter bump inside the lock too: a freeze zeroes it under all
-    // shard locks, so every bump lands on the same side as its posting.
-    l0_postings_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return first_in_epoch;
-}
-
-bool LsmTree::StreamInL0(StreamId stream) const {
-  StreamSeenShard& shard = *stream_seen_[stream % stream_seen_.size()];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  return shard.seen.count(stream) > 0;
+  std::unique_lock<std::shared_mutex> lock(shard.mu);
+  shard.index.Add(term, posting);
+  // Counter bump inside the lock: a freeze zeroes it under all shard
+  // locks, so every bump lands on the same side as its posting.
+  l0_postings_.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::vector<std::shared_ptr<const InvertedIndex>> LsmTree::SealedSnapshot()
@@ -171,15 +159,24 @@ void LsmTree::ErasePendingLocked(const InvertedIndex* component) {
 }
 
 bool LsmTree::FreezeL0(const MergeHooks& hooks) {
+  std::vector<StreamId> streams;
   {
     std::lock_guard<std::mutex> merge_lock(merge_mu_);
-    if (!NeedsMerge() || !FreezeL0Locked(hooks)) return false;
+    if (!NeedsMerge() || !FreezeL0Locked(hooks, &streams)) return false;
+  }
+  // The frozen run is published and the L0 epoch has moved on. No L0
+  // lock is held: the owner's settle pass takes per-stream locks that
+  // its inserts hold while appending to L0.
+  if (hooks.on_settled) {
+    const std::vector<ComponentId> no_inputs;
+    for (const StreamId stream : streams) hooks.on_settled(stream, no_inputs);
   }
   if (hooks.on_cascade_step) hooks.on_cascade_step();
   return true;
 }
 
-bool LsmTree::FreezeL0Locked(const MergeHooks& hooks) {
+bool LsmTree::FreezeL0Locked(const MergeHooks& hooks,
+                             std::vector<StreamId>* streams) {
   // Take every shard lock in a fixed order, then drain.
   std::vector<std::unique_lock<std::shared_mutex>> locks;
   locks.reserve(l0_shards_.size());
@@ -199,10 +196,6 @@ bool LsmTree::FreezeL0Locked(const MergeHooks& hooks) {
     // view and re-published to erase it, so readers pinning the
     // intermediate epoch saw a permanently empty component and the epoch
     // advanced twice for a no-op.
-    for (auto& seen_shard : stream_seen_) {
-      std::lock_guard<std::mutex> lock(seen_shard->mu);
-      seen_shard->seen.clear();
-    }
     l0_postings_.store(0, std::memory_order_relaxed);
     return false;
   }
@@ -240,13 +233,20 @@ bool LsmTree::FreezeL0Locked(const MergeHooks& hooks) {
                        std::make_shared<index::FreshnessCeiling>());
   frozen->BuildSkipHeader();
   frozen->AttachSkipHeaderGauge(mem_tracker_);
-  // Residency registration must complete before the component is
-  // query-visible; the held L0 shard locks block any racing insert from
-  // slipping a window between registration and visibility.
-  if (hooks.on_frozen) hooks.on_frozen(*frozen);
-  for (auto& seen_shard : stream_seen_) {
-    std::lock_guard<std::mutex> lock(seen_shard->mu);
-    seen_shard->seen.clear();
+  // Report every distinct stream of the frozen postings before the run
+  // is query-visible, so the owner's residency registration is exact
+  // whatever racing freezes did; the held L0 shard locks keep any insert
+  // from slipping a window between registration and visibility.
+  if (hooks.on_stream || hooks.on_settled) {
+    std::unordered_set<StreamId> seen;
+    frozen->ForEachTerm([&](TermId, const index::TermPostings& postings) {
+      for (const Posting& p : postings.entries()) {
+        if (seen.insert(p.stream).second) streams->push_back(p.stream);
+      }
+    });
+    if (hooks.on_stream) {
+      for (const StreamId stream : *streams) hooks.on_stream(stream, *frozen);
+    }
   }
   l0_postings_.store(0, std::memory_order_relaxed);
   {
@@ -258,6 +258,9 @@ bool LsmTree::FreezeL0Locked(const MergeHooks& hooks) {
     InstallRunLocked(std::move(frozen), 0);
     PublishLocked();
   }
+  // A new epoch, after the publish: whoever reads it has the drained
+  // postings' run in the published view.
+  l0_epoch_.fetch_add(1, std::memory_order_acq_rel);
   return true;
 }
 
@@ -297,7 +300,7 @@ void LsmTree::RunCascade(const MergeHooks& hooks) {
     const std::shared_ptr<InvertedIndex> merged = CombineComponents(
         raw_inputs, out_level, config_.compress, hooks, &stats,
         AllocateComponentId(), std::make_shared<index::FreshnessCeiling>(),
-        hooks.on_retired ? &surviving : nullptr, &scratch);
+        hooks.on_settled ? &surviving : nullptr, &scratch);
     merged->AttachSkipHeaderGauge(mem_tracker_);
 
     {
@@ -310,17 +313,17 @@ void LsmTree::RunCascade(const MergeHooks& hooks) {
       if (!merged->empty()) InstallRunLocked(merged, out_level);
       PublishLocked();
     }
-    // The inputs just left the published view: retire their residencies
-    // so inserts stop bumping dead ceiling cells. Ordering (only after
-    // the swap) is what keeps queries pinned to the old view sound.
-    if (hooks.on_retired) {
+    // The inputs just left the published view: the owner retires their
+    // residencies (only now, which keeps queries pinned to the old view
+    // sound) and re-decides each stream's placement.
+    if (hooks.on_settled) {
       std::vector<ComponentId> from;
       from.reserve(inputs.size());
       for (const auto& input : inputs) {
         from.push_back(input->component_id());
       }
       for (const StreamId stream : surviving) {
-        hooks.on_retired(stream, from);
+        hooks.on_settled(stream, from);
       }
     }
     if (hooks.on_cascade_step) hooks.on_cascade_step();

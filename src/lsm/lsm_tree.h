@@ -35,7 +35,6 @@
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
-#include <unordered_set>
 #include <vector>
 
 #include "common/atomic_shared_ptr.h"
@@ -50,34 +49,41 @@ namespace rtsi::lsm {
 
 class LsmTree {
  public:
-  /// The paper's knobs. The cascade settles only when delta >= 1 and
-  /// rho > 1: otherwise every non-empty level is over capacity and each
-  /// step opens a deeper one, forever.
+  /// The paper's knobs.
   struct Config {
     std::size_t delta = 64 * 1024;  // I0 capacity, in postings.
     double rho = 4.0;               // Size ratio between adjacent levels.
     bool compress = false;          // Huffman-compress merged components.
+
+    /// InvalidArgument unless the cascade settles: delta >= 1 and
+    /// rho > 1 (a NaN rho fails too). Otherwise every non-empty level is
+    /// over capacity and each step opens a deeper one, forever. Paths
+    /// that can return a status (snapshot load, DurableIndex::Open,
+    /// IndexShardSet::Open) check it; the in-memory constructors take
+    /// it as a precondition, asserted in debug builds.
+    Status Check() const;
   };
 
-  /// Term shards of L0 (and stream shards of its epoch marks).
+  /// Term shards of L0.
   static constexpr std::size_t kL0Shards = 16;
 
+  /// Requires config.Check() to pass (asserted in debug builds).
   explicit LsmTree(const Config& config);
 
   LsmTree(const LsmTree&) = delete;
   LsmTree& operator=(const LsmTree&) = delete;
 
-  /// Appends one posting to the term's level-0 list and records the
-  /// posting's stream as present in the current L0 epoch; returns true on
-  /// the stream's first posting since the last freeze (the caller uses
-  /// this to maintain per-stream component counts). Marking happens under
-  /// the term-shard lock, so mark+add is atomic w.r.t. FreezeL0 (which
-  /// holds every shard lock): the posting and its epoch mark always land
-  /// on the same side of a freeze. Thread-safe.
-  bool AddPosting(TermId term, const index::Posting& posting);
+  /// Appends one posting to the term's level-0 list. Thread-safe.
+  void AddPosting(TermId term, const index::Posting& posting);
 
-  /// True when `stream` has postings in the current L0 epoch.
-  bool StreamInL0(StreamId stream) const;
+  /// The current L0 epoch: 1 at birth, bumped by every freeze under all
+  /// L0 shard locks, after the frozen component is published. A caller
+  /// that reads it after appending postings gets the epoch of the L0
+  /// they landed in, or a later one if a freeze raced the read: a stamp
+  /// taken this way is never too low.
+  std::uint32_t l0_epoch() const {
+    return l0_epoch_.load(std::memory_order_acquire);
+  }
 
   bool NeedsMerge() const {
     return l0_postings_.load(std::memory_order_relaxed) > config_.delta;
@@ -85,8 +91,9 @@ class LsmTree {
 
   /// If I0 is over capacity, freezes L0 into a sealed run appended to
   /// level 0 and publishes it; returns whether it froze. The run gets a
-  /// fresh id and ceiling cell, `hooks.on_frozen` runs before it becomes
-  /// query-visible and `hooks.on_cascade_step` (if set) after. Nothing is
+  /// fresh id and ceiling cell; `hooks.on_stream` runs for each of its
+  /// streams before it becomes query-visible, and `hooks.on_settled`
+  /// and `hooks.on_cascade_step` after, with no L0 lock held. Nothing is
   /// published when L0 holds no postings (a drifted l0_postings_ counter,
   /// which is reset so NeedsMerge() stops firing). Serialized with other
   /// freezes and with RunCascade.
@@ -95,8 +102,10 @@ class LsmTree {
   /// Executes Algorithm 1's cascade steps until every level fits its
   /// capacity. Queries proceed concurrently against whatever view they
   /// pinned, and inserts against L0.
-  /// `hooks.on_cascade_step` (if set) fires after every published step
-  /// with no structural or L0 lock held.
+  /// Each step reports its output's streams to `hooks.on_stream` before
+  /// publication and to `hooks.on_settled` after; `hooks.on_cascade_step`
+  /// (if set) fires after every published step with no structural or L0
+  /// lock held.
   void RunCascade(const MergeHooks& hooks);
 
   /// FreezeL0, then RunCascade if it froze: the whole of Algorithm 1's
@@ -211,17 +220,13 @@ class LsmTree {
     index::InvertedIndex index{0};
   };
 
-  struct StreamSeenShard {
-    std::mutex mu;
-    std::unordered_set<StreamId> seen;
-  };
-
   /// runs[l] holds every sealed run whose level() == l, oldest first.
   using LevelRuns =
       std::vector<std::vector<std::shared_ptr<const index::InvertedIndex>>>;
 
-  /// FreezeL0's body. Requires merge_mu_.
-  bool FreezeL0Locked(const MergeHooks& hooks);
+  /// FreezeL0's body; fills `streams` with the frozen run's distinct
+  /// streams when the hooks track streams. Requires merge_mu_.
+  bool FreezeL0Locked(const MergeHooks& hooks, std::vector<StreamId>* streams);
 
   /// Builds the view implied by levels_ + pending_, bumps the epoch, and
   /// publishes it; components that just left the view are recorded in the
@@ -252,8 +257,8 @@ class LsmTree {
   // inside a stack-allocated tree would be confused with whatever later
   // reuses that stack (false lock-order reports).
   std::vector<std::unique_ptr<L0Shard>> l0_shards_;
-  std::vector<std::unique_ptr<StreamSeenShard>> stream_seen_;
   std::atomic<std::size_t> l0_postings_{0};
+  std::atomic<std::uint32_t> l0_epoch_{1};
 
   // Writer-side structural state; readers go through view_ only.
   mutable std::mutex components_mu_;  // Guards levels_/pending_/publish.

@@ -58,17 +58,13 @@ std::shared_ptr<InvertedIndex> CombineComponents(
   auto merged = std::make_shared<InvertedIndex>(out_level);
   merged->AdoptCeiling(out_id, std::move(out_cell));
 
-  // Per-input surviving-stream sets; input_streams[i] collects every
-  // stream input i holds a posting for. A stream's `copies` is how many
-  // of these sets contain it.
-  std::vector<ArenaSet<StreamId>> input_streams;
-  input_streams.reserve(inputs.size());
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    input_streams.emplace_back(ArenaAllocator<StreamId>(scratch));
-  }
+  // Every distinct stream with a surviving posting, for the owner's
+  // stream bookkeeping.
+  ArenaSet<StreamId> streams{ArenaAllocator<StreamId>(scratch)};
   ArenaSet<TermId> seen_terms{ArenaAllocator<TermId>(scratch)};
   DeletionCache deleted(hooks.is_deleted, hooks.on_purged);
-  const bool track_streams = static_cast<bool>(hooks.on_stream);
+  const bool track_streams =
+      static_cast<bool>(hooks.on_stream) || surviving != nullptr;
 
   // One pass per input i, in order: every term first seen at input i is
   // joined with the matching postings of every later input (looked up by
@@ -84,21 +80,21 @@ std::shared_ptr<InvertedIndex> CombineComponents(
       if (i > 0 && seen_terms.count(term) > 0) return;
       seen_terms.insert(term);
       TermPostings out(scratch);
-      const auto take = [&](const TermPostings& in, std::size_t k) {
+      const auto take = [&](const TermPostings& in) {
         for (const Posting& p : in.entries()) {
-          if (track_streams) input_streams[k].insert(p.stream);
           if (deleted(p.stream)) {
             if (stats != nullptr) ++stats->purged_postings;
             continue;
           }
+          if (track_streams) streams.insert(p.stream);
           out.Append(p);
         }
         if (stats != nullptr) stats->postings_in += in.size();
       };
-      take(postings_i, i);
+      take(postings_i);
       for (std::size_t j = i + 1; j < inputs.size(); ++j) {
         const index::TermPostingsView view_j = inputs[j]->View(term);
-        if (view_j) take(*view_j, j);
+        if (view_j) take(*view_j);
       }
       if (out.empty()) return;
       const std::size_t appended = out.size();
@@ -111,41 +107,14 @@ std::shared_ptr<InvertedIndex> CombineComponents(
     });
   }
 
-  // Stream-level bookkeeping for the owner (component counts, residency
-  // registration on `merged`, live table). Each surviving stream's
+  // Stream-level bookkeeping for the owner: each surviving stream's
   // residency gains the output's ceiling cell here, *before* the output
   // inherits the inputs' ceilings below and before the swap publishes it.
-  // The input residencies are NOT dropped yet — the inputs stay
-  // query-visible (published view, plus any older pinned views) until the
-  // swap, and an insert in that window must keep bumping their cells or a
-  // query holding such a view would prune with a ceiling below the
-  // stream's live freshness.
-  // The owner retires them via `on_retired` after the swap, using the
-  // `surviving` list collected here.
-  if (track_streams) {
-    const auto survive = [&](StreamId stream, std::uint32_t copies) {
-      hooks.on_stream(stream, copies, *merged);
-      if (surviving != nullptr) surviving->push_back(stream);
-    };
-    // Each stream is reported once, from the first input holding it; the
-    // later sets only contribute to its copy count.
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-      for (const StreamId stream : input_streams[i]) {
-        bool reported = false;
-        for (std::size_t k = 0; k < i; ++k) {
-          if (input_streams[k].count(stream) > 0) {
-            reported = true;
-            break;
-          }
-        }
-        if (reported || deleted(stream)) continue;  // on_purged already fired.
-        std::uint32_t copies = 1;
-        for (std::size_t j = i + 1; j < inputs.size(); ++j) {
-          if (input_streams[j].count(stream) > 0) ++copies;
-        }
-        survive(stream, copies);
-      }
-    }
+  // The owner retires the input residencies via `on_settled` after the
+  // swap, using the `surviving` list collected here.
+  for (const StreamId stream : streams) {
+    if (hooks.on_stream) hooks.on_stream(stream, *merged);
+    if (surviving != nullptr) surviving->push_back(stream);
   }
   for (const InvertedIndex* input : inputs) {
     merged->BumpCeiling(input->LiveFrshCeiling());
@@ -161,18 +130,6 @@ std::shared_ptr<InvertedIndex> CombineComponents(
     stats->total_micros += watch.ElapsedMicros();
   }
   return merged;
-}
-
-std::shared_ptr<InvertedIndex> CombineComponents(
-    const InvertedIndex& a, const InvertedIndex* b, int out_level,
-    bool compress, const MergeHooks& hooks, MergeStats* stats,
-    ComponentId out_id, index::FreshnessCeilingPtr out_cell,
-    std::vector<StreamId>* surviving, WindowArena* scratch) {
-  std::vector<const InvertedIndex*> inputs;
-  inputs.push_back(&a);
-  if (b != nullptr) inputs.push_back(b);
-  return CombineComponents(inputs, out_level, compress, hooks, stats, out_id,
-                           std::move(out_cell), surviving, scratch);
 }
 
 }  // namespace rtsi::lsm

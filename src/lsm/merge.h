@@ -8,8 +8,8 @@
 // here (lazy deletion). Merges are N-way: a cascade step folds every run
 // of the overflowing level and the next — the classic two in steady
 // state, more after a snapshot restored mid-cascade — in one pass.
-// Hooks let the owning index maintain per-stream component counts and the
-// live-term table.
+// Hooks let the owning index keep its record of where each stream's
+// postings live, and the live-term table, in step with the structure.
 
 #ifndef RTSI_LSM_MERGE_H_
 #define RTSI_LSM_MERGE_H_
@@ -32,36 +32,24 @@ struct MergeHooks {
   /// Called once per stream whose postings were purged by this merge.
   std::function<void(StreamId stream)> on_purged;
 
-  /// Called once per distinct surviving stream seen during the merge,
-  /// after all postings are combined and before the output is published.
-  /// `copies` is the number of merge inputs holding postings of the
-  /// stream (>= 1): the merge consolidated `copies` residencies into one,
-  /// so the stream's component count drops by `copies - 1`. `merged` is
-  /// the output component (already carrying its id and live-freshness
-  /// ceiling cell), so the owner can transfer the stream's component
-  /// residency while pinned views keep serving queries against the
-  /// inputs. Leave unset to skip stream tracking entirely (the tracking
-  /// itself costs one hash-set insert per posting).
-  std::function<void(StreamId stream, std::uint32_t copies,
-                     const index::InvertedIndex& merged)>
+  /// Called once per distinct surviving stream of a new sealed component
+  /// — a frozen L0 run or a merge output — before it is published.
+  /// `component` already carries its id and live-freshness ceiling cell,
+  /// so the owner can register the stream's residency while the view
+  /// still serves L0 or the merge inputs. In a freeze it runs under every
+  /// L0 shard lock, so no insert can race.
+  std::function<void(StreamId stream, const index::InvertedIndex& component)>
       on_stream;
 
-  /// Called by the owning LSM-tree once per distinct surviving stream
-  /// *after* the merge output replaced its inputs in the published view
-  /// (the inputs are no longer query-visible): the owner drops the
-  /// stream's residency entries for the retired input components `from`.
-  /// Until this fires the input residencies must stay registered, so
-  /// inserts keep bumping the inputs' live-freshness ceilings and queries
-  /// still pinning a pre-swap view prune soundly for the whole merge
-  /// window.
-  std::function<void(StreamId stream, const std::vector<ComponentId>& from)>
-      on_retired;
-
-  /// Called inside an L0 freeze — after the frozen component is sealed
-  /// and given its identity/ceiling cell, before it becomes query-visible
-  /// (still under every L0 shard lock, so no insert can race). The owner
-  /// registers component residency for every stream in the frozen data.
-  std::function<void(const index::InvertedIndex& frozen)> on_frozen;
+  /// Called again for each of those streams once the component is
+  /// published, with no L0 lock held. `retired_inputs` are the merge
+  /// inputs that just left the view (empty for a freeze): the owner drops
+  /// the stream's residencies for them — until now they had to stay
+  /// registered, so inserts kept bumping the ceilings of inputs that
+  /// queries could still pin — and re-decides the stream's placement.
+  std::function<void(StreamId stream,
+                     const std::vector<ComponentId>& retired_inputs)>
+      on_settled;
 
   /// Called after every published structural step — the L0 freeze (by
   /// FreezeL0, on the freezing thread) and each merge swap (by
@@ -101,9 +89,9 @@ struct MergeStats {
 /// live-freshness ceiling cell (allocated by the owning LsmTree); the
 /// output's ceiling additionally inherits every input's ceiling. Tests
 /// may omit them — the output then has no ceiling cell and queries fall
-/// back to the global freshness maximum. When `surviving` is non-null
-/// and stream tracking is on, it receives every distinct surviving
-/// stream, so the caller can run the post-publication `on_retired` pass.
+/// back to the global freshness maximum. When `surviving` is non-null it
+/// receives every distinct surviving stream, so the caller can run the
+/// post-publication `on_settled` pass.
 /// `scratch` (optional) backs the merge's transient state — per-term
 /// consolidation maps, ordering buffers, unsealed output vectors, stream
 /// sets — so the allocation churn recycles through the arena's free
@@ -115,16 +103,6 @@ std::shared_ptr<index::InvertedIndex> CombineComponents(
     const std::vector<const index::InvertedIndex*>& inputs, int out_level,
     bool compress, const MergeHooks& hooks, MergeStats* stats,
     ComponentId out_id = kInvalidComponentId,
-    index::FreshnessCeilingPtr out_cell = nullptr,
-    std::vector<StreamId>* surviving = nullptr,
-    WindowArena* scratch = nullptr);
-
-/// Two-way convenience wrapper (the historical signature; `b` may be
-/// null). Kept for tests and callers that merge exactly one pair.
-std::shared_ptr<index::InvertedIndex> CombineComponents(
-    const index::InvertedIndex& a, const index::InvertedIndex* b,
-    int out_level, bool compress, const MergeHooks& hooks,
-    MergeStats* stats, ComponentId out_id = kInvalidComponentId,
     index::FreshnessCeilingPtr out_cell = nullptr,
     std::vector<StreamId>* surviving = nullptr,
     WindowArena* scratch = nullptr);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cstdlib>
 #include <limits>
 #include <optional>
 #include <sstream>
@@ -51,26 +50,41 @@ std::string ResultsToJson(
   return out.str();
 }
 
+/// `text` as a T: nullopt unless the whole of it is a decimal integer
+/// that fits (no sign for unsigned T, no spaces, no trailing bytes).
+template <typename T>
+std::optional<T> ParseDecimal(const std::string& text) {
+  const char* const end = text.data() + text.size();
+  T value = 0;
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
 /// The integer query parameter `key`: `default_value` when absent,
 /// nullopt unless the whole value is a decimal integer in [lo, hi].
 std::optional<int> QueryInt(const HttpRequest& request, const char* key,
                             int default_value, int lo, int hi) {
   const auto it = request.query.find(key);
   if (it == request.query.end()) return default_value;
-  const std::string& text = it->second;
-  const char* const end = text.data() + text.size();
-  int value = 0;
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc() || ptr != end || value < lo || value > hi) {
-    return std::nullopt;
-  }
+  const std::optional<int> value = ParseDecimal<int>(it->second);
+  if (!value || *value < lo || *value > hi) return std::nullopt;
   return value;
 }
 
-/// The `k` of /search and /live: 10 when absent, nullopt unless it is a
-/// decimal integer in [1, kMaxK].
+const std::string kBadStream =
+    "stream must be a decimal integer in [0, " +
+    std::to_string(std::numeric_limits<StreamId>::max()) + "]";
+
+HttpResponse BadStream() {
+  return HttpResponse{400, "application/json",
+                      "{\"error\":\"" + kBadStream + "\"}\n"};
+}
+
+/// The `k` of /search and /live: kDefaultK when absent, nullopt unless
+/// it is a decimal integer in [1, kMaxK].
 std::optional<int> QueryK(const HttpRequest& request) {
-  return QueryInt(request, "k", 10, 1, kMaxK);
+  return QueryInt(request, "k", service::kDefaultK, 1, kMaxK);
 }
 
 HttpResponse BadK() {
@@ -103,8 +117,13 @@ ParsedIngest ParseIngest(const HttpRequest& request) {
   const std::string words = QueryString(request, "words");
   const std::string stream = QueryString(request, "stream");
   if (!words.empty() && !stream.empty()) {
+    const std::optional<StreamId> id = ParseDecimal<StreamId>(stream);
+    if (!id) {
+      parsed.error = kBadStream;
+      return parsed;
+    }
     service::IngestOp op;
-    op.stream = std::strtoull(stream.c_str(), nullptr, 10);
+    op.stream = *id;
     op.words = SplitWords(words);
     op.live = live;
     parsed.words += op.words.size();
@@ -119,8 +138,13 @@ ParsedIngest ParseIngest(const HttpRequest& request) {
       parsed.error = "body line needs STREAM followed by words";
       return parsed;
     }
+    const std::optional<StreamId> id = ParseDecimal<StreamId>(tokens[0]);
+    if (!id) {
+      parsed.error = "body line: " + kBadStream;
+      return parsed;
+    }
     service::IngestOp op;
-    op.stream = std::strtoull(tokens[0].c_str(), nullptr, 10);
+    op.stream = *id;
     op.words.assign(tokens.begin() + 1, tokens.end());
     op.live = live;
     parsed.words += op.words.size();
@@ -250,7 +274,9 @@ void RegisterSearchRoutes(HttpServerBase& http,
       return HttpResponse{400, "application/json",
                           "{\"error\":\"need stream\"}\n"};
     }
-    service.FinishStream(std::strtoull(stream.c_str(), nullptr, 10));
+    const std::optional<StreamId> id = ParseDecimal<StreamId>(stream);
+    if (!id) return BadStream();
+    service.FinishStream(*id);
     return HttpResponse{200, "application/json", "{\"ok\":true}\n"};
   });
 
@@ -264,8 +290,9 @@ void RegisterSearchRoutes(HttpServerBase& http,
           "{\"error\":\"need stream and a delta in [1, " +
               std::to_string(std::numeric_limits<int>::max()) + "]\"}\n"};
     }
-    service.UpdatePopularity(std::strtoull(stream.c_str(), nullptr, 10),
-                             static_cast<std::uint64_t>(*delta));
+    const std::optional<StreamId> id = ParseDecimal<StreamId>(stream);
+    if (!id) return BadStream();
+    service.UpdatePopularity(*id, static_cast<std::uint64_t>(*delta));
     return HttpResponse{200, "application/json", "{\"ok\":true}\n"};
   });
 

@@ -73,16 +73,12 @@ asr::PhoneticLattice IngestionPipeline::BuildLattice(
   // Direct path: phones become best hypotheses outright.
   asr::PhoneticLattice lattice;
   lattice.Reserve(phones.size(), 2 * phones.size());
-  double t = 0.0;
   for (const asr::PhonemeId phone : phones) {
-    const double duration = asr::PhonemeSpec(phone).duration_seconds;
     // A weak runner-up keeps the alternative-unit machinery exercised.
     const auto alt = static_cast<asr::PhonemeId>(
         rng.NextUint64(asr::PhonemeCount()));
     const asr::PhoneHypothesis hyps[] = {{phone, 0.9}, {alt, 0.1}};
-    lattice.AddSegment(t, duration,
-                       std::span(hyps, alt != phone ? 2 : 1));
-    t += duration;
+    lattice.AddSegment(std::span(hyps, alt != phone ? 2 : 1));
   }
   return lattice;
 }

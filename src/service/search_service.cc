@@ -301,7 +301,7 @@ std::vector<SearchResult> SearchService::SearchBothModalities(
 
 std::vector<SearchResult> SearchService::SearchKeywords(
     const std::string& query, int k) {
-  if (k <= 0) k = config_.default_k;
+  if (k <= 0) k = kDefaultK;
   ProcessedQuery processed;
   {
     std::lock_guard<std::mutex> rng_lock(rng_mu_);
@@ -317,7 +317,7 @@ std::vector<SearchResult> SearchService::SearchKeywords(
 
 std::vector<SearchResult> SearchService::SearchVoice(
     const audio::PcmBuffer& pcm, int k) {
-  if (k <= 0) k = config_.default_k;
+  if (k <= 0) k = kDefaultK;
   ProcessedQuery processed;
   {
     std::lock_guard<std::mutex> rng_lock(rng_mu_);

@@ -23,11 +23,14 @@
 
 namespace rtsi::service {
 
+/// Results returned when a search asks for k <= 0 (and /search's k when
+/// the parameter is absent).
+inline constexpr int kDefaultK = 10;
+
 struct SearchServiceConfig {
   core::RtsiConfig index;       // Shared by both trees (per shard).
   IngestionConfig ingestion;
   double text_weight = 0.6;     // Fusion: text vs sound modality.
-  int default_k = 10;
   std::uint64_t seed = 42;
   /// Partitions each modality across this many independent shards
   /// (DESIGN.md §6i). 1 = the classic single-index layout.
@@ -63,7 +66,8 @@ class SearchService {
   };
 
   /// Starts the service's ingest helper thread (DESIGN.md §6), which
-  /// stays parked until a window arrives.
+  /// stays parked until a window arrives. Requires
+  /// config.index.lsm.Check() to pass (asserted in debug builds).
   SearchService(const SearchServiceConfig& config, Clock* clock);
   /// Stops and joins the helper. No call may be in flight.
   ~SearchService();
@@ -90,10 +94,11 @@ class SearchService {
   void DeleteStream(StreamId stream);
   void UpdatePopularity(StreamId stream, std::uint64_t delta);
 
-  /// Keyword search across both modalities, fused.
+  /// Keyword search across both modalities, fused. k <= 0 means
+  /// kDefaultK.
   std::vector<SearchResult> SearchKeywords(const std::string& query, int k);
 
-  /// Voice search: the query is an audio buffer.
+  /// Voice search: the query is an audio buffer. k <= 0 means kDefaultK.
   std::vector<SearchResult> SearchVoice(const audio::PcmBuffer& pcm, int k);
 
   /// Renders a spoken query from keywords (for demos and tests of the

@@ -129,6 +129,8 @@ Result<std::unique_ptr<IndexShardSet>> IndexShardSet::Open(
         "IndexShardSet::Open needs durable_dir (use the constructor for "
         "in-memory shards)");
   }
+  const Status checked = config.index.lsm.Check();
+  if (!checked.ok()) return checked;
   auto set = std::unique_ptr<IndexShardSet>(new IndexShardSet());
   set->config_ = config;
   const int n = std::max(1, config.num_shards);

@@ -68,7 +68,8 @@ int ShardForStream(StreamId stream, int num_shards);
 
 class IndexShardSet : public core::SearchIndex {
  public:
-  /// In-memory shard set (`config.durable_dir` ignored).
+  /// In-memory shard set (`config.durable_dir` ignored). Requires
+  /// config.index.lsm.Check() to pass (asserted in debug builds).
   explicit IndexShardSet(const ShardSetConfig& config);
 
   /// Adopts already-built indices as the shards (snapshot-restore path;

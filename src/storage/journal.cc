@@ -310,6 +310,8 @@ Result<std::unique_ptr<DurableIndex>> DurableIndex::Open(
     const core::RtsiConfig& config, const std::string& snapshot_path,
     const std::string& journal_path, const JournalOptions& options,
     RecoveryStats* stats) {
+  const Status checked = config.lsm.Check();
+  if (!checked.ok()) return checked;
   RecoveryStats local_stats;
   RecoveryStats& rs = stats != nullptr ? *stats : local_stats;
   rs = RecoveryStats{};

@@ -54,7 +54,8 @@ void SortByKey(Entries& entries) {
             [](const auto& a, const auto& b) { return a.first < b.first; });
 }
 
-bool ReadConfig(SnapshotReader& reader, RtsiConfig& config) {
+Status ReadConfig(SnapshotReader& reader, RtsiConfig& config) {
+  const Status bad = Status::Internal("snapshot: bad config section");
   std::uint64_t delta = 0, retired_shards = 0;
   std::uint32_t compress = 0, use_bound = 0, bound_mode = 0, retired_k = 0;
   if (!reader.ReadU64(delta) || !reader.ReadDouble(config.lsm.rho) ||
@@ -65,16 +66,16 @@ bool ReadConfig(SnapshotReader& reader, RtsiConfig& config) {
       !reader.ReadDouble(config.freshness_tau_seconds) ||
       !reader.ReadU32(use_bound) || !reader.ReadU32(bound_mode) ||
       !reader.ReadU32(retired_k)) {
-    return false;
+    return bad;
   }
-  // Algorithm 1's cascade settles only under delta >= 1 and rho > 1 (the
-  // negated test also rejects a NaN rho); a file outside that range
-  // would hang the merge thread, and with it every later freeze.
-  if (delta == 0 || !(config.lsm.rho > 1.0)) return false;
-  if (bound_mode > static_cast<std::uint32_t>(core::BoundMode::kGlobalPop)) {
-    return false;
-  }
+  // A file outside the range the cascade settles in would hang the merge
+  // thread, and with it every later freeze.
   config.lsm.delta = delta;
+  const Status lsm = config.lsm.Check();
+  if (!lsm.ok()) return lsm;
+  if (bound_mode > static_cast<std::uint32_t>(core::BoundMode::kGlobalPop)) {
+    return bad;
+  }
   config.lsm.compress = compress != 0;
   config.use_bound = use_bound != 0;
   config.bound_mode = static_cast<core::BoundMode>(bound_mode);
@@ -82,11 +83,11 @@ bool ReadConfig(SnapshotReader& reader, RtsiConfig& config) {
     std::uint32_t policy = 0;
     std::uint64_t runs_per_tier = 0;
     if (!reader.ReadU32(policy) || !reader.ReadU64(runs_per_tier)) {
-      return false;
+      return bad;
     }
-    if (policy > kRetiredPolicyMax) return false;
+    if (policy > kRetiredPolicyMax) return bad;
   }
-  return true;
+  return Status::Ok();
 }
 
 }  // namespace
@@ -99,6 +100,17 @@ Status SaveIndexSnapshot(const RtsiIndex& index, const std::string& path,
 
   WriteConfig(writer, index.config());
   writer.WriteU64(journal_epoch);
+
+  // The sealed components and the L0 postings this file stores, gathered
+  // first: the stream table's count slot is derived from them.
+  const auto components = index.tree().SealedSnapshot();
+  std::vector<std::pair<TermId, std::vector<Posting>>> l0_terms;
+  index.tree().ForEachL0Term([&](TermId term, const TermPostings& postings) {
+    const auto entries = postings.entries();
+    l0_terms.emplace_back(
+        term, std::vector<Posting>(entries.begin(), entries.end()));
+  });
+  SortByKey(l0_terms);
 
   // Every hash-keyed section is written in key order, so the file depends
   // only on the index contents: saving a loaded snapshot reproduces it
@@ -129,11 +141,27 @@ Status SaveIndexSnapshot(const RtsiIndex& index, const std::string& path,
         });
     SortByKey(entries);
     writer.WriteVarint(entries.size());
+    // The component_count slot: the loader ignores it, but older binaries
+    // read it, so it carries the stream's placement in this file — its
+    // residencies among the stored components, plus one if the stored L0
+    // holds it.
+    std::unordered_set<ComponentId> stored;
+    for (const auto& component : components) {
+      stored.insert(component->component_id());
+    }
+    std::unordered_set<StreamId> in_l0;
+    for (const auto& [term, postings] : l0_terms) {
+      for (const Posting& p : postings) in_l0.insert(p.stream);
+    }
     for (const auto& [stream, info] : entries) {
+      std::uint64_t placements = in_l0.count(stream);
+      for (const ComponentId id : index.stream_table().GetResidency(stream)) {
+        placements += stored.count(id);
+      }
       writer.WriteVarint(stream);
       writer.WriteVarint(info.pop_count);
       writer.WriteVarint(static_cast<std::uint64_t>(info.frsh));
-      writer.WriteVarint(info.component_count);
+      writer.WriteVarint(placements);
       writer.WriteU32((info.live ? 1u : 0u) | (info.deleted ? 2u : 0u) |
                       (info.content_seen ? 4u : 0u) |
                       (info.finished ? 8u : 0u));
@@ -166,7 +194,6 @@ Status SaveIndexSnapshot(const RtsiIndex& index, const std::string& path,
 
   // Sealed components (always stored compressed).
   {
-    const auto components = index.tree().SealedSnapshot();
     writer.WriteVarint(components.size());
     for (const auto& component : components) {
       writer.WriteU32(static_cast<std::uint32_t>(component->level()));
@@ -197,16 +224,8 @@ Status SaveIndexSnapshot(const RtsiIndex& index, const std::string& path,
 
   // L0 postings (raw, arrival order).
   {
-    std::vector<std::pair<TermId, std::vector<Posting>>> terms;
-    index.tree().ForEachL0Term(
-        [&](TermId term, const TermPostings& postings) {
-          const auto entries = postings.entries();
-          terms.emplace_back(term, std::vector<Posting>(entries.begin(),
-                                                        entries.end()));
-        });
-    SortByKey(terms);
-    writer.WriteVarint(terms.size());
-    for (const auto& [term, postings] : terms) {
+    writer.WriteVarint(l0_terms.size());
+    for (const auto& [term, postings] : l0_terms) {
       writer.WriteVarint(term);
       writer.WriteVarint(postings.size());
       for (const Posting& p : postings) {
@@ -231,9 +250,8 @@ Result<std::unique_ptr<RtsiIndex>> LoadIndexSnapshot(
   if (!status.ok()) return status;
 
   RtsiConfig config;
-  if (!ReadConfig(reader, config)) {
-    return Status::Internal("snapshot: bad config section");
-  }
+  status = ReadConfig(reader, config);
+  if (!status.ok()) return status;
   if (reader.version() >= 3) {
     std::uint64_t epoch = 0;
     if (!reader.ReadU64(epoch)) {
@@ -266,17 +284,18 @@ Result<std::unique_ptr<RtsiIndex>> LoadIndexSnapshot(
       return Status::Internal("snapshot: bad stream table header");
     }
     for (std::uint64_t i = 0; i < count; ++i) {
-      std::uint64_t stream = 0, pop = 0, frsh = 0, components = 0;
+      // The component_count slot is read and ignored: placement is
+      // rebuilt from the restored components and L0 postings.
+      std::uint64_t stream = 0, pop = 0, frsh = 0, placements = 0;
       std::uint32_t flags = 0;
       if (!reader.ReadVarint(stream) || !reader.ReadVarint(pop) ||
-          !reader.ReadVarint(frsh) || !reader.ReadVarint(components) ||
+          !reader.ReadVarint(frsh) || !reader.ReadVarint(placements) ||
           !reader.ReadU32(flags)) {
         return Status::Internal("snapshot: bad stream entry");
       }
       StreamInfo info;
       info.pop_count = pop;
       info.frsh = static_cast<Timestamp>(frsh);
-      info.component_count = static_cast<std::uint32_t>(components);
       info.live = (flags & 1u) != 0;
       info.deleted = (flags & 2u) != 0;
       info.content_seen = (flags & 4u) != 0;
@@ -382,6 +401,7 @@ Result<std::unique_ptr<RtsiIndex>> LoadIndexSnapshot(
     if (!reader.ReadVarint(num_terms)) {
       return Status::Internal("snapshot: bad L0 header");
     }
+    std::unordered_set<StreamId> l0_streams;
     for (std::uint64_t t = 0; t < num_terms; ++t) {
       std::uint64_t term = 0, count = 0;
       if (!reader.ReadVarint(term) || !reader.ReadVarint(count)) {
@@ -399,11 +419,14 @@ Result<std::unique_ptr<RtsiIndex>> LoadIndexSnapshot(
         std::memcpy(&posting.pop, &pop_bits, sizeof(pop_bits));
         posting.frsh = static_cast<Timestamp>(frsh);
         posting.tf = static_cast<TermFreq>(tf);
-        // AddPosting repopulates the L0 stream-seen set as a side effect;
-        // the first-in-epoch return is ignored because residency counts
-        // were already restored with the stream table.
         index->mutable_tree().AddPosting(static_cast<TermId>(term), posting);
+        l0_streams.insert(posting.stream);
       }
+    }
+    // Restored L0 postings put their streams in the current L0 epoch.
+    const std::uint32_t l0_epoch = index->tree().l0_epoch();
+    for (const StreamId stream : l0_streams) {
+      index->mutable_stream_table().StampL0(stream, l0_epoch);
     }
   }
 

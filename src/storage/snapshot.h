@@ -5,7 +5,7 @@
 // (index/compressed_postings.h) regardless of the in-memory
 // representation, so snapshots are compact. The saved state covers the
 // configuration, the document-frequency table, the stream-info table
-// (including tombstones and component counts), the live-term table, every
+// (including tombstones), the live-term table, every
 // sealed LSM component, and the mutable L0 postings — queries against the
 // restored index return byte-identical results.
 //

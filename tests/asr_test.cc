@@ -104,7 +104,7 @@ TEST(LatticeTest, BestPathFollowsTopHypotheses) {
   for (int i = 0; i < 3; ++i) {
     const PhoneHypothesis hyps[] = {{static_cast<PhonemeId>(i), 0.8},
                                     {static_cast<PhonemeId>(i + 5), 0.2}};
-    lattice.AddSegment(0.0, 0.0, hyps);
+    lattice.AddSegment(hyps);
   }
   const auto path = lattice.BestPath();
   ASSERT_EQ(path.size(), 3u);
@@ -125,13 +125,12 @@ TEST(LatticeTest, SegmentsIndexOneFlatHypothesisArray) {
   PhoneticLattice lattice;
   const PhoneHypothesis one[] = {{3, 1.0}};
   const PhoneHypothesis three[] = {{4, 0.5}, {5, 0.3}, {6, 0.2}};
-  lattice.AddSegment(0.0, 0.1, one);
-  lattice.AddSegment(0.1, 0.2, {});  // No hypotheses: not a segment.
-  lattice.AddSegment(0.1, 0.3, three);
+  lattice.AddSegment(one);
+  lattice.AddSegment({});  // No hypotheses: not a segment.
+  lattice.AddSegment(three);
   ASSERT_EQ(lattice.size(), 2u);
   EXPECT_EQ(lattice.segments()[1].first, 1u);
   EXPECT_EQ(lattice.segments()[1].count, 3u);
-  EXPECT_DOUBLE_EQ(lattice.segments()[1].duration_seconds, 0.3);
   ASSERT_EQ(lattice.hypotheses(1).size(), 3u);
   EXPECT_EQ(lattice.hypotheses(1)[2].phone, 6);
   EXPECT_EQ(lattice.hypotheses(0)[0].phone, 3);
@@ -151,7 +150,7 @@ TEST(LatticeTest, ExtractUnitsGeneratesNgramsAndAlternatives) {
   for (int i = 0; i < 4; ++i) {
     const PhoneHypothesis hyps[] = {{static_cast<PhonemeId>(i), 0.6},
                                     {static_cast<PhonemeId>(i + 10), 0.4}};
-    lattice.AddSegment(0.0, 0.0, hyps);
+    lattice.AddSegment(hyps);
   }
   const auto bigrams = Units(lattice, 2, 0.3);
   // 3 best-path bigrams + 2 alternatives each = 9 units.
@@ -165,7 +164,7 @@ TEST(LatticeTest, ExtractUnitsGeneratesNgramsAndAlternatives) {
 TEST(LatticeTest, TooShortLatticeYieldsNoUnits) {
   PhoneticLattice lattice;
   const PhoneHypothesis hyps[] = {{0, 1.0}};
-  lattice.AddSegment(0.0, 0.0, hyps);
+  lattice.AddSegment(hyps);
   EXPECT_TRUE(Units(lattice, 3, 0.2).empty());
 }
 
@@ -209,7 +208,7 @@ std::vector<std::string> ReferenceUnits(
 PhoneticLattice Flatten(
     const std::vector<std::vector<PhoneHypothesis>>& segments) {
   PhoneticLattice lattice;
-  for (const auto& hyps : segments) lattice.AddSegment(0.0, 0.0, hyps);
+  for (const auto& hyps : segments) lattice.AddSegment(hyps);
   return lattice;
 }
 

@@ -195,15 +195,13 @@ TEST(BackgroundMergeTest, FinishedConsolidatedStreamsLeaveLiveTable) {
 
   std::size_t leaked = 0;
   for (StreamId s = 0; s < kStreams; ++s) {
-    if (index.stream_table().IsLive(s) ||
-        index.stream_table().GetComponentCount(s) > 1 ||
-        index.tree().StreamInL0(s)) {
-      continue;
-    }
+    const auto placement =
+        index.stream_table().GetPlacement(s, index.tree().l0_epoch());
+    if (placement.live || placement.sealed > 1 || placement.in_l0) continue;
     if (index.live_table().ContainsStream(s) && ++leaked <= 3) {
       ADD_FAILURE() << "stream " << s << " finished, in "
-                    << index.stream_table().GetComponentCount(s)
-                    << " component(s), not in L0, but still in the "
+                    << placement.sealed
+                    << " sealed component(s), not in L0, but still in the "
                        "live-term table";
     }
   }

@@ -63,30 +63,52 @@ TEST(StreamInfoTableTest, DeletedStreamsInvisibleToGet) {
   EXPECT_FALSE(table.IsLive(1));
 }
 
-TEST(StreamInfoTableTest, ComponentCountLifecycle) {
+TEST(StreamInfoTableTest, PlacementLifecycle) {
   StreamInfoTable table;
   table.OnInsert(1, 100, true);
-  table.IncrementComponentCount(1);
-  table.IncrementComponentCount(1);
-  EXPECT_EQ(table.GetComponentCount(1), 2u);
-  // A merge consolidating two residencies (copies=2) decrements the count.
+  constexpr std::uint32_t kEpoch = 5;
+  // A window's postings reached L0 in epoch 5.
+  table.StampL0(1, kEpoch);
+  auto placement = table.GetPlacement(1, kEpoch);
+  EXPECT_TRUE(placement.live);
+  EXPECT_EQ(placement.sealed, 0u);
+  EXPECT_TRUE(placement.in_l0);
+  // The freeze registers the frozen run, then moves the epoch on.
   auto cell = std::make_shared<FreshnessCeiling>();
-  auto [count, live] = table.MergeResidency(1, /*copies=*/2, 12, cell);
-  EXPECT_EQ(count, 1u);
-  EXPECT_TRUE(live);
+  table.AddSealedResidency(1, 10, cell);
+  placement = table.GetPlacement(1, kEpoch + 1);
+  EXPECT_EQ(placement.sealed, 1u);
+  EXPECT_FALSE(placement.in_l0);
+  // A merge registers its output before publication, so mid-merge the
+  // count errs toward keeping the stream; the retire pass makes it exact.
+  table.AddSealedResidency(1, 11, cell);
+  table.AddSealedResidency(1, 12, cell);
   table.MarkFinished(1);
-  auto [count2, live2] = table.MergeResidency(1, /*copies=*/2, 14, cell);
-  EXPECT_EQ(count2, 0u);
-  EXPECT_FALSE(live2);
+  placement = table.GetPlacement(1, kEpoch + 1);
+  EXPECT_FALSE(placement.live);
+  EXPECT_EQ(placement.sealed, 3u);
+  table.DropResidency(1, {10, 11});
+  EXPECT_EQ(table.GetPlacement(1, kEpoch + 1).sealed, 1u);
 }
 
-TEST(StreamInfoTableTest, MergeResidencyOnUnknownStreamIsSafe) {
+TEST(StreamInfoTableTest, AddSealedResidencyOnUnknownStreamIsSafe) {
   StreamInfoTable table;
   auto cell = std::make_shared<FreshnessCeiling>();
-  auto [count, live] = table.MergeResidency(42, /*copies=*/2, 3, cell);
-  EXPECT_EQ(count, 0u);
-  EXPECT_FALSE(live);
+  table.AddSealedResidency(42, 3, cell);
   EXPECT_TRUE(table.GetResidency(42).empty());
+  const auto placement = table.GetPlacement(42, 1);
+  EXPECT_FALSE(placement.live);
+  EXPECT_EQ(placement.sealed, 0u);
+  EXPECT_FALSE(placement.in_l0);
+}
+
+TEST(StreamInfoTableTest, NeverStampedStreamIsNotInL0) {
+  StreamInfoTable table;
+  table.AddPopularity(1, 3);  // Metadata only: no window, no stamp.
+  table.OnInsert(2, 100, true);
+  // LsmTree's epoch starts at 1, so stamp 0 never matches it.
+  EXPECT_FALSE(table.GetPlacement(1, 1).in_l0);
+  EXPECT_FALSE(table.GetPlacement(2, 1).in_l0);
 }
 
 TEST(StreamInfoTableTest, LateWindowCannotResurrectFinishedStream) {
@@ -130,14 +152,12 @@ TEST(StreamInfoTableTest, MergeKeepsInputCeilingsLiveUntilRetired) {
   auto cell_b = std::make_shared<FreshnessCeiling>();
   table.AddSealedResidency(1, 10, cell_a);
   table.AddSealedResidency(1, 11, cell_b);
-  table.IncrementComponentCount(1);
-  table.IncrementComponentCount(1);
 
   // Merge window opens: the (unpublished) output is registered, the
   // inputs stay. Registration bumps the output's cell with the live
   // freshness.
   auto cell_merged = std::make_shared<FreshnessCeiling>();
-  table.MergeResidency(1, /*copies=*/2, 12, cell_merged);
+  table.AddSealedResidency(1, 12, cell_merged);
   EXPECT_EQ(cell_merged->Get(), 100);
   EXPECT_EQ(table.GetResidency(1),
             (std::vector<ComponentId>{10, 11, 12}));
@@ -160,29 +180,22 @@ TEST(StreamInfoTableTest, MergeKeepsInputCeilingsLiveUntilRetired) {
   EXPECT_EQ(cell_b->Get(), 300);
 }
 
-TEST(StreamInfoTableTest, MergeResidencySkipsDeletedStream) {
+TEST(StreamInfoTableTest, AddSealedResidencySkipsDeletedStream) {
   StreamInfoTable table;
   table.OnInsert(1, 100, true);
   auto cell = std::make_shared<FreshnessCeiling>();
   table.AddSealedResidency(1, 10, cell);
-  table.IncrementComponentCount(1);
-  table.IncrementComponentCount(1);
   table.MarkDeleted(1);
   EXPECT_TRUE(table.GetResidency(1).empty());
 
   // A merge whose deletion verdicts were memoized before the delete still
   // reports the stream; re-registering it would leak an orphan entry
-  // (later merges purge its postings without another hook call).
+  // (later merges purge its postings without another hook call). The
+  // same holds for a freeze of a stream deleted beforehand.
   auto cell_merged = std::make_shared<FreshnessCeiling>();
-  auto [count, live] = table.MergeResidency(1, /*copies=*/2, 12,
-                                            cell_merged);
-  EXPECT_EQ(count, 1u);  // Count bookkeeping still applies.
-  EXPECT_FALSE(live);
+  table.AddSealedResidency(1, 12, cell_merged);
   EXPECT_TRUE(table.GetResidency(1).empty());
-
-  // Same for freeze-time registration of a stream deleted beforehand.
-  table.AddSealedResidency(1, 13, cell_merged);
-  EXPECT_TRUE(table.GetResidency(1).empty());
+  EXPECT_FALSE(table.GetPlacement(1, 1).live);
 }
 
 TEST(StreamInfoTableTest, MarkDeletedDropsResidency) {

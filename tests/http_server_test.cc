@@ -164,6 +164,41 @@ TEST_F(SearchRoutesTest, PopDeltaAndIngestLiveOutOfRangeAre400) {
             200);
 }
 
+// A stream id is the whole parameter as a decimal uint64: no letters, no
+// sign, no trailing bytes, no overflow. A lenient parse (strtoull) would
+// act on stream 0 for "abc", 18446744073709551615 for "-1" and 7 for "7x".
+TEST_F(SearchRoutesTest, MalformedStreamIdsAre400) {
+  for (const char* stream : {"abc", "-1", "7x", "%2B7", "%207", "",
+                             "18446744073709551616", "0x10"}) {
+    const std::string id = stream;
+    for (const std::string& target :
+         {"/ingest?words=marimba&stream=" + id, "/finish?stream=" + id,
+          "/pop?delta=5&stream=" + id}) {
+      const std::string response = Get(port(), target);
+      EXPECT_EQ(StatusCode(response), 400) << target;
+      EXPECT_NE(response.find("\"error\""), std::string::npos) << target;
+    }
+    if (id.empty()) continue;
+    const std::string body = id + " marimba\n";
+    const std::string response = SendRaw(
+        port(), "POST /ingest HTTP/1.0\r\nContent-Length: " +
+                    std::to_string(body.size()) + "\r\n\r\n" + body);
+    EXPECT_EQ(StatusCode(response), 400) << "body stream " << id;
+  }
+  // Nothing from the rejected requests was indexed.
+  EXPECT_EQ(Get(port(), "/search?q=marimba").find("\"stream\""),
+            std::string::npos);
+  // The largest id is accepted.
+  EXPECT_EQ(StatusCode(Get(port(),
+                           "/ingest?words=marimba&stream=18446744073709551615")),
+            200);
+  EXPECT_EQ(StatusCode(Get(port(), "/finish?stream=18446744073709551615")),
+            200);
+  EXPECT_NE(Get(port(), "/search?q=marimba")
+                .find("\"stream\":18446744073709551615"),
+            std::string::npos);
+}
+
 TEST_F(SearchRoutesTest, KAtBoundsIs200) {
   ASSERT_EQ(kMaxK, 1000);
   for (const char* route : {"/search", "/live"}) {

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <set>
 #include <thread>
 
 #include "common/rng.h"
@@ -113,17 +114,51 @@ TEST(LsmTreeTest, MergeCascadeFreezesL0) {
   EXPECT_GE(stats.merges, 1u);
 }
 
-TEST(LsmTreeTest, StreamSeenResetsOnFreeze) {
+TEST(LsmTreeTest, L0EpochAdvancesOnEveryFreeze) {
+  LsmTree tree(SmallConfig(10, 2.0));
+  // Born at 1, so a stream stamp of 0 (never in L0) never matches it.
+  EXPECT_EQ(tree.l0_epoch(), 1u);
+  Timestamp t = 0;
+  for (int i = 0; i < 20; ++i) tree.AddPosting(1, P(7, ++t, 1));
+  EXPECT_EQ(tree.l0_epoch(), 1u);  // Appends leave the epoch alone.
+  tree.MergeCascade(MergeHooks{});
+  EXPECT_EQ(tree.l0_epoch(), 2u);
+  for (int i = 0; i < 20; ++i) tree.AddPosting(2, P(8, ++t, 1));
+  tree.MergeCascade(MergeHooks{});
+  EXPECT_EQ(tree.l0_epoch(), 3u);
+}
+
+// A freeze reports each distinct stream of the frozen run twice: to
+// on_stream while the run is not yet query-visible, and to on_settled
+// (with no retired inputs) once it is published and the epoch moved on.
+TEST(LsmTreeTest, FreezeReportsStreamsBeforeAndAfterPublication) {
   LsmTree tree(SmallConfig(10, 2.0));
   Timestamp t = 0;
-  EXPECT_TRUE(tree.AddPosting(1, P(7, ++t, 1)));
-  EXPECT_FALSE(tree.AddPosting(2, P(7, ++t, 1)));  // Any term: same epoch.
-  EXPECT_TRUE(tree.StreamInL0(7));
-
-  for (int i = 0; i < 20; ++i) tree.AddPosting(1, P(7, ++t, 1));
-  tree.MergeCascade(MergeHooks{});
-  EXPECT_FALSE(tree.StreamInL0(7));
-  EXPECT_TRUE(tree.AddPosting(1, P(7, ++t, 1)));  // New epoch: first again.
+  for (int i = 0; i < 12; ++i) tree.AddPosting(i % 3, P(i % 4, ++t, 1));
+  const auto visible = [&](ComponentId id) {
+    for (const auto& c : tree.PinView()->components) {
+      if (c->component_id() == id) return true;
+    }
+    return false;
+  };
+  std::multiset<StreamId> before, after;
+  ComponentId frozen_id = kInvalidComponentId;
+  MergeHooks hooks;
+  hooks.on_stream = [&](StreamId s, const InvertedIndex& component) {
+    frozen_id = component.component_id();
+    EXPECT_FALSE(visible(frozen_id));
+    EXPECT_EQ(tree.l0_epoch(), 1u);
+    before.insert(s);
+  };
+  hooks.on_settled = [&](StreamId s, const std::vector<ComponentId>& from) {
+    EXPECT_TRUE(from.empty());
+    EXPECT_TRUE(visible(frozen_id));
+    EXPECT_EQ(tree.l0_epoch(), 2u);
+    after.insert(s);
+  };
+  ASSERT_TRUE(tree.FreezeL0(hooks));
+  EXPECT_EQ(before, (std::multiset<StreamId>{0, 1, 2, 3}));
+  EXPECT_EQ(after, before);
 }
 
 TEST(LsmTreeTest, CascadePushesDownAtCapacity) {
@@ -250,26 +285,6 @@ TEST(LsmTreeTest, HuffmanCompressionShrinksLongLists) {
   EXPECT_EQ(compressed_tree.total_postings(), plain_tree.total_postings());
 }
 
-TEST(LsmTreeTest, FreezeBetweenMarkAndAddCannotSplitEpoch) {
-  // Regression for the historical InsertWindow race: the stream was
-  // marked in L0 first, a freeze cleared the seen set, and only then did
-  // the postings land — in the *new* epoch, with StreamInL0() false and
-  // the per-stream component count short by one. The mark now travels
-  // with each posting under the term-shard lock (AddPosting's return),
-  // so a freeze can never separate them.
-  LsmTree tree(SmallConfig(10, 2.0));
-  Timestamp t = 0;
-  for (int i = 0; i < 20; ++i) tree.AddPosting(1, P(3, ++t, 1));
-  tree.MergeCascade(MergeHooks{});  // Freeze: clears the seen set.
-  ASSERT_FALSE(tree.StreamInL0(7));
-  // Stream 7's posting lands after the freeze: it must report
-  // first-in-epoch so the caller increments the component count for the
-  // new epoch, and the seen set must agree.
-  EXPECT_TRUE(tree.AddPosting(2, P(7, ++t, 1)));
-  EXPECT_TRUE(tree.StreamInL0(7));
-  EXPECT_FALSE(tree.AddPosting(2, P(7, ++t, 1)));  // Not first anymore.
-}
-
 TEST(LsmTreeTest, DriftedCounterCascadePublishesNothing) {
   // Regression for the double epoch bump: when a cascade fired with no
   // actual L0 postings behind the counter, FreezeL0 published a
@@ -282,6 +297,7 @@ TEST(LsmTreeTest, DriftedCounterCascadePublishesNothing) {
   const std::uint64_t epoch = tree.epoch();
   tree.MergeCascade(MergeHooks{});
   EXPECT_EQ(tree.epoch(), epoch);  // No transient view was published.
+  EXPECT_EQ(tree.l0_epoch(), 1u);  // Nor did the L0 epoch move.
   EXPECT_TRUE(tree.PinView()->components.empty());
   EXPECT_EQ(tree.num_levels(), 0u);
   EXPECT_FALSE(tree.NeedsMerge());  // Counter was reset regardless.

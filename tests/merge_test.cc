@@ -29,7 +29,7 @@ TEST(MergeTest, CombineWithNullConsolidatesDuplicates) {
 
   MergeStats stats;
   const auto merged =
-      CombineComponents(a, nullptr, 1, false, MergeHooks{}, &stats);
+      CombineComponents({&a}, 1, false, MergeHooks{}, &stats);
   ASSERT_NE(merged->GetPlain(1), nullptr);
   EXPECT_EQ(merged->GetPlain(1)->size(), 2u);
 
@@ -53,7 +53,7 @@ TEST(MergeTest, CombineMergesTermsFromBothInputs) {
 
   MergeStats stats;
   const auto merged =
-      CombineComponents(a, &b, 2, false, MergeHooks{}, &stats);
+      CombineComponents({&a, &b}, 2, false, MergeHooks{}, &stats);
   EXPECT_EQ(merged->num_terms(), 3u);
   EXPECT_EQ(merged->num_postings(), 4u);
   EXPECT_EQ(merged->GetPlain(1)->size(), 2u);
@@ -71,7 +71,7 @@ TEST(MergeTest, CrossComponentDuplicatesAreConsolidated) {
 
   MergeStats stats;
   const auto merged =
-      CombineComponents(a, &b, 2, false, MergeHooks{}, &stats);
+      CombineComponents({&a, &b}, 2, false, MergeHooks{}, &stats);
   EXPECT_EQ(stats.consolidated_postings, 1u);
   ASSERT_EQ(merged->GetPlain(1)->size(), 1u);
   const Posting& p = merged->GetPlain(1)->entries()[0];
@@ -89,7 +89,7 @@ TEST(MergeTest, LazyDeletionPurgesPostings) {
   MergeHooks hooks;
   hooks.is_deleted = [](StreamId s) { return s == 10; };
   MergeStats stats;
-  const auto merged = CombineComponents(a, nullptr, 1, false, hooks, &stats);
+  const auto merged = CombineComponents({&a}, 1, false, hooks, &stats);
   EXPECT_EQ(merged->num_postings(), 1u);
   EXPECT_EQ(stats.purged_postings, 1u);
   Posting out;
@@ -102,12 +102,12 @@ TEST(MergeTest, TermFullyPurgedDisappears) {
   a.SealAll();
   MergeHooks hooks;
   hooks.is_deleted = [](StreamId) { return true; };
-  const auto merged = CombineComponents(a, nullptr, 1, false, hooks, nullptr);
+  const auto merged = CombineComponents({&a}, 1, false, hooks, nullptr);
   EXPECT_EQ(merged->num_terms(), 0u);
   EXPECT_EQ(merged->num_postings(), 0u);
 }
 
-TEST(MergeTest, OnStreamHookSeesMembership) {
+TEST(MergeTest, OnStreamHookSeesEachSurvivingStreamOnce) {
   InvertedIndex a(0);
   a.Add(1, P(10, 1.0f, 100, 2));
   a.Add(1, P(11, 1.0f, 110, 3));
@@ -117,25 +117,17 @@ TEST(MergeTest, OnStreamHookSeesMembership) {
   b.Add(2, P(12, 1.0f, 60, 1));
   b.SealAll();
 
-  std::set<StreamId> only_a, both, only_b;
+  std::multiset<StreamId> reported;
   MergeHooks hooks;
-  hooks.on_stream = [&](StreamId s, std::uint32_t copies,
-                        const InvertedIndex&) {
-    if (copies == 2) {
-      both.insert(s);
-    } else if (s == 12) {
-      only_b.insert(s);
-    } else {
-      only_a.insert(s);
-    }
+  hooks.on_stream = [&](StreamId s, const InvertedIndex&) {
+    reported.insert(s);
   };
-  CombineComponents(a, &b, 2, false, hooks, nullptr);
-  EXPECT_EQ(both, std::set<StreamId>{11});
-  EXPECT_EQ(only_a, std::set<StreamId>{10});
-  EXPECT_EQ(only_b, std::set<StreamId>{12});
+  CombineComponents({&a, &b}, 2, false, hooks, nullptr);
+  // Stream 11 sits in both inputs and is still reported once.
+  EXPECT_EQ(reported, (std::multiset<StreamId>{10, 11, 12}));
 }
 
-TEST(MergeTest, OnStreamHookSeesCopyCountAndOutput) {
+TEST(MergeTest, OnStreamHookSeesOutput) {
   InvertedIndex a(0);
   a.Add(1, P(10, 1.0f, 100, 2));
   a.SealAll();
@@ -147,15 +139,13 @@ TEST(MergeTest, OnStreamHookSeesCopyCountAndOutput) {
 
   int calls = 0;
   MergeHooks hooks;
-  hooks.on_stream = [&](StreamId s, std::uint32_t copies,
-                        const InvertedIndex& merged) {
+  hooks.on_stream = [&](StreamId s, const InvertedIndex& merged) {
     ++calls;
     EXPECT_EQ(s, 10u);
-    EXPECT_EQ(copies, 2u);  // Present in both inputs.
     EXPECT_EQ(merged.component_id(), 9u);
   };
   const auto merged = CombineComponents(
-      a, &b, 2, false, hooks, nullptr, 9,
+      {&a, &b}, 2, false, hooks, nullptr, 9,
       std::make_shared<index::FreshnessCeiling>());
   EXPECT_EQ(calls, 1);
   EXPECT_EQ(merged->component_id(), 9u);
@@ -173,7 +163,7 @@ TEST(MergeTest, MergedCeilingInheritsBothInputs) {
   b.AdoptCeiling(2, std::make_shared<index::FreshnessCeiling>());
 
   const auto merged = CombineComponents(
-      a, &b, 2, false, MergeHooks{}, nullptr, 3,
+      {&a, &b}, 2, false, MergeHooks{}, nullptr, 3,
       std::make_shared<index::FreshnessCeiling>());
   EXPECT_EQ(merged->component_id(), 3u);
   ASSERT_TRUE(merged->has_ceiling());
@@ -191,7 +181,7 @@ TEST(MergeTest, NoCeilingCellFallsBackToStoredMax) {
   // sound component: LiveFrshCeiling() floors at the stored maximum and
   // queries fall back to the table-global max_frsh().
   const auto merged =
-      CombineComponents(a, nullptr, 1, false, MergeHooks{}, nullptr);
+      CombineComponents({&a}, 1, false, MergeHooks{}, nullptr);
   EXPECT_EQ(merged->component_id(), kInvalidComponentId);
   EXPECT_FALSE(merged->has_ceiling());
   EXPECT_EQ(merged->LiveFrshCeiling(), 140);
@@ -204,7 +194,7 @@ TEST(MergeTest, OutputIsSealedAndSorted) {
   a.Add(1, P(12, 7.0f, 120, 4));
   a.SealAll();
   const auto merged =
-      CombineComponents(a, nullptr, 1, false, MergeHooks{}, nullptr);
+      CombineComponents({&a}, 1, false, MergeHooks{}, nullptr);
   const auto* postings = merged->GetPlain(1);
   ASSERT_NE(postings, nullptr);
   EXPECT_TRUE(postings->sealed());
@@ -230,8 +220,8 @@ TEST(MergeTest, OutputIndependentOfInputOrderUnderTies) {
   a.SealAll();
   b.SealAll();
 
-  const auto ab = CombineComponents(a, &b, 2, false, MergeHooks{}, nullptr);
-  const auto ba = CombineComponents(b, &a, 2, false, MergeHooks{}, nullptr);
+  const auto ab = CombineComponents({&a, &b}, 2, false, MergeHooks{}, nullptr);
+  const auto ba = CombineComponents({&b, &a}, 2, false, MergeHooks{}, nullptr);
   ASSERT_EQ(ab->num_terms(), ba->num_terms());
   ab->ForEachTerm([&](TermId term, const index::TermPostings& x) {
     const index::TermPostings* y = ba->GetPlain(term);
@@ -259,7 +249,7 @@ TEST(MergeTest, CompressedOutputWhenRequested) {
   }
   a.SealAll();
   const auto merged =
-      CombineComponents(a, nullptr, 1, true, MergeHooks{}, nullptr);
+      CombineComponents({&a}, 1, true, MergeHooks{}, nullptr);
   EXPECT_TRUE(merged->compressed());
   EXPECT_EQ(merged->num_postings(), 50u);
   const auto view = merged->View(1);
@@ -279,11 +269,12 @@ TEST(MergeTest, SurvivingStreamsReportedForRetirePass) {
 
   MergeHooks hooks;
   hooks.is_deleted = [](StreamId s) { return s == 12; };
-  hooks.on_stream = [](StreamId, std::uint32_t, const InvertedIndex&) {};
   std::vector<StreamId> surviving;
-  CombineComponents(a, &b, 2, false, hooks, nullptr, 3,
+  CombineComponents({&a, &b}, 2, false, hooks, nullptr, 3,
                     std::make_shared<index::FreshnessCeiling>(), &surviving);
   // Purged streams are not reported: there is nothing to retire for them.
+  // Stream 11 sits in both inputs and is listed once.
+  EXPECT_EQ(surviving.size(), 2u);
   EXPECT_EQ(std::set<StreamId>(surviving.begin(), surviving.end()),
             (std::set<StreamId>{10, 11}));
 }
@@ -310,17 +301,16 @@ TEST(MergeTest, InsertDuringMergeWindowKeepsInputCeilingsSound) {
 
   MergeHooks hooks;
   hooks.is_deleted = [&](StreamId s) { return table.IsDeleted(s); };
-  hooks.on_stream = [&](StreamId s, std::uint32_t copies,
-                        const InvertedIndex& merged) {
-    table.MergeResidency(s, copies, merged.component_id(),
-                         merged.ceiling_cell());
+  hooks.on_stream = [&](StreamId s, const InvertedIndex& merged) {
+    table.AddSealedResidency(s, merged.component_id(),
+                             merged.ceiling_cell());
     // Simulate the racing insert inside the merge window, while the
     // inputs are still query-visible.
     table.OnInsert(s, 900, true);
   };
   std::vector<StreamId> surviving;
   const auto merged = CombineComponents(
-      a, &b, 2, false, hooks, nullptr, 3,
+      {&a, &b}, 2, false, hooks, nullptr, 3,
       std::make_shared<index::FreshnessCeiling>(), &surviving);
 
   // Both inputs and the (unpublished) output cover the in-window insert.
@@ -345,7 +335,7 @@ TEST(MergeTest, CompressedInputCanBeMerged) {
   b.CompressAll();
 
   const auto merged =
-      CombineComponents(a, &b, 2, false, MergeHooks{}, nullptr);
+      CombineComponents({&a, &b}, 2, false, MergeHooks{}, nullptr);
   EXPECT_EQ(merged->num_postings(), 2u);
 }
 

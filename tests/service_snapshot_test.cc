@@ -101,14 +101,24 @@ TEST(ServiceSnapshotTest, SaveRightAfterAFreezeCapturesTheSettledLayout) {
   SearchService restored(config, &clock2);
   const Status status = LoadServiceSnapshot(restored, prefix);
   ASSERT_TRUE(status.ok()) << status.ToString();
-  for (StreamId s = 0; s < streams; ++s) {
-    EXPECT_EQ(restored.text_index().stream_table().GetComponentCount(s),
-              original.text_index().stream_table().GetComponentCount(s))
-        << "text stream " << s;
-    EXPECT_EQ(restored.sound_index().stream_table().GetComponentCount(s),
-              original.sound_index().stream_table().GetComponentCount(s))
-        << "sound stream " << s;
-  }
+  // Each stream sits in as many sealed components, is in L0 alike and
+  // is in the live-term table alike.
+  const auto expect_same_placement = [&](const core::RtsiIndex& a,
+                                         const core::RtsiIndex& b,
+                                         const char* modality) {
+    for (StreamId s = 0; s < streams; ++s) {
+      const auto pa = a.stream_table().GetPlacement(s, a.tree().l0_epoch());
+      const auto pb = b.stream_table().GetPlacement(s, b.tree().l0_epoch());
+      EXPECT_EQ(pa.sealed, pb.sealed) << modality << " stream " << s;
+      EXPECT_EQ(pa.in_l0, pb.in_l0) << modality << " stream " << s;
+      EXPECT_EQ(a.live_table().ContainsStream(s),
+                b.live_table().ContainsStream(s))
+          << modality << " stream " << s;
+    }
+  };
+  expect_same_placement(restored.text_index(), original.text_index(), "text");
+  expect_same_placement(restored.sound_index(), original.sound_index(),
+                        "sound");
   EXPECT_EQ(restored.text_index().tree().RunsPerLevel(),
             original.text_index().tree().RunsPerLevel());
   for (const std::string& word : vocab) {

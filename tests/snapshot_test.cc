@@ -468,7 +468,9 @@ TEST(SnapshotTest, RejectsConfigsWhoseCascadeNeverSettles) {
        {std::pair{"rho 1", rho_one}, std::pair{"rho NaN", rho_nan},
         std::pair{"delta 0", delta_zero}}) {
     WriteV5Snapshot(path, slots);
-    EXPECT_FALSE(LoadIndexSnapshot(path).ok()) << label;
+    const auto loaded = LoadIndexSnapshot(path);
+    ASSERT_FALSE(loaded.ok()) << label;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << label;
   }
   std::remove(path.c_str());
 }

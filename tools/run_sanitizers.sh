@@ -37,6 +37,7 @@ TSAN_TARGETS=(
   query_pipeline_test
   ranking_invariants_test
   snapshot_midcascade_test
+  stream_placement_test
 )
 
 run_asan() {
